@@ -3,10 +3,11 @@
 Two stages of local iteration, then a final rate pick. Stage 1 is a
 synchronous power game: each pair maximizes a sigmoid reward on its own SINR
 minus a linear power price, seeing the other pairs only through the
-aggregate interference at its receiver. Stage 2 walks the surviving powers
-onto the rate-table thresholds: each active pair rescales its power so its
-SINR lands on the threshold of the best rate it currently clears. Step 3
-reads the final rates off the table.
+aggregate interference at its receiver; the closed-form best response
+answers all pairs of a round in one array expression. Stage 2 walks the
+surviving powers onto the rate-table thresholds: each active pair rescales
+its power so its SINR lands on the threshold of the best rate it currently
+clears. Step 3 reads the final rates off the table.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from .config import SystemParams
-from .link_abstraction import RateTable, select_mode
+from .link_abstraction import RateTable
 from .network_opt import sinr_in_all
 from .radio_env import Topology, total_noise_power
 from .rng import substream
@@ -80,60 +81,36 @@ def sigmoid_utility(sinr, p, params: DprcParams):
         - params.alpha_price * np.asarray(p, float)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def best_response_power(ieff, params: DprcParams, p_t: float):
+    """Utility-maximizing power for each pair whose SINR at power p is
+    p / ieff (ieff = interference-plus-noise over own gain, mW), in closed
+    form. Returns a float for a scalar ieff and an array for an array.
 
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Argmax of a unimodal f on [lo, hi] by golden-section search."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return 0.5 * (lo + hi)
-
-
-def best_response_power(ieff: float, params: DprcParams, p_t: float) -> float:
-    """Utility-maximizing power for one pair whose SINR at power p is
-    p / ieff (ieff = interference-plus-noise over own gain, mW).
-
-    The utility rises only on the sigmoid's steep section; its stationary
-    points satisfy sg * (1 - sg) = alpha * ieff / a in the sigmoid value sg,
-    so the search bracket [inflection below midpoint, p_t] contains a single
-    interior maximum. A pair whose price slope exceeds the sigmoid's peak
-    slope (alpha * ieff >= a / 4), or whose best utility does not beat the
-    zero-power floor, shuts off.
+    The utility's stationary points satisfy sg * (1 - sg) = alpha * ieff / a
+    in the sigmoid value sg; the maximum is the upper root,
+    sg = (1 + sqrt(1 - q)) / 2 with q = 4 * alpha * ieff / a, and its SINR
+    is beta + ln(sg / (1 - sg)) / a, clipped to the budget [0, p_t]. Since
+    1 - sg = q / (2 * (1 + sqrt(1 - q))), the log-odds are
+    2 * ln(1 + sqrt(1 - q)) - ln(q), free of cancellation for tiny ieff. A
+    pair whose price slope reaches the sigmoid's peak slope (q >= 1), or
+    whose best utility does not beat the zero-power floor, shuts off.
     """
-    if ieff <= 0:
+    x = np.asarray(ieff, dtype=float)
+    if np.any(x <= 0):
         raise ValueError("ieff must be positive")
     if p_t <= 0:
         raise ValueError("p_t must be positive")
-    a, alpha = params.a, params.alpha_price
-    if alpha * ieff >= a / 4.0:
-        return 0.0
-
-    def util(p: float) -> float:
-        return float(sigmoid_utility(p / ieff, p, params))
-
-    # lower stationary point (local minimum): sigmoid value below 1/2
-    sg_lo = 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * alpha * ieff / a))
-    p_lo = ieff * (params.beta + math.log(sg_lo / (1.0 - sg_lo)) / a)
-    lo = min(max(p_lo, 0.0), p_t)
-    cand = _golden_max(util, lo, p_t, tol=1e-9 * p_t)
-    best_p, best_u = max(
-        ((cand, util(cand)), (p_t, util(p_t))), key=lambda t: t[1]
-    )
+    ieff_arr = np.atleast_1d(x)
+    q = 4.0 * params.alpha_price * ieff_arr / params.a
+    on = q < 1.0
+    root = np.sqrt(np.where(on, 1.0 - q, 0.0))
+    log_odds = 2.0 * np.log1p(root) - np.log(q)
+    p = np.clip(ieff_arr * (params.beta + log_odds / params.a), 0.0, p_t)
     # drop rule: silence unless transmitting beats the zero-power floor
-    if best_u <= util(0.0):
-        return 0.0
-    return best_p
+    keep = on & (sigmoid_utility(p / ieff_arr, p, params)
+                 > sigmoid_utility(0.0, 0.0, params))
+    p = np.where(keep, p, 0.0)
+    return float(p[0]) if x.ndim == 0 else p.reshape(x.shape)
 
 
 def _effective_interference(p: np.ndarray, topo: Topology, noise_mw: float):
@@ -153,19 +130,25 @@ def stage1(
     trace: list | None = None,
 ) -> np.ndarray:
     """Synchronous best-response power game from a random start
-    p_i(0) = u_i * P_T. Returns the power vector after loop_num rounds."""
+    p_i(0) = u_i * P_T: every round, all pairs play the closed-form best
+    response to the interference of the previous round. Returns the power
+    vector after loop_num rounds."""
     p_t = params.p_t_mw
     noise_mw = total_noise_power(params)
     p = rng.uniform(0.0, 1.0, size=topo.k) * p_t
     for it in range(dprc.loop_num):
         ieff = _effective_interference(p, topo, noise_mw)
-        p = np.array(
-            [best_response_power(ieff[i], dprc, p_t) for i in range(topo.k)]
-        )
+        p = best_response_power(ieff, dprc, p_t)
         if trace is not None:
             sinr = sinr_in_all(p, topo, noise_mw)
             trace.append((1, it, p.copy(), sinr, np.zeros(topo.k, dtype=int)))
     return p
+
+
+# stage 2 lands a pair this hair above its threshold: the SINR recomputed at
+# the rescaled power may round a few ulp below an exact landing, and the next
+# round would then read the pair one mode lower
+_LANDING_MARGIN = 1.0 + 1e-13
 
 
 def _rate_indices(sinr: np.ndarray, thresholds_linear: np.ndarray) -> np.ndarray:
@@ -184,7 +167,7 @@ def stage2(
     trace: list | None = None,
 ) -> DprcState:
     """Threshold tracking: every round, each pair picks the best rate its
-    SINR clears and rescales power to sit on that rate's threshold.
+    SINR clears and rescales power to sit just above that rate's threshold.
 
     Pairs clearing no threshold keep their power untouched; powers stay in
     [0, P_T]. literal_update applies the rescale in the opposite direction
@@ -201,7 +184,9 @@ def stage2(
         sinr = sinr_in_all(p, topo, noise_mw)
         r = _rate_indices(sinr, thresholds_linear)
         active = (r > 0) & (p > 0)
-        target = np.where(active, thresholds_linear[np.maximum(r - 1, 0)], 1.0)
+        target = np.where(
+            active, thresholds_linear[np.maximum(r - 1, 0)] * _LANDING_MARGIN, 1.0
+        )
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(active, target / np.maximum(sinr, 1e-300), 1.0)
         if literal_update:
@@ -234,9 +219,7 @@ def run_dprc(
         p1, topo, table.thresholds_linear, params,
         loop_num=dprc.loop_num, literal_update=literal_update, trace=rows,
     )
-    # step 3: the reported rates are select_mode at the final powers; stage2's
+    # step 3: the reported rates are the table's at the final powers; stage2's
     # closing rate indices are the same lookup, so state.r already matches
-    noise_mw = total_noise_power(params)
-    sinr = sinr_in_all(state.p, topo, noise_mw)
-    total = float(sum(select_mode(float(s), table).rate_bps for s in sinr))
-    return state, total
+    sinr = sinr_in_all(state.p, topo, total_noise_power(params))
+    return state, float(table.rate_for_sinr(sinr).sum())

@@ -2,7 +2,8 @@
 
 Rate tables are expensive to build, so prebuilt copies live as JSON under
 tests/data/tables with fixed build settings (seed 0, 2000 draws, the
-default grid). Deleting them forces a rebuild on the next run.
+default grid). A missing or stale copy is rebuilt into a session temporary
+directory; the shipped fixtures are never rewritten.
 """
 
 from pathlib import Path
@@ -51,9 +52,10 @@ def params() -> SystemParams:
 
 
 @pytest.fixture(scope="session")
-def table_cache(params):
-    """Callable (n_rx, flag_name) -> RateTable, backed by the on-disk cache."""
-    CACHE_DIR.mkdir(parents=True, exist_ok=True)
+def table_cache(params, tmp_path_factory):
+    """Callable (n_rx, flag_name) -> RateTable, backed by the shipped cache;
+    tables missing from it or stale are built into a session temp dir."""
+    build_dir = tmp_path_factory.mktemp("tables")
     loaded: dict[tuple[int, str], RateTable] = {}
 
     def get(n_rx: int, flag_name: str) -> RateTable:
@@ -75,7 +77,7 @@ def table_cache(params):
             n_draws=_BUILD_INFO["n_draws"],
             seed=_BUILD_INFO["seed"],
         )
-        table.save(path)
+        table.save(build_dir / path.name)
         loaded[key] = table
         return table
 

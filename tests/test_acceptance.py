@@ -7,7 +7,6 @@ window is reported with the measured value rather than widened.
 
 import json
 import math
-import shutil
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ import pytest
 import conftest
 from adhocmimo.config import SystemParams, db_to_linear, linear_to_db
 from adhocmimo.dprc import DprcParams, run_dprc, best_response_power, sigmoid_utility
-from adhocmimo.experiments_cli import ExperimentSpec, run_experiment
+from adhocmimo.experiments_cli import ExperimentSpec, run_experiment, table_filename
 from adhocmimo.impairment_model import sinr_baseband
 from adhocmimo.link_abstraction import (
     ImpairmentFlags,
@@ -40,13 +39,12 @@ def record(num: int, ok: bool, detail: str) -> None:
 
 
 def seed_tables(out_dir, table_cache, combos) -> None:
-    """Stage the shipped rate tables for a scenario output tree."""
-    for n_rx, name in combos:
-        table_cache(n_rx, name)        # build on a cold cache
+    """Stage the suite's rate tables (shipped, or rebuilt when stale) for a
+    scenario output tree."""
     table_dir = out_dir / "tables"
     table_dir.mkdir(parents=True, exist_ok=True)
-    for path in conftest.CACHE_DIR.glob("rates_*.json"):
-        shutil.copy(path, table_dir / path.name)
+    for n_rx, name in combos:
+        table_cache(n_rx, name).save(table_dir / table_filename(n_rx, name))
 
 
 def crossing_db(grid_db: np.ndarray, bers: np.ndarray, target: float) -> float:

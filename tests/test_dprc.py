@@ -96,6 +96,38 @@ def test_best_response_matches_brute_force():
         assert abs(best - brute) <= step + 1e-9
 
 
+def utility_gain(p_from, p_to, ieff, dprc):
+    """U(p_to) - U(p_from) for SINR p / ieff, written so that it does not
+    subtract two utilities near 1: the sigmoid difference uses
+    expit(z1) - expit(z0) = -e0 * expm1(-dz) / ((1 + e0) * (1 + e1)) with
+    e = exp(-z). sigmoid_utility itself rounds to 1e-16, more than the
+    second-order drop over a 1e-6 relative step when ieff is small."""
+    z0 = dprc.a * (p_from / ieff - dprc.beta)
+    dz = dprc.a * (p_to - p_from) / ieff
+    e0 = np.exp(-z0)
+    d_sig = -e0 * np.expm1(-dz) / ((1.0 + e0) * (1.0 + e0 * np.exp(-dz)))
+    return d_sig - dprc.alpha_price * (p_to - p_from)
+
+
+def test_best_response_exact_below_the_grid_resolution():
+    # log-uniform over 1e-14..1e3 mW reaches the ~5e-12 mW of a 10 m pair,
+    # far below the 0.01 mW step of the brute-force grid
+    dprc = DprcParams()
+    p_t = 100.0
+    ieffs = 10.0 ** substream(0, "exact-ieff").uniform(-14.0, 3.0, size=5000)
+    p = best_response_power(ieffs, dprc, p_t)
+    assert p.shape == ieffs.shape
+    scalar = np.array([best_response_power(float(x), dprc, p_t) for x in ieffs])
+    np.testing.assert_array_equal(p, scalar)
+    assert isinstance(best_response_power(1.0, dprc, p_t), float)
+
+    interior = (p > 0.0) & (p < p_t)
+    assert interior.sum() > 1000
+    pi, ii = p[interior], ieffs[interior]
+    for step in (1.0 + 1e-6, 1.0 - 1e-6):
+        assert np.all(utility_gain(pi, pi * step, ii, dprc) <= 0.0)
+
+
 # ---------------------------------------------------------------------------
 # stage 1
 
@@ -165,6 +197,21 @@ def test_stage2_leaves_infeasible_pair_untouched(params, table_cache):
     assert state.r[0] == 0
 
 
+def test_stage2_keeps_rate_started_just_above_each_threshold(params, table_cache):
+    # rescaling onto a threshold must not round the SINR below it, or the
+    # next round reads the pair one mode lower
+    thr = table_cache(4, "ideal").thresholds_linear
+    topo = topo_from_d([[10.0]], params)
+    noise = total_noise_power(params)
+    for j in range(thr.size):
+        p0 = np.array([thr[j] * noise / topo.rho[0, 0] * (1.0 + 1e-9)])
+        rows = []
+        state = stage2(p0, topo, thr, params, loop_num=30, trace=rows)
+        assert len(rows) == 30
+        assert [int(row[4][0]) for row in rows] == [j + 1] * 30
+        assert state.r[0] == j + 1
+
+
 def test_stage2_rejects_unsorted_thresholds(params):
     topo = topo_from_d([[10.0]], params)
     with pytest.raises(ValueError):
@@ -178,11 +225,24 @@ def test_stage2_rejects_unsorted_thresholds(params):
 def test_run_dprc_single_strong_pair(params, table_cache):
     table = table_cache(4, "ideal")
     topo = topo_from_d([[10.0]], params)
-    state, total = run_dprc(topo, table, params, DprcParams(),
-                            substream(0, "dprc"))
-    # the conservative tracker parks on a cleared threshold well below the
-    # budget-limited optimum
-    assert total == 96e6
+    dprc = DprcParams()
+    state, total = run_dprc(topo, table, params, dprc, substream(0, "dprc"),
+                            trace=True)
+    # alone, the pair's stage-1 SINR is the closed-form optimum
+    # beta + ln(sg / (1 - sg)) / a at ieff = noise / own gain
+    ieff = total_noise_power(params) / topo.rho[0, 0]
+    q = 4.0 * dprc.alpha_price * ieff / dprc.a
+    sg = 0.5 * (1.0 + math.sqrt(1.0 - q))
+    one_minus_sg = q / (2.0 * (1.0 + math.sqrt(1.0 - q)))
+    sinr_opt = dprc.beta + math.log(sg / one_minus_sg) / dprc.a
+    stage1_sinr = [row[3][0] for row in state.history if row[0] == 1]
+    assert stage1_sinr
+    for s in stage1_sinr:
+        assert s == pytest.approx(sinr_opt, rel=1e-9)
+    assert 10.0 * math.log10(sinr_opt) == pytest.approx(16.11, abs=0.005)
+    # the tracker parks on the threshold of the mode that SINR clears
+    # (12.9 dB) and keeps that rate
+    assert total == table.rate_for_sinr(sinr_opt) == 64e6
     assert state.r[0] > 0
     sinr = sinr_in_all(state.p, topo, total_noise_power(params))[0]
     assert sinr >= table.thresholds_linear[state.r[0] - 1]

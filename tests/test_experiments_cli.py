@@ -214,25 +214,46 @@ def test_loss_ratio_outputs(tmp_path):
 
 
 def test_dprc_sweep_outputs_and_traces(tmp_path):
-    out = tmp_path / "out"
-    seed_tables(out)
-    assert main(
-        ["dprc-sweep", "--k", "2", "--trials", "1", "--out", str(out)]
-    ) == 0
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        seed_tables(out)
+        assert main(
+            ["dprc-sweep", "--k", "2", "--trials", "2", "--jobs", jobs,
+             "--out", str(out)]
+        ) == 0
+        outs.append(out)
+    out = outs[0]
     header, rows = read_csv(out / "dprc_trials.csv")
     assert header == ["trial_id", "K", "n_rx", "impaired", "dprc_bps",
                       "mst_bps", "runtime_ms"]
+    assert len(rows) == 2 * 2            # trials x flag sets
     for r in rows:
         assert float(r[4]) <= float(r[5])    # distributed never beats central
-    for name in ("ideal", "imp"):
-        trace = out / f"dprc_trace_k2_n4_{name}_t0.csv"
-        t_header, t_rows = read_csv(trace)
+    traces = sorted(p.name for p in out.glob("dprc_trace_*.csv"))
+    assert traces == sorted(
+        f"dprc_trace_k2_n4_{name}_t{t}.csv"
+        for name in ("ideal", "imp") for t in (0, 1)
+    )
+    for name in traces:
+        t_header, t_rows = read_csv(out / name)
         assert t_header == ["iteration", "pair", "power_dbm", "sinr_db",
                             "rate_bps"]
         assert t_rows
     manifest = json.loads((out / "manifest.json").read_text())
     assert "dprc_trials.csv" in manifest["outputs"]
     assert manifest["outputs"] == sorted(manifest["outputs"])
+
+    # worker fan-out changes only the timing column
+    _, rows2 = read_csv(outs[1] / "dprc_trials.csv")
+    t_idx = header.index("runtime_ms")
+    assert drop_column(rows, t_idx) == drop_column(rows2, t_idx)
+    agg1 = json.loads((outs[0] / "dprc_aggregate.json").read_text())
+    agg2 = json.loads((outs[1] / "dprc_aggregate.json").read_text())
+    assert agg1 == agg2
+    assert sorted(p.name for p in outs[1].glob("dprc_trace_*.csv")) == traces
+    for name in traces:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_run_experiment_returns_written_paths(tmp_path):
