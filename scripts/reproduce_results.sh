@@ -7,8 +7,8 @@
 #   scripts/reproduce_results.sh out --paper     full-size trial counts
 #
 # Every run is seeded, so a repeated invocation with the same arguments
-# rewrites byte-identical CSVs. Pass --jobs N to fan trials out over N
-# processes.
+# rewrites byte-identical CSVs, apart from the runtime_ms column of the
+# trial CSVs. Pass --jobs N to fan trials out over N processes.
 set -euo pipefail
 
 out="${1:-out}"

@@ -121,6 +121,11 @@ def _effective_interference(p: np.ndarray, topo: Topology, noise_mw: float):
     return (interference + noise_mw) / own
 
 
+def _rate_indices(sinr: np.ndarray, thresholds_linear: np.ndarray) -> np.ndarray:
+    """Highest threshold index cleared by each SINR; 0 means none."""
+    return np.searchsorted(thresholds_linear, sinr, side="right")
+
+
 def stage1(
     topo: Topology,
     params: SystemParams,
@@ -128,11 +133,13 @@ def stage1(
     rng: np.random.Generator,
     *,
     trace: list | None = None,
+    thresholds_linear=(),
 ) -> np.ndarray:
     """Synchronous best-response power game from a random start
     p_i(0) = u_i * P_T: every round, all pairs play the closed-form best
     response to the interference of the previous round. Returns the power
-    vector after loop_num rounds."""
+    vector after loop_num rounds. Trace rows carry each pair's rate index
+    against thresholds_linear (run_dprc passes its table's)."""
     p_t = params.p_t_mw
     noise_mw = total_noise_power(params)
     p = rng.uniform(0.0, 1.0, size=topo.k) * p_t
@@ -141,7 +148,8 @@ def stage1(
         p = best_response_power(ieff, dprc, p_t)
         if trace is not None:
             sinr = sinr_in_all(p, topo, noise_mw)
-            trace.append((1, it, p.copy(), sinr, np.zeros(topo.k, dtype=int)))
+            r = _rate_indices(sinr, np.asarray(thresholds_linear, dtype=float))
+            trace.append((1, it, p.copy(), sinr, r))
     return p
 
 
@@ -149,11 +157,6 @@ def stage1(
 # the rescaled power may round a few ulp below an exact landing, and the next
 # round would then read the pair one mode lower
 _LANDING_MARGIN = 1.0 + 1e-13
-
-
-def _rate_indices(sinr: np.ndarray, thresholds_linear: np.ndarray) -> np.ndarray:
-    """Highest threshold index cleared by each SINR; 0 means none."""
-    return np.searchsorted(thresholds_linear, sinr, side="right")
 
 
 def stage2(
@@ -214,7 +217,8 @@ def run_dprc(
     and the resulting sum throughput (bits/s)."""
     rng = rng if rng is not None else substream(0, "dprc")
     rows: list | None = [] if trace else None
-    p1 = stage1(topo, params, dprc, rng, trace=rows)
+    p1 = stage1(topo, params, dprc, rng, trace=rows,
+                thresholds_linear=table.thresholds_linear)
     state = stage2(
         p1, topo, table.thresholds_linear, params,
         loop_num=dprc.loop_num, literal_update=literal_update, trace=rows,

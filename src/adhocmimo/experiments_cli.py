@@ -3,7 +3,7 @@
 Each scenario writes CSV data files plus a manifest.json holding the fully
 resolved configuration and seed, so any output can be reproduced from its
 manifest alone. Nothing here contains method logic; it samples topologies,
-drives the library modules trial by trial, and serializes.
+drives the library modules over chunks of trials, and serializes.
 
 Exit codes: 0 success, 1 usage error (bad flags or config file), 2 runtime
 failure (such as a missing rate-table cache when building is not allowed).
@@ -218,6 +218,9 @@ def _load_tables(spec: ExperimentSpec) -> dict[tuple[int, str], RateTable]:
 # ---------------------------------------------------------------------------
 # scenario workers (module-level so process pools can pickle them)
 
+# members per batched GA call: bounds a chunk's working set to a few MB
+_CHUNK_MEMBERS = 64
+
 
 def _map_tasks(fn, tasks: list, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
@@ -226,71 +229,94 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _mst_trial(task: dict) -> dict:
-    params = SystemParams.from_mapping(task["params"])
-    tables = {
-        key: RateTable.from_dict(doc) for key, doc in task["tables"]
-    }
+def _chunk_topologies(task: dict, params: SystemParams) -> list:
     k = task["k"]
-    topo = sample_topology(
-        k, params, substream(task["seed"], f"topology-k{k}", task["trial"])
-    )
-    results = []
-    for (n_rx, name), table in tables.items():
-        t0 = perf_counter()
-        ga = GaParams(
-            seed=derive_seed(task["seed"], f"ga-k{k}-n{n_rx}-{name}", task["trial"])
-        )
-        _, mst = maximize_sum_throughput(topo, table, ga, params)
-        results.append((n_rx, name, mst, (perf_counter() - t0) * 1e3))
-    return {"trial": task["trial"], "k": k, "results": results}
+    return [
+        sample_topology(k, params, substream(task["seed"], f"topology-k{k}", trial))
+        for trial in task["trials"]
+    ]
 
 
-def _dprc_trial(task: dict) -> dict:
-    params = SystemParams.from_mapping(task["params"])
-    tables = {key: RateTable.from_dict(doc) for key, doc in task["tables"]}
+def _ga_reference(task: dict, params: SystemParams, topos: list, tables: list,
+                  extra_seeds=None) -> tuple[list, float]:
+    """One batched GA call over every (trial, table) member of a chunk.
+
+    Flag sets share the GA seed of their (trial, K, n_rx), so loss shares
+    compare the same search. Returns the sums as a (trials, tables) list
+    and each member's equal share of the call's time (ms).
+    """
     k = task["k"]
-    topo = sample_topology(
-        k, params, substream(task["seed"], f"topology-k{k}", task["trial"])
+    members = [
+        (topo, table, GaParams(seed=derive_seed(task["seed"], f"ga-k{k}-n{n_rx}", trial)))
+        for trial, topo in zip(task["trials"], topos)
+        for (n_rx, _), table in tables
+    ]
+    t0 = perf_counter()
+    _, mst = maximize_sum_throughput(
+        *zip(*members), params, extra_seeds=extra_seeds
     )
+    share_ms = (perf_counter() - t0) * 1e3 / len(members)
+    return mst.reshape(len(topos), len(tables)).tolist(), share_ms
+
+
+def _mst_chunk(task: dict) -> list[dict]:
+    params = SystemParams.from_mapping(task["params"])
+    tables = [(key, RateTable.from_dict(doc)) for key, doc in task["tables"]]
+    mst, share_ms = _ga_reference(task, params, _chunk_topologies(task, params), tables)
+    return [
+        {
+            "trial": trial,
+            "k": task["k"],
+            "results": [
+                (n_rx, name, value, share_ms)
+                for ((n_rx, name), _), value in zip(tables, row)
+            ],
+        }
+        for trial, row in zip(task["trials"], mst)
+    ]
+
+
+def _dprc_chunk(task: dict) -> list[dict]:
+    params = SystemParams.from_mapping(task["params"])
+    tables = [(key, RateTable.from_dict(doc)) for key, doc in task["tables"]]
+    k = task["k"]
+    topos = _chunk_topologies(task, params)
     dprc_params = DprcParams()
-    results = []
-    traces = {}
-    for (n_rx, name), table in tables.items():
-        t0 = perf_counter()
-        rng = substream(
-            derive_seed(task["seed"], f"dprc-k{k}-n{n_rx}-{name}"), "dprc",
-            task["trial"],
-        )
-        state, dprc_bps = run_dprc(
-            topo, table, params, dprc_params, rng, trace=task["trace"]
-        )
-        # centralized reference on the same topology; warm-started with the
-        # DPRC allocation so elitism guarantees distributed <= centralized
-        ga = GaParams(
-            seed=derive_seed(task["seed"], f"ga-k{k}-n{n_rx}-{name}", task["trial"])
-        )
-        _, mst = maximize_sum_throughput(
-            topo, table, ga, params, extra_seeds=state.p
-        )
-        runtime_ms = (perf_counter() - t0) * 1e3
-        results.append((n_rx, name, dprc_bps, mst, runtime_ms))
-        if task["trace"]:
-            rates = np.concatenate([[0.0], table.rates_bps])
-            rows = []
-            for step, (_, _, p, sinr, r) in enumerate(state.history):
-                for pair in range(k):
-                    rows.append(
-                        [
-                            step,
-                            pair,
-                            _fmt(mw_to_dbm(p[pair]) if p[pair] > 0 else -np.inf),
-                            _fmt(linear_to_db(sinr[pair]) if sinr[pair] > 0 else -np.inf),
-                            str(int(rates[r[pair]])),
-                        ]
-                    )
-            traces[(n_rx, name)] = rows
-    return {"trial": task["trial"], "k": k, "results": results, "traces": traces}
+    per_trial, finals = [], []
+    for trial, topo in zip(task["trials"], topos):
+        trace = trial < task["trace_trials"]
+        results, traces = [], {}
+        for (n_rx, name), table in tables:
+            t0 = perf_counter()
+            rng = substream(
+                derive_seed(task["seed"], f"dprc-k{k}-n{n_rx}-{name}"), "dprc", trial
+            )
+            state, dprc_bps = run_dprc(topo, table, params, dprc_params, rng, trace=trace)
+            results.append([n_rx, name, dprc_bps, (perf_counter() - t0) * 1e3])
+            finals.append(state.p)
+            if trace:
+                rates = np.concatenate([[0.0], table.rates_bps])
+                traces[(n_rx, name)] = [
+                    [
+                        step,
+                        pair,
+                        _fmt(mw_to_dbm(p[pair]) if p[pair] > 0 else -np.inf),
+                        _fmt(linear_to_db(sinr[pair]) if sinr[pair] > 0 else -np.inf),
+                        str(int(rates[r[pair]])),
+                    ]
+                    for step, (_, _, p, sinr, r) in enumerate(state.history)
+                    for pair in range(k)
+                ]
+        per_trial.append({"trial": trial, "k": k, "results": results, "traces": traces})
+    # centralized reference on the same topologies; warm-started with the
+    # DPRC allocations so elitism guarantees distributed <= centralized
+    mst, share_ms = _ga_reference(task, params, topos, tables, extra_seeds=finals)
+    for res, row in zip(per_trial, mst):
+        res["results"] = [
+            (n_rx, name, dprc_bps, value, dprc_ms + share_ms)
+            for (n_rx, name, dprc_bps, dprc_ms), value in zip(res["results"], row)
+        ]
+    return per_trial
 
 
 def _ber_point(task: dict) -> dict:
@@ -399,23 +425,31 @@ def _run_rate_table(spec: ExperimentSpec) -> list[str]:
     ]
 
 
-def _mst_tasks(spec: ExperimentSpec, tables) -> list[dict]:
+def _chunk_tasks(spec: ExperimentSpec, tables) -> list[dict]:
+    """Contiguous chunks of trials of one K: one chunk per K at --jobs 1 and
+    jobs chunks per K otherwise, split further so that no chunk's batched
+    GA holds more than _CHUNK_MEMBERS (trial, table) members."""
     table_docs = [
         (key, tables[key].to_dict())
         for key in sorted(tables)
     ]
+    size = min(-(-spec.n_trials // spec.jobs), _CHUNK_MEMBERS // len(table_docs))
+    size = max(size, 1)
     return [
         {
             "params": spec.params.to_config_dict(),
             "tables": table_docs,
             "k": k,
-            "trial": trial,
+            "trials": list(range(start, min(start + size, spec.n_trials))),
             "seed": spec.seed,
-            "trace": False,
         }
         for k in spec.k_values
-        for trial in range(spec.n_trials)
+        for start in range(0, spec.n_trials, size)
     ]
+
+
+def _flatten(chunks: list[list[dict]]) -> list[dict]:
+    return [res for chunk in chunks for res in chunk]
 
 
 def _aggregate(rows, value_idx: int):
@@ -442,7 +476,7 @@ def _aggregate(rows, value_idx: int):
 
 def _run_mst_sweep(spec: ExperimentSpec) -> list[str]:
     tables = _load_tables(spec)
-    results = _map_tasks(_mst_trial, _mst_tasks(spec, tables), spec.jobs)
+    results = _flatten(_map_tasks(_mst_chunk, _chunk_tasks(spec, tables), spec.jobs))
     csv_rows, flat = [], []
     for res in results:
         for n_rx, name, mst, runtime_ms in res["results"]:
@@ -468,7 +502,7 @@ def _run_mst_sweep(spec: ExperimentSpec) -> list[str]:
 
 def _run_loss_ratio(spec: ExperimentSpec) -> list[str]:
     tables = _load_tables(spec)
-    results = _map_tasks(_mst_trial, _mst_tasks(spec, tables), spec.jobs)
+    results = _flatten(_map_tasks(_mst_chunk, _chunk_tasks(spec, tables), spec.jobs))
     csv_rows, flat = [], []
     for res in results:
         for n_rx, name, mst, runtime_ms in res["results"]:
@@ -515,10 +549,10 @@ def _run_loss_ratio(spec: ExperimentSpec) -> list[str]:
 
 def _run_dprc_sweep(spec: ExperimentSpec) -> list[str]:
     tables = _load_tables(spec)
-    tasks = _mst_tasks(spec, tables)
+    tasks = _chunk_tasks(spec, tables)
     for task in tasks:
-        task["trace"] = task["trial"] < spec.trace_trials
-    results = _map_tasks(_dprc_trial, tasks, spec.jobs)
+        task["trace_trials"] = spec.trace_trials
+    results = _flatten(_map_tasks(_dprc_chunk, tasks, spec.jobs))
     csv_rows, flat, outputs = [], [], []
     for res in results:
         for n_rx, name, dprc_bps, mst, runtime_ms in res["results"]:

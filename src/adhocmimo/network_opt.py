@@ -9,7 +9,8 @@ appropriate tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,7 +81,6 @@ class GaParams:
     mutation_reset_frac: float = 0.8   # share of mutations that redraw the gene
     elitism: int = 2
     seed: int = 0
-    log_domain: bool = False
 
     def __post_init__(self):
         if self.elitism < 1:
@@ -93,10 +93,6 @@ class GaParams:
             raise ValueError("mutation_reset_frac must be a probability")
 
 
-# log-domain floor: 60 dB below P_T stands in for "off" when searching in dB
-_LOG_FLOOR_FRAC = 1e-6
-
-
 def _corner_allocations(k: int, p_t: float) -> np.ndarray:
     corners = np.zeros((k + 2, k))
     corners[0] = p_t
@@ -105,13 +101,13 @@ def _corner_allocations(k: int, p_t: float) -> np.ndarray:
 
 
 def maximize_sum_throughput(
-    topo: Topology,
-    table: RateTable,
-    ga: GaParams,
+    topo: Topology | Sequence[Topology],
+    table: RateTable | Sequence[RateTable],
+    ga: GaParams | Sequence[GaParams],
     params: SystemParams,
     *,
-    extra_seeds: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
+    extra_seeds=None,
+):
     """Search per-pair powers in [0, P_T] for the maximum sum throughput.
 
     Tournament selection (size 2), blend crossover, mixed Gaussian-step and
@@ -120,80 +116,113 @@ def maximize_sum_throughput(
     (all-on, all-off, each pair alone at P_T) plus any extra_seeds rows, so
     with elitism the result never falls below the best of those baselines.
     Returns (best allocation, its sum throughput).
+
+    Batch form: equal-length sequences of topologies (all with the same K),
+    tables and GA settings (equal apart from the seed) evolve M independent
+    runs as one (M, population, K) array, and the result is ((M, K)
+    allocations, (M,) sums); extra_seeds is then one (K,) or (rows, K)
+    array per member, with the same row count for all. Each run draws only
+    from its own substream(seed, "ga") in a fixed layout per generation, so
+    a member's result is bit-identical alone and in any batch.
     """
-    k = topo.k
+    single = isinstance(topo, Topology)
+    topos, tables, gas = ([topo], [table], [ga]) if single else (
+        list(topo), list(table), list(ga))
+    m = len(topos)
+    if m == 0 or not m == len(tables) == len(gas):
+        raise ValueError("topo, table and ga must be sequences of one nonzero length")
+    k = topos[0].k
+    if any(t.k != k for t in topos):
+        raise ValueError("batch members must share the pair count K")
+    ga = gas[0]
+    if any(replace(g, seed=ga.seed) != ga for g in gas):
+        raise ValueError("batch members may differ only in the GA seed")
+
     p_t = params.p_t_mw
-    pop_size = ga.population if ga.population is not None else 4 * k
     mut_rate = ga.mutation_rate if ga.mutation_rate is not None else 1.0 / k
-    rng = substream(ga.seed, "ga")
+    mut_sigma = ga.mutation_sigma_frac * p_t
     noise_mw = total_noise_power(params)
+    seeds = np.broadcast_to(_corner_allocations(k, p_t), (m, k + 2, k))
+    if extra_seeds is not None:
+        extra = np.asarray(extra_seeds, dtype=float).reshape(m, -1, k)
+        seeds = np.concatenate([seeds, np.clip(extra, 0.0, p_t)], axis=1)
+    pop_size = ga.population if ga.population is not None else 4 * k
+    pop_size = max(pop_size, seeds.shape[1] + ga.elitism)
+    n_pairs = pop_size // 2
+
+    # gains laid out for p @ rho^T per member, and members grouped by table
+    # so each generation does one rate lookup per distinct table
+    rho_t = np.stack([t.rho.T for t in topos])
+    own = np.stack([np.diagonal(t.rho) for t in topos])[:, None, :]
+    groups: dict[int, tuple[RateTable, list[int]]] = {}
+    for i, tab in enumerate(tables):
+        groups.setdefault(id(tab), (tab, []))[1].append(i)
 
     def fitness(pop: np.ndarray) -> np.ndarray:
-        sinr = sinr_in_all(pop, topo, noise_mw)
-        return table.rate_for_sinr(sinr).sum(axis=-1)
+        signal = pop * own
+        sinr = signal / (pop @ rho_t - signal + noise_mw)
+        fit = np.empty(pop.shape[:2])
+        for tab, idx in groups.values():
+            fit[idx] = tab.rate_for_sinr(sinr[idx]).sum(axis=-1)
+        return fit
 
-    seeds = _corner_allocations(k, p_t)
-    if extra_seeds is not None:
-        extra = np.atleast_2d(np.asarray(extra_seeds, dtype=float))
-        seeds = np.vstack([seeds, np.clip(extra, 0.0, p_t)])
-    pop_size = max(pop_size, len(seeds) + ga.elitism)
-    pop = rng.uniform(0.0, p_t, size=(pop_size, k))
-    pop[: len(seeds)] = seeds
+    # one generator per distinct seed; members sharing a seed share its draws
+    slot = {s: j for j, s in enumerate(dict.fromkeys(g.seed for g in gas))}
+    member_slot = np.array([slot[g.seed] for g in gas])
+    rngs = [substream(s, "ga") for s in slot]
+    # per generation: tournament entrants, crossover coins, blend weights,
+    # mutation choice, redraw values, then one block of Gaussian steps
+    cuts = np.cumsum([2 * pop_size, n_pairs, 2 * n_pairs * k, pop_size * k])
+    uniform = np.empty((len(rngs), cuts[-1] + pop_size * k))
+    normal = np.empty((len(rngs), pop_size * k))
 
-    if ga.log_domain:
-        floor = p_t * _LOG_FLOOR_FRAC
-        to_search = lambda p: np.log(np.maximum(p, floor))
-        from_search = lambda x: np.where(x <= np.log(floor), 0.0, np.exp(x))
-        lo, hi = np.log(floor), np.log(p_t)
-    else:
-        to_search = from_search = lambda p: p
-        lo, hi = 0.0, p_t
-
-    genes = to_search(pop)
-    mut_sigma = ga.mutation_sigma_frac * (hi - lo) if ga.log_domain \
-        else ga.mutation_sigma_frac * p_t
-
-    fit = fitness(from_search(genes))
-    best_idx = int(np.argmax(fit))
-    best_p = from_search(genes[best_idx]).copy()
-    best_fit = float(fit[best_idx])
+    genes = p_t * np.stack([r.random((pop_size, k)) for r in rngs])[member_slot]
+    genes[:, : seeds.shape[1]] = seeds
+    fit = fitness(genes)
 
     for _ in range(ga.generations):
+        for r, u, z in zip(rngs, uniform, normal):
+            r.random(out=u)
+            r.standard_normal(out=z)
+        tour, cross, blend, choice, redraw = np.split(
+            uniform[member_slot], cuts, axis=1)
+
         # tournament selection, two random entrants per parent slot
-        a = rng.integers(0, pop_size, size=pop_size)
-        b = rng.integers(0, pop_size, size=pop_size)
-        parents = genes[np.where(fit[a] >= fit[b], a, b)]
+        entrants = (tour * pop_size).astype(np.intp).reshape(m, 2, pop_size)
+        a, b = entrants[:, 0], entrants[:, 1]
+        wins = np.take_along_axis(fit, a, 1) >= np.take_along_axis(fit, b, 1)
+        parents = np.take_along_axis(genes, np.where(wins, a, b)[..., None], 1)
 
         # blend crossover on consecutive parent pairs
         children = parents.copy()
-        for i in range(0, pop_size - 1, 2):
-            if rng.random() < ga.crossover_rate:
-                lo_g = np.minimum(parents[i], parents[i + 1])
-                hi_g = np.maximum(parents[i], parents[i + 1])
-                span = hi_g - lo_g
-                low = lo_g - 0.5 * span
-                width = 2.0 * span
-                children[i] = low + width * rng.random(k)
-                children[i + 1] = low + width * rng.random(k)
+        mates = parents[:, : 2 * n_pairs].reshape(m, n_pairs, 2, k)
+        lo = mates.min(axis=2, keepdims=True)
+        span = mates.max(axis=2, keepdims=True) - lo
+        blended = lo - 0.5 * span + 2.0 * span * blend.reshape(m, n_pairs, 2, k)
+        crossed = (cross < ga.crossover_rate)[..., None, None]
+        children[:, : 2 * n_pairs] = np.where(crossed, blended, mates).reshape(
+            m, 2 * n_pairs, k)
 
         # mutation: a Gaussian step refines, a uniform redraw escapes the
         # collapsed-population basin that small steps cannot leave
-        mask = rng.random(size=(pop_size, k)) < mut_rate
-        stepped = children + rng.normal(0.0, mut_sigma, size=(pop_size, k))
-        redrawn = rng.uniform(lo, hi, size=(pop_size, k))
-        use_redraw = rng.random(size=(pop_size, k)) < ga.mutation_reset_frac
-        children = np.where(mask, np.where(use_redraw, redrawn, stepped), children)
-        children = np.clip(children, lo, hi)
+        choice = choice.reshape(m, pop_size, k)
+        stepped = children + mut_sigma * normal[member_slot].reshape(m, pop_size, k)
+        children = np.where(
+            choice < mut_rate * ga.mutation_reset_frac,
+            p_t * redraw.reshape(m, pop_size, k),
+            np.where(choice < mut_rate, stepped, children),
+        )
+        np.clip(children, 0.0, p_t, out=children)
 
         # elitism: best of the current generation survive unchanged
-        elite_idx = np.argsort(fit)[-ga.elitism:]
-        children[: ga.elitism] = genes[elite_idx]
+        elite = np.argsort(fit, axis=1, kind="stable")[:, -ga.elitism:]
+        children[:, : ga.elitism] = np.take_along_axis(genes, elite[..., None], 1)
 
         genes = children
-        fit = fitness(from_search(genes))
-        gen_best = int(np.argmax(fit))
-        if fit[gen_best] > best_fit:
-            best_fit = float(fit[gen_best])
-            best_p = from_search(genes[gen_best]).copy()
+        fit = fitness(genes)
 
-    return best_p, best_fit
+    # elitism carries the best allocation seen so far into every generation
+    best = fit.argmax(axis=1)
+    best_p = genes[np.arange(m), best]
+    best_fit = fit[np.arange(m), best]
+    return (best_p[0], float(best_fit[0])) if single else (best_p, best_fit)

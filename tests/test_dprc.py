@@ -235,10 +235,12 @@ def test_run_dprc_single_strong_pair(params, table_cache):
     sg = 0.5 * (1.0 + math.sqrt(1.0 - q))
     one_minus_sg = q / (2.0 * (1.0 + math.sqrt(1.0 - q)))
     sinr_opt = dprc.beta + math.log(sg / one_minus_sg) / dprc.a
-    stage1_sinr = [row[3][0] for row in state.history if row[0] == 1]
-    assert stage1_sinr
-    for s in stage1_sinr:
-        assert s == pytest.approx(sinr_opt, rel=1e-9)
+    stage1_rows = [row for row in state.history if row[0] == 1]
+    assert stage1_rows
+    for row in stage1_rows:
+        assert row[3][0] == pytest.approx(sinr_opt, rel=1e-9)
+        # stage-1 rows report the mode that SINR clears, not rate 0
+        assert table.rates_bps[row[4][0] - 1] == 64e6
     assert 10.0 * math.log10(sinr_opt) == pytest.approx(16.11, abs=0.005)
     # the tracker parks on the threshold of the mode that SINR clears
     # (12.9 dB) and keeps that rate

@@ -256,6 +256,29 @@ def test_dprc_sweep_outputs_and_traces(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "scenario, csv_name",
+    [("mst-sweep", "mst_trials.csv"), ("dprc-sweep", "dprc_trials.csv")],
+)
+def test_trial_rows_do_not_depend_on_the_trial_count(tmp_path, scenario,
+                                                     csv_name):
+    # a trial's GA member is bit-identical in any chunk, so adding trials
+    # leaves the rows of the earlier ones unchanged
+    rows = {}
+    for trials in ("2", "3"):
+        out = tmp_path / f"out{trials}"
+        seed_tables(out)
+        assert main(
+            [scenario, "--k", "3", "--nrx", "4", "--trials", trials,
+             "--out", str(out)]
+        ) == 0
+        header, got = read_csv(out / csv_name)
+        rows[trials] = drop_column(got, header.index("runtime_ms"))
+    assert len(rows["3"]) == 3 * 2           # trials x flag sets
+    assert rows["3"][: len(rows["2"])] == rows["2"]
+    assert all(r[0] in ("0", "1") for r in rows["2"])
+
+
 def test_run_experiment_returns_written_paths(tmp_path):
     spec = ExperimentSpec(
         scenario="sinr-map",

@@ -201,15 +201,6 @@ def test_ga_deterministic_per_seed(params, table_cache):
     np.testing.assert_array_equal(p1, p2)
 
 
-def test_ga_log_domain_search(params, table_cache):
-    table = table_cache(4, "ideal")
-    topo = sample_topology(2, params, substream(6, "log"))
-    _, lin_fit = maximize_sum_throughput(topo, table, GaParams(), params)
-    _, log_fit = maximize_sum_throughput(topo, table,
-                                         GaParams(log_domain=True), params)
-    assert log_fit >= lin_fit - 8e6
-
-
 def test_ga_warm_start_seeds_are_kept(params, table_cache):
     table = table_cache(4, "ideal")
     topo = topo_from_d([[10.0, 300.0], [1.0, 250.0]], params)
@@ -217,3 +208,44 @@ def test_ga_warm_start_seeds_are_kept(params, table_cache):
     _, fit = maximize_sum_throughput(topo, table, GaParams(generations=1),
                                      params, extra_seeds=warm)
     assert fit == 192e6
+
+
+def test_ga_batch_members_match_single_runs(params, table_cache):
+    # a member's result is bit-identical alone and in any batch order
+    tables = [table_cache(4, "ideal"), table_cache(4, "imp")]
+    topos = [sample_topology(4, params, substream(s, "batch")) for s in (11, 12)]
+    members = [(t, tab, GaParams(seed=s)) for s, t in enumerate(topos)
+               for tab in tables]
+    warm = [np.full(4, 2.0 + i) for i in range(len(members))]
+    for extra in (None, warm):
+        topo_b, table_b, ga_b = map(list, zip(*members))
+        p_b, fit_b = maximize_sum_throughput(topo_b, table_b, ga_b, params,
+                                             extra_seeds=extra)
+        assert p_b.shape == (4, 4) and fit_b.shape == (4,)
+        for i, (t, tab, ga) in enumerate(members):
+            p, fit = maximize_sum_throughput(
+                t, tab, ga, params,
+                extra_seeds=None if extra is None else extra[i])
+            assert isinstance(fit, float)
+            assert fit == fit_b[i]
+            np.testing.assert_array_equal(p, p_b[i])
+        p_r, fit_r = maximize_sum_throughput(
+            topo_b[::-1], table_b[::-1], ga_b[::-1], params,
+            extra_seeds=None if extra is None else extra[::-1])
+        np.testing.assert_array_equal(p_r[::-1], p_b)
+        np.testing.assert_array_equal(fit_r[::-1], fit_b)
+
+
+def test_ga_batch_input_validation(params, table_cache):
+    table = table_cache(4, "ideal")
+    t2 = sample_topology(2, params, substream(1, "val"))
+    t3 = sample_topology(3, params, substream(2, "val"))
+    with pytest.raises(ValueError):
+        maximize_sum_throughput([t2, t3], [table, table],
+                                [GaParams(), GaParams()], params)
+    with pytest.raises(ValueError):
+        maximize_sum_throughput([t2, t2], [table], [GaParams(), GaParams()],
+                                params)
+    with pytest.raises(ValueError):
+        maximize_sum_throughput([t2, t2], [table, table],
+                                [GaParams(), GaParams(generations=5)], params)
