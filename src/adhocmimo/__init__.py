@@ -21,8 +21,6 @@ from .link_abstraction import (
     RateEntry,
     RateTable,
     ber_end_to_end,
-    ber_over_channels,
-    ber_with_rfo,
     build_rate_table,
     conditional_ber,
     make_mod_scheme,
@@ -34,9 +32,7 @@ from .link_abstraction import (
 from .mc_oracle import OracleConfig, OracleResult, demap, simulate_link_ber
 from .network_opt import (
     GaParams,
-    loss_ratio,
     maximize_sum_throughput,
-    sinr_in,
     sinr_in_all,
     sum_throughput,
 )
@@ -44,7 +40,6 @@ from .radio_env import (
     Topology,
     noise_variance,
     path_gain,
-    sample_fading,
     sample_topology,
     total_noise_power,
 )
@@ -72,8 +67,6 @@ __all__ = [
     "RateEntry",
     "RateTable",
     "ber_end_to_end",
-    "ber_over_channels",
-    "ber_with_rfo",
     "build_rate_table",
     "conditional_ber",
     "make_mod_scheme",
@@ -86,15 +79,12 @@ __all__ = [
     "demap",
     "simulate_link_ber",
     "GaParams",
-    "loss_ratio",
     "maximize_sum_throughput",
-    "sinr_in",
     "sinr_in_all",
     "sum_throughput",
     "Topology",
     "noise_variance",
     "path_gain",
-    "sample_fading",
     "sample_topology",
     "total_noise_power",
     "complex_normal",

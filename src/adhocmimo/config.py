@@ -6,12 +6,10 @@ dBc appear only at the configuration boundary and in result files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .impairment_model import PhaseNoisePsdParams
 
 __all__ = [
     "ConfigError",
@@ -59,7 +57,6 @@ class SystemParams:
     gamma_ber: float = 0.02            # uncoded BER target for rate selection
     r_base_bps: float = 8e6            # single-stream 1-bit rate after coding
     p_t_mw: float = 100.0              # per-pair transmit power cap (linear)
-    psd: PhaseNoisePsdParams = field(default_factory=PhaseNoisePsdParams)
 
     def __post_init__(self):
         if self.d0_m <= 0:
@@ -89,7 +86,6 @@ class SystemParams:
     def from_mapping(cls, mapping: dict) -> "SystemParams":
         """Build params from external config keys (dB/dBm/dBc units)."""
         kwargs = {}
-        psd_kwargs = {}
         for key, raw in mapping.items():
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key: {key!r}")
@@ -98,12 +94,7 @@ class SystemParams:
                 value = conv(raw)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-            if target.startswith("psd."):
-                psd_kwargs[target[4:]] = value
-            else:
-                kwargs[target] = value
-        if psd_kwargs:
-            kwargs["psd"] = replace(PhaseNoisePsdParams(), **psd_kwargs)
+            kwargs[target] = value
         return cls(**kwargs)
 
     @classmethod
@@ -135,11 +126,6 @@ class SystemParams:
             "gamma_ber": self.gamma_ber,
             "r_base_bps": self.r_base_bps,
             "p_t_dbm": self.p_t_dbm,
-            "psd_a": self.psd.a,
-            "psd_b": self.psd.b,
-            "psd_c": self.psd.c,
-            "psd_fl_hz": self.psd.f_l,
-            "psd_fh_hz": self.psd.f_h,
         }
 
 
@@ -157,9 +143,4 @@ _CONFIG_KEYS = {
     "gamma_ber": ("gamma_ber", float),
     "r_base_bps": ("r_base_bps", float),
     "p_t_dbm": ("p_t_mw", lambda v: float(dbm_to_mw(float(v)))),
-    "psd_a": ("psd.a", float),
-    "psd_b": ("psd.b", float),
-    "psd_c": ("psd.c", float),
-    "psd_fl_hz": ("psd.f_l", float),
-    "psd_fh_hz": ("psd.f_h", float),
 }

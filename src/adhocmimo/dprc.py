@@ -166,15 +166,13 @@ def stage2(
     params: SystemParams,
     *,
     loop_num: int = 30,
-    literal_update: bool = False,
     trace: list | None = None,
 ) -> DprcState:
     """Threshold tracking: every round, each pair picks the best rate its
     SINR clears and rescales power to sit just above that rate's threshold.
 
     Pairs clearing no threshold keep their power untouched; powers stay in
-    [0, P_T]. literal_update applies the rescale in the opposite direction
-    (power grows whenever SINR exceeds the threshold), kept only for study.
+    [0, P_T].
     """
     thresholds_linear = np.asarray(thresholds_linear, dtype=float)
     if thresholds_linear.ndim != 1 or np.any(np.diff(thresholds_linear) <= 0):
@@ -192,8 +190,6 @@ def stage2(
         )
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(active, target / np.maximum(sinr, 1e-300), 1.0)
-        if literal_update:
-            ratio = np.where(active, 1.0 / ratio, 1.0)
         p = np.clip(p * ratio, 0.0, params.p_t_mw)
         if trace is not None:
             hist.append((2, it, p.copy(), sinr_in_all(p, topo, noise_mw), r.copy()))
@@ -209,7 +205,6 @@ def run_dprc(
     dprc: DprcParams,
     rng: np.random.Generator | None = None,
     *,
-    literal_update: bool = False,
     trace: bool = False,
 ) -> tuple[DprcState, float]:
     """Full algorithm: power game, threshold tracking against the table's
@@ -221,7 +216,7 @@ def run_dprc(
                 thresholds_linear=table.thresholds_linear)
     state = stage2(
         p1, topo, table.thresholds_linear, params,
-        loop_num=dprc.loop_num, literal_update=literal_update, trace=rows,
+        loop_num=dprc.loop_num, trace=rows,
     )
     # step 3: the reported rates are the table's at the final powers; stage2's
     # closing rate indices are the same lookup, so state.r already matches

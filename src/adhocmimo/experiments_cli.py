@@ -27,11 +27,13 @@ from .config import ConfigError, SystemParams, linear_to_db, db_to_linear, mw_to
 from .dprc import DprcParams, run_dprc
 from .impairment_model import sinr_baseband
 from .link_abstraction import (
+    FLAG_SETS,
     ImpairmentFlags,
     RateTable,
+    ber_end_to_end,
     build_rate_table,
     make_mod_scheme,
-    ber_end_to_end,
+    table_build_key,
 )
 from .mc_oracle import OracleConfig, simulate_link_ber
 from .network_opt import GaParams, maximize_sum_throughput
@@ -46,14 +48,6 @@ SCENARIOS = (
     "loss-ratio",
     "dprc-sweep",
 )
-
-FLAG_SETS = {
-    "ideal": ImpairmentFlags.none(),
-    "imp": ImpairmentFlags.all(),
-    "pn": ImpairmentFlags(phase_noise=True, rfo=False, channel_est=False),
-    "rfo": ImpairmentFlags(phase_noise=False, rfo=True, channel_est=False),
-    "ce": ImpairmentFlags(phase_noise=False, rfo=False, channel_est=True),
-}
 
 # scenario -> (k values, n_rx values, flag-set names)
 _SCENARIO_AXES = {
@@ -145,26 +139,16 @@ def table_filename(n_rx: int, flag_name: str) -> str:
     return f"rates_N{n_rx}_{flag_name}.json"
 
 
-def _table_build_info(spec: ExperimentSpec) -> dict:
-    return {
-        "seed": spec.table_seed,
-        "n_draws": spec.table_draws,
-        "sinr_lo_db": -5.0,
-        "sinr_hi_db": 45.0,
-        "quad_order": 15,
-    }
-
-
 def build_tables(spec: ExperimentSpec) -> list[Path]:
     """Build any missing or stale cached tables for the spec's axes.
 
-    A cache file is fresh when its build block matches the requested seed,
-    draw count, and grid; fresh files are left untouched so rebuilds are
-    idempotent and byte-stable.
+    A cache file is fresh when its build block equals the table build key of
+    the spec's parameters, table seed and draw count; fresh files are left
+    untouched so rebuilds are idempotent and byte-stable.
     """
     table_dir = spec.out_dir / "tables"
     table_dir.mkdir(parents=True, exist_ok=True)
-    want = _table_build_info(spec)
+    want = table_build_key(spec.params, seed=spec.table_seed, n_draws=spec.table_draws)
     written = []
     for n_rx in spec.n_rx_values:
         for name in spec.flag_names:
@@ -176,11 +160,8 @@ def build_tables(spec: ExperimentSpec) -> list[Path]:
                 except (ValueError, KeyError, json.JSONDecodeError):
                     pass
             table = build_rate_table(
-                n_rx,
-                FLAG_SETS[name],
-                spec.params,
-                n_draws=spec.table_draws,
-                seed=spec.table_seed,
+                n_rx, FLAG_SETS[name], spec.params,
+                seed=spec.table_seed, n_draws=spec.table_draws,
             )
             table.save(path)
             written.append(path)
@@ -193,7 +174,7 @@ def _load_tables(spec: ExperimentSpec) -> dict[tuple[int, str], RateTable]:
         build_tables(spec)
     tables = {}
     missing = []
-    want = _table_build_info(spec)
+    want = table_build_key(spec.params, seed=spec.table_seed, n_draws=spec.table_draws)
     for n_rx in spec.n_rx_values:
         for name in spec.flag_names:
             path = spec.out_dir / "tables" / table_filename(n_rx, name)

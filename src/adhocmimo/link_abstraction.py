@@ -31,26 +31,23 @@ __all__ = [
     "ModScheme",
     "make_mod_scheme",
     "ImpairmentFlags",
+    "FLAG_SETS",
     "EstimatedChannel",
     "training_length",
     "perturb_channel",
     "mmse_weights",
     "conditional_ber",
-    "ber_over_channels",
-    "ber_with_rfo",
     "ber_end_to_end",
     "RateEntry",
     "RateTable",
     "LinkOutcome",
+    "table_build_key",
     "build_rate_table",
     "select_mode",
 ]
 
 # supported bits/symbol -> mean-energy normalizer of the square grid
 _D_BY_U = {1: 1, 2: 2, 4: 10, 6: 42}
-
-DEFAULT_NOISE_MODEL = "row"    # post-detection variance model, see conditional_ber
-DEFAULT_AXIS_MODEL = "exact"   # per-axis error model, see conditional_ber
 
 
 def _q(x):
@@ -152,6 +149,16 @@ class ImpairmentFlags:
         return "+".join(parts) if parts else "none"
 
 
+# the named impairment sets of the scenarios, tables and test fixtures
+FLAG_SETS = {
+    "ideal": ImpairmentFlags.none(),
+    "imp": ImpairmentFlags.all(),
+    "pn": ImpairmentFlags(phase_noise=True, rfo=False, channel_est=False),
+    "rfo": ImpairmentFlags(phase_noise=False, rfo=True, channel_est=False),
+    "ce": ImpairmentFlags(phase_noise=False, rfo=False, channel_est=True),
+}
+
+
 def training_length(m: int) -> int:
     """Training symbols spent on channel estimation: the smallest power of
     two that is at least the stream count."""
@@ -214,19 +221,7 @@ def _axis_errors_exact(mean, sig, level_idx, levels, gray, half_step):
     return region_p @ flips
 
 
-def _axis_errors_neighbor(mean, sig, level_idx, levels, half_step):
-    """Nearest-neighbor union bound on one axis: tail probability past each
-    adjacent decision edge (one term for edge levels, two for interior)."""
-    lvl = levels[level_idx]
-    p = np.zeros_like(mean)
-    if level_idx < len(levels) - 1:
-        p = p + _q((lvl + half_step - mean) / sig)
-    if level_idx > 0:
-        p = p + _q((mean - (lvl - half_step)) / sig)
-    return p
-
-
-def _ber_given_stats(s_diag, sigma2, mod: ModScheme, axis_model: str):
+def _ber_given_stats(s_diag, sigma2, mod: ModScheme):
     """Average BER over streams given the post-detection diagonal gains
     (..., M) and total interference-plus-noise variances (..., M)."""
     sig = np.sqrt(np.maximum(sigma2, 0.0) / 2.0)
@@ -235,31 +230,23 @@ def _ber_given_stats(s_diag, sigma2, mod: ModScheme, axis_model: str):
     for label, z in enumerate(mod.points):
         mean = s_diag * z
         ir = int(mod.re_index[label])
-        if axis_model == "exact":
-            acc += _axis_errors_exact(
-                mean.real, sig, ir, mod.re_levels, mod.re_gray, mod.half_step
-            )
-        else:
-            acc += _axis_errors_neighbor(
-                mean.real, sig, ir, mod.re_levels, mod.half_step
-            )
+        acc += _axis_errors_exact(
+            mean.real, sig, ir, mod.re_levels, mod.re_gray, mod.half_step
+        )
         if mod.has_im_axis:
             ii = int(mod.im_index[label])
-            if axis_model == "exact":
-                acc += _axis_errors_exact(
-                    mean.imag, sig, ii, mod.im_levels, mod.im_gray, mod.half_step
-                )
-            else:
-                acc += _axis_errors_neighbor(
-                    mean.imag, sig, ii, mod.im_levels, mod.half_step
-                )
+            acc += _axis_errors_exact(
+                mean.imag, sig, ii, mod.im_levels, mod.im_gray, mod.half_step
+            )
     per_stream = acc / (len(mod.points) * mod.u)
     return per_stream.mean(axis=-1)
 
 
-def _detection_stats(h, h_hat, sinr_rfo, noise_model: str):
+def _detection_stats(h, h_hat, sinr_rfo):
     """Post-detection diagonal gains and decision-statistic variances for the
-    power-normalized link (signal scaled by 1/sqrt(M), noise 1/sinr)."""
+    power-normalized link (signal scaled by 1/sqrt(M), noise 1/sinr): the
+    detected stream's off-diagonal interference plus the detector-row-scaled
+    noise."""
     m = h.shape[-1]
     scale = 1.0 / math.sqrt(m)
     g = h * scale
@@ -269,47 +256,24 @@ def _detection_stats(h, h_hat, sinr_rfo, noise_model: str):
     idx = np.arange(m)
     s_diag = s[..., idx, idx]
     nu = 1.0 / np.asarray(sinr_rfo, dtype=float)
-    if noise_model == "row":
-        inter = np.sum(np.abs(s) ** 2, axis=-1) - np.abs(s_diag) ** 2
-        w_energy = np.sum(np.abs(w) ** 2, axis=-1)
-        sigma2 = inter + w_energy * (nu[..., None] if nu.ndim else nu)
-    elif noise_model == "diag":
-        diag_pow = np.abs(s_diag) ** 2
-        inter = diag_pow.sum(axis=-1, keepdims=True) - diag_pow
-        sigma2 = inter + (nu[..., None] if nu.ndim else nu)
-    else:
-        raise ValueError(f"unknown noise_model: {noise_model!r}")
+    inter = np.sum(np.abs(s) ** 2, axis=-1) - np.abs(s_diag) ** 2
+    w_energy = np.sum(np.abs(w) ** 2, axis=-1)
+    sigma2 = inter + w_energy * (nu[..., None] if nu.ndim else nu)
     return s_diag, sigma2
 
 
-def _ber_batch(h, h_hat, sinr_rfo, mod, noise_model, axis_model):
-    s_diag, sigma2 = _detection_stats(h, h_hat, sinr_rfo, noise_model)
-    return _ber_given_stats(s_diag, sigma2, mod, axis_model)
-
-
 def conditional_ber(
-    h: np.ndarray,
-    h_hat: np.ndarray,
-    sinr_rfo: float,
-    mod: ModScheme,
-    *,
-    noise_model: str = DEFAULT_NOISE_MODEL,
-    axis_model: str = DEFAULT_AXIS_MODEL,
+    h: np.ndarray, h_hat: np.ndarray, sinr_rfo: float, mod: ModScheme
 ) -> float:
-    """BER of one channel draw under the Gaussian decision-statistic model.
-
-    noise_model "row" uses the off-diagonal interference of the detected
-    stream plus the detector-row-scaled noise; "diag" sums the other streams'
-    diagonal gains with an unscaled noise term. axis_model "exact" integrates
-    every decision region; "neighbor" keeps only adjacent-region terms.
-    """
+    """BER of one channel draw under the Gaussian decision-statistic model,
+    integrating every decision region of each axis."""
     if sinr_rfo <= 0:
         raise ValueError("sinr_rfo must be positive")
     h = np.asarray(h)
     h_hat = np.asarray(h_hat)
     if h.shape != h_hat.shape:
         raise ValueError("h and h_hat must have the same shape")
-    out = _ber_batch(h[None], h_hat[None], sinr_rfo, mod, noise_model, axis_model)
+    out = _ber_given_stats(*_detection_stats(h[None], h_hat[None], sinr_rfo), mod)
     return float(out[0])
 
 
@@ -330,16 +294,18 @@ def _gh_nodes(quad_order: int):
     return nodes, weights / math.sqrt(math.pi)
 
 
-def _pb_per_draw(
-    sinr_b, h, e_raw, mod, *,
-    rfo, imperfect_ce, n_sub, quad_order, noise_model, axis_model,
-):
-    """Residual-offset-averaged BER per channel draw, (n_draws,)."""
+def _ber_per_draw(sinr_in, h, e_raw, mod, flags: ImpairmentFlags,
+                  params: SystemParams, quad_order: int):
+    """The impairment chain at a positive input SINR, one BER per channel
+    draw, (n_draws,): phase-noise ICI compresses the SINR, the residual
+    offset is averaged over Gauss-Hermite nodes, and the channel estimate
+    degrades with the SINR at each node."""
+    sinr_b = sinr_baseband(sinr_in, params.f_ici) if flags.phase_noise else sinr_in
     m = h.shape[-1]
     mt = training_length(m)
-    if rfo:
+    if flags.rfo:
         nodes, weights = _gh_nodes(quad_order)
-        sigma = rfo_std(sinr_b, n_sub)
+        sigma = rfo_std(sinr_b, params.ns)
         eps = np.clip(math.sqrt(2.0) * sigma * nodes, -RFO_EPS_LIMIT, RFO_EPS_LIMIT)
         sinr_nodes = sinr_after_rfo(np.full_like(eps, sinr_b), eps)
     else:
@@ -347,69 +313,13 @@ def _pb_per_draw(
         weights = np.array([1.0])
     pb = np.zeros(h.shape[0])
     for w_node, s_node in zip(weights, sinr_nodes):
-        if imperfect_ce:
+        if flags.channel_est:
             err_std = math.sqrt(m / (mt * s_node))
             h_hat = h + err_std * e_raw
         else:
             h_hat = h
-        pb += w_node * _ber_batch(h, h_hat, s_node, mod, noise_model, axis_model)
+        pb += w_node * _ber_given_stats(*_detection_stats(h, h_hat, s_node), mod)
     return pb
-
-
-def ber_over_channels(
-    sinr_rfo: float,
-    m: int,
-    n: int,
-    mod: ModScheme,
-    n_draws: int,
-    rng: np.random.Generator,
-    *,
-    imperfect_ce: bool = True,
-    noise_model: str = DEFAULT_NOISE_MODEL,
-    axis_model: str = DEFAULT_AXIS_MODEL,
-) -> tuple[float, float]:
-    """Mean conditional BER over independent Rayleigh draws (and estimate
-    draws when imperfect_ce). Returns (mean, standard error)."""
-    if sinr_rfo <= 0:
-        raise ValueError("sinr_rfo must be positive")
-    h, e_raw = _draw_channel_set(m, n, n_draws, rng)
-    pb = _pb_per_draw(
-        sinr_rfo, h, e_raw, mod,
-        rfo=False, imperfect_ce=imperfect_ce, n_sub=0, quad_order=0,
-        noise_model=noise_model, axis_model=axis_model,
-    )
-    se = pb.std(ddof=1) / math.sqrt(n_draws) if n_draws > 1 else 0.0
-    return float(pb.mean()), float(se)
-
-
-def ber_with_rfo(
-    sinr_b: float,
-    m: int,
-    n: int,
-    mod: ModScheme,
-    quad_order: int = 15,
-    n_draws: int = 2000,
-    rng: np.random.Generator | None = None,
-    *,
-    n_sub: int = 64,
-    imperfect_ce: bool = True,
-    noise_model: str = DEFAULT_NOISE_MODEL,
-    axis_model: str = DEFAULT_AXIS_MODEL,
-) -> tuple[float, float]:
-    """BER averaged over the residual-offset distribution (Gauss-Hermite over
-    the Gaussian offset) and over channel draws. Returns (mean, stderr);
-    the stderr reflects channel-draw averaging of the offset-averaged values."""
-    if sinr_b <= 0:
-        raise ValueError("sinr_b must be positive")
-    rng = rng if rng is not None else substream(0, "ber-with-rfo")
-    h, e_raw = _draw_channel_set(m, n, n_draws, rng)
-    pb = _pb_per_draw(
-        sinr_b, h, e_raw, mod,
-        rfo=True, imperfect_ce=imperfect_ce, n_sub=n_sub, quad_order=quad_order,
-        noise_model=noise_model, axis_model=axis_model,
-    )
-    se = pb.std(ddof=1) / math.sqrt(n_draws) if n_draws > 1 else 0.0
-    return float(pb.mean()), float(se)
 
 
 def ber_end_to_end(
@@ -422,32 +332,23 @@ def ber_end_to_end(
     n_draws: int = 2000,
     rng: np.random.Generator | None = None,
     quad_order: int = 15,
-    *,
-    noise_model: str = DEFAULT_NOISE_MODEL,
-    axis_model: str = DEFAULT_AXIS_MODEL,
 ) -> tuple[float, float]:
     """Full chain from wideband input SINR to BER with the selected
-    impairments: phase-noise ICI compresses the SINR, the residual offset is
-    averaged out, and the channel estimate degrades with the operating SINR.
+    impairments, averaged over n_draws Rayleigh channel and estimate-error
+    draws. Returns (mean, standard error over the draws).
 
     At zero input SINR the decision statistic carries no signal, so the BER
     is exactly one half for every Gray-labeled scheme.
     """
-    if sinr_in < 0:
+    if not sinr_in >= 0:
         raise ValueError("sinr_in must be non-negative")
     if m > n:
         raise ValueError("stream count cannot exceed receive antennas")
     if sinr_in == 0:
         return 0.5, 0.0
     rng = rng if rng is not None else substream(0, "ber-end-to-end")
-    sinr_b = sinr_baseband(sinr_in, params.f_ici) if flags.phase_noise else sinr_in
     h, e_raw = _draw_channel_set(m, n, n_draws, rng)
-    pb = _pb_per_draw(
-        sinr_b, h, e_raw, mod,
-        rfo=flags.rfo, imperfect_ce=flags.channel_est,
-        n_sub=params.ns, quad_order=quad_order,
-        noise_model=noise_model, axis_model=axis_model,
-    )
+    pb = _ber_per_draw(sinr_in, h, e_raw, mod, flags, params, quad_order)
     se = pb.std(ddof=1) / math.sqrt(n_draws) if n_draws > 1 else 0.0
     return float(pb.mean()), float(se)
 
@@ -566,12 +467,6 @@ def select_mode(sinr_in: float, table: RateTable) -> LinkOutcome:
     return LinkOutcome(m=e.m, u=e.u, rate_bps=e.rate_bps, sinr_in=float(sinr_in), feasible=True)
 
 
-def _coerce_flags(flags) -> ImpairmentFlags:
-    if isinstance(flags, ImpairmentFlags):
-        return flags
-    return ImpairmentFlags.all() if flags else ImpairmentFlags.none()
-
-
 def _pareto_front(cands: list[RateEntry]) -> tuple[RateEntry, ...]:
     """Keep, from highest rate down, every mode whose threshold strictly
     undercuts all higher-rate survivors; result ascends in both columns."""
@@ -590,51 +485,65 @@ def _pareto_front(cands: list[RateEntry]) -> tuple[RateEntry, ...]:
     return tuple(reversed(front))
 
 
-def build_rate_table(
-    n_rx: int,
-    flags,
+def table_build_key(
     params: SystemParams,
     *,
+    seed: int = 0,
+    n_draws: int = 2000,
     grid_step_db: float = 0.1,
     sinr_range_db: tuple[float, float] = (-5.0, 45.0),
-    n_draws: int = 2000,
     quad_order: int = 15,
-    seed: int = 0,
-    noise_model: str = DEFAULT_NOISE_MODEL,
-    axis_model: str = DEFAULT_AXIS_MODEL,
+) -> dict:
+    """Every input that shapes a rate table besides its antenna count and
+    impairment set: the build settings and the SystemParams fields the BER
+    chain and the rates read. build_rate_table records it as the table's
+    build block; a cached table is fresh when its block equals the key."""
+    lo_db, hi_db = sinr_range_db
+    return {
+        "seed": seed,
+        "n_draws": n_draws,
+        "sinr_lo_db": lo_db,
+        "sinr_hi_db": hi_db,
+        "grid_step_db": grid_step_db,
+        "quad_order": quad_order,
+        "gamma_ber": params.gamma_ber,
+        "f_ici": params.f_ici,
+        "ns": params.ns,
+        "r_base_bps": params.r_base_bps,
+    }
+
+
+def build_rate_table(
+    n_rx: int, flags: ImpairmentFlags, params: SystemParams, **settings
 ) -> RateTable:
     """Scan every (m <= n_rx, u) mode for the lowest SINR grid point meeting
-    the BER target and keep the Pareto frontier.
+    the BER target and keep the Pareto frontier. settings are the keyword
+    arguments of table_build_key (seed, n_draws, grid_step_db,
+    sinr_range_db, quad_order).
 
     One channel/estimate draw set per stream count is reused across the whole
     grid (common random numbers), which makes the averaged BER smooth and
     monotone in SINR so the first passing grid point is found by bisection.
     Modes that fail the target everywhere on the grid are omitted.
     """
-    flags = _coerce_flags(flags)
-    lo_db, hi_db = sinr_range_db
-    n_grid = int(round((hi_db - lo_db) / grid_step_db)) + 1
-    grid_db = np.round(lo_db + grid_step_db * np.arange(n_grid), 9)
+    build = table_build_key(params, **settings)
+    lo_db, step_db = build["sinr_lo_db"], build["grid_step_db"]
+    n_grid = int(round((build["sinr_hi_db"] - lo_db) / step_db)) + 1
+    grid_db = np.round(lo_db + step_db * np.arange(n_grid), 9)
     gamma = params.gamma_ber
 
     cands: list[RateEntry] = []
     for m in range(1, n_rx + 1):
-        rng = substream(seed, f"rate-table-n{n_rx}-m{m}-{flags.label()}")
-        h, e_raw = _draw_channel_set(m, n_rx, n_draws, rng)
+        rng = substream(build["seed"], f"rate-table-n{n_rx}-m{m}-{flags.label()}")
+        h, e_raw = _draw_channel_set(m, n_rx, build["n_draws"], rng)
         for u in sorted(_D_BY_U):
             mod = make_mod_scheme(u)
             cache: dict[int, float] = {}
 
             def mean_ber(j: int) -> float:
                 if j not in cache:
-                    s_in = db_to_linear(grid_db[j])
-                    s_b = sinr_baseband(s_in, params.f_ici) if flags.phase_noise else s_in
-                    pb = _pb_per_draw(
-                        s_b, h, e_raw, mod,
-                        rfo=flags.rfo, imperfect_ce=flags.channel_est,
-                        n_sub=params.ns, quad_order=quad_order,
-                        noise_model=noise_model, axis_model=axis_model,
-                    )
+                    pb = _ber_per_draw(db_to_linear(grid_db[j]), h, e_raw, mod,
+                                       flags, params, build["quad_order"])
                     cache[j] = float(pb.mean())
                 return cache[j]
 
@@ -663,14 +572,8 @@ def build_rate_table(
     return RateTable(
         n_rx=n_rx,
         impaired=flags != ImpairmentFlags.none(),
-        grid_step_db=grid_step_db,
+        grid_step_db=step_db,
         entries=_pareto_front(cands),
         flags_label=flags.label(),
-        build_info={
-            "seed": seed,
-            "n_draws": n_draws,
-            "sinr_lo_db": lo_db,
-            "sinr_hi_db": hi_db,
-            "quad_order": quad_order,
-        },
+        build_info=build,
     )

@@ -20,12 +20,10 @@ from .radio_env import Topology, total_noise_power
 from .rng import substream
 
 __all__ = [
-    "sinr_in",
     "sinr_in_all",
     "sum_throughput",
     "GaParams",
     "maximize_sum_throughput",
-    "loss_ratio",
 ]
 
 
@@ -42,15 +40,6 @@ def sinr_in_all(p, topo: Topology, noise_mw: float) -> np.ndarray:
     return p * own / (interference + noise_mw)
 
 
-def sinr_in(j: int, p, topo: Topology, sigma2_n: float, ns: int) -> float:
-    """Input SINR of pair j: own received power over the other pairs'
-    aggregate interference plus total noise ns * sigma2_n."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (topo.k,):
-        raise ValueError("power allocation must have one entry per pair")
-    return float(sinr_in_all(p, topo, ns * sigma2_n)[j])
-
-
 def sum_throughput(
     p, topo: Topology, table: RateTable, params: SystemParams
 ) -> float:
@@ -58,14 +47,6 @@ def sum_throughput(
     at the SINR produced by allocation p."""
     sinr = sinr_in_all(p, topo, total_noise_power(params))
     return float(table.rate_for_sinr(sinr).sum())
-
-
-def loss_ratio(t_wo: float, t_w: float) -> float:
-    """Fraction of throughput lost relative to the impairment-free value
-    t_wo; NaN when the reference itself is zero."""
-    if t_wo <= 0:
-        return float("nan")
-    return (t_wo - t_w) / t_wo
 
 
 @dataclass(frozen=True)

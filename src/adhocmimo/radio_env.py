@@ -1,4 +1,4 @@
-"""Geometry, large-scale gain, fading, and noise for a K-pair ad hoc network.
+"""Geometry, large-scale gain, and noise for a K-pair ad hoc network.
 
 Transmitters land uniformly (by area) on a disk; each intended receiver sits
 at a uniform random distance within a fixed range from its transmitter. Entry
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemParams, db_to_linear
-from .rng import complex_normal
 
 __all__ = [
     "Topology",
@@ -22,7 +21,6 @@ __all__ = [
     "noise_variance",
     "total_noise_power",
     "sample_topology",
-    "sample_fading",
 ]
 
 
@@ -99,13 +97,3 @@ def sample_topology(
     # keep the exact sampled pair distances on the diagonal
     d[np.arange(k), np.arange(k)] = dist
     return Topology(k=k, d=d, rho=path_gain(d, params), tx_xy=tx, rx_xy=rx)
-
-
-def sample_fading(
-    m: int, n: int, ns: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-subcarrier narrowband fading: ns independent (n, m) matrices of
-    unit-variance complex Gaussian entries, returned stacked as (ns, n, m)."""
-    if min(m, n, ns) < 1:
-        raise ValueError("m, n, ns must be positive")
-    return complex_normal(rng, (ns, n, m))

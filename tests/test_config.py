@@ -1,7 +1,5 @@
 """SystemParams defaults, the config-file loader, and unit conversions."""
 
-import math
-
 import pytest
 
 from adhocmimo.config import (
@@ -83,7 +81,7 @@ def test_from_file_reports_line_number(tmp_path):
 
 
 def test_config_dict_round_trip():
-    p = SystemParams.from_mapping({"p_t_dbm": "23", "psd_a": "9.0", "ns": "64"})
+    p = SystemParams.from_mapping({"p_t_dbm": "23", "ns": "64"})
     q = SystemParams.from_mapping(
         {k: str(v) for k, v in p.to_config_dict().items()}
     )
@@ -92,11 +90,3 @@ def test_config_dict_round_trip():
         assert getattr(q, name) == getattr(p, name)
     assert q.p_t_mw == pytest.approx(p.p_t_mw, rel=1e-12)
     assert q.f_ici == pytest.approx(p.f_ici, rel=1e-12)
-    assert q.psd == p.psd
-
-
-def test_psd_keys_reach_the_psd_block():
-    p = SystemParams.from_mapping({"psd_fl_hz": "20e3", "psd_fh_hz": "200e3"})
-    assert p.psd.f_l == 20e3
-    assert p.psd.f_h == 200e3
-    assert math.isclose(p.psd.a, 8.5)

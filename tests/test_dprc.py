@@ -249,12 +249,6 @@ def test_run_dprc_single_strong_pair(params, table_cache):
     sinr = sinr_in_all(state.p, topo, total_noise_power(params))[0]
     assert sinr >= table.thresholds_linear[state.r[0] - 1]
 
-    state_lit, total_lit = run_dprc(topo, table, params, DprcParams(),
-                                    substream(0, "dprc"), literal_update=True)
-    # the as-printed update climbs to full power and takes the top rate
-    assert total_lit == 192e6
-    assert state_lit.p[0] == params.p_t_mw
-
 
 def test_run_dprc_mutual_outage_is_silent(params, table_cache):
     table = table_cache(4, "ideal")

@@ -116,6 +116,31 @@ def test_stale_table_cache_is_reported(tmp_path, capsys):
     assert "built with different settings" in capsys.readouterr().err
 
 
+def test_tables_built_for_other_params_are_stale(tmp_path, capsys):
+    # the shipped tables hold the default BER target and ICI fraction; a
+    # config that changes either must not reuse them
+    out = tmp_path / "out"
+    seed_tables(out)
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("gamma_ber = 0.001\nf_ici_dbc = -25\n")
+    code = main(
+        ["mst-sweep", "--nrx", "1", "--k", "2", "--trials", "2",
+         "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "built with different settings" in err
+    assert str(out / "tables" / table_filename(1, "ideal")) in err
+
+
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("psd_a = 6\n")
+    code = main(["sinr-map", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "unknown config key" in capsys.readouterr().err
+
+
 def test_rate_table_scenario_is_idempotent(tmp_path):
     out = tmp_path / "out"
     argv = ["rate-table", "--nrx", "1", "--table-draws", "60",

@@ -8,20 +8,20 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import erfc
 
-from adhocmimo.config import db_to_linear
+from adhocmimo.config import SystemParams, db_to_linear
 from adhocmimo.link_abstraction import (
+    FLAG_SETS,
     ImpairmentFlags,
     RateEntry,
     RateTable,
     ber_end_to_end,
-    ber_over_channels,
-    ber_with_rfo,
     build_rate_table,
     conditional_ber,
     make_mod_scheme,
     mmse_weights,
     perturb_channel,
     select_mode,
+    table_build_key,
     training_length,
 )
 from adhocmimo.mc_oracle import simulate_conditional_ber
@@ -165,94 +165,76 @@ def test_conditional_ber_input_validation():
         conditional_ber(h, np.eye(3, dtype=complex), 1.0, mod)
 
 
-def test_noise_model_row_matches_oracle_diag_does_not():
-    # the corrected post-detection variance tracks the symbol simulation;
-    # the diagonal-sum alternative misses by orders of magnitude
+def test_conditional_ber_matches_oracle():
+    # the post-detection variance model tracks the symbol simulation
     rng = substream(11, "arbitration")
     s = db_to_linear(12.0)
     mod = make_mod_scheme(4)
     h = complex_normal(rng, (4, 4))
     h_hat = perturb_channel(h, s, rng).h_hat
     oracle = simulate_conditional_ber(h, h_hat, s, mod, 200_000, rng)
-    row = conditional_ber(h, h_hat, s, mod, noise_model="row")
-    diag = conditional_ber(h, h_hat, s, mod, noise_model="diag")
-    assert abs(row - oracle.ber) <= 0.03 * oracle.ber
-    assert abs(diag - oracle.ber) > 10.0 * abs(row - oracle.ber)
-
-
-def test_axis_model_exact_dominates_neighbor_and_converges():
-    mod = make_mod_scheme(4)
-    h = complex_normal(substream(12, "axis"), (2, 2))
-    lo = db_to_linear(0.0)
-    exact = conditional_ber(h, h, lo, mod, axis_model="exact")
-    neighbor = conditional_ber(h, h, lo, mod, axis_model="neighbor")
-    assert exact > neighbor          # multi-level flips matter at high BER
-    hi = db_to_linear(30.0)
-    exact = conditional_ber(h, h, hi, mod, axis_model="exact")
-    neighbor = conditional_ber(h, h, hi, mod, axis_model="neighbor")
-    assert exact == pytest.approx(neighbor, rel=1e-3, abs=1e-300)
+    ber = conditional_ber(h, h_hat, s, mod)
+    assert abs(ber - oracle.ber) <= 0.03 * oracle.ber
 
 
 # ---------------------------------------------------------------------------
-# channel-averaged BER
+# channel-averaged BER: the end-to-end chain
 
 
-def test_ber_over_channels_single_draw_and_determinism():
+def test_ber_end_to_end_single_draw_and_determinism(params):
     mod = make_mod_scheme(2)
-    ber1, se1 = ber_over_channels(5.0, 2, 2, mod, 1, substream(0, "avg"))
+    ce = FLAG_SETS["ce"]
+    ber1, se1 = ber_end_to_end(5.0, 2, 2, mod, ce, params, 1, substream(0, "avg"))
     assert se1 == 0.0
-    ber2, _ = ber_over_channels(5.0, 2, 2, mod, 1, substream(0, "avg"))
+    ber2, _ = ber_end_to_end(5.0, 2, 2, mod, ce, params, 1, substream(0, "avg"))
     assert ber1 == ber2
 
 
-def test_ber_over_channels_monotone_under_crn():
+def test_ber_end_to_end_monotone_under_crn(params):
     mod = make_mod_scheme(2)
     vals = [
-        ber_over_channels(db_to_linear(s_db), 2, 2, mod, 200,
-                          substream(0, "crn"), imperfect_ce=False)[0]
+        ber_end_to_end(db_to_linear(s_db), 2, 2, mod, ImpairmentFlags.none(),
+                       params, 200, substream(0, "crn"))[0]
         for s_db in (2.0, 6.0, 10.0, 14.0)
     ]
     assert all(a > b for a, b in zip(vals[:-1], vals[1:]))
 
 
-def test_ber_over_channels_standard_error_shrinks():
+def test_ber_end_to_end_standard_error_shrinks(params):
     mod = make_mod_scheme(2)
-    _, se_small = ber_over_channels(5.0, 2, 2, mod, 500, substream(1, "se"))
-    _, se_big = ber_over_channels(5.0, 2, 2, mod, 2000, substream(2, "se"))
+    ce = FLAG_SETS["ce"]
+    _, se_small = ber_end_to_end(5.0, 2, 2, mod, ce, params, 500, substream(1, "se"))
+    _, se_big = ber_end_to_end(5.0, 2, 2, mod, ce, params, 2000, substream(2, "se"))
     assert 0.3 < se_big / se_small < 0.75
 
 
-def test_ber_with_rfo_point_mass_limit():
-    # enormous n_sub drives the offset deviation to zero
+def test_ber_end_to_end_rfo_point_mass_limit():
+    # an enormous subcarrier count drives the offset deviation to zero
+    huge = SystemParams(ns=10 ** 12, ws_hz=20e6 / 10 ** 12)
     mod = make_mod_scheme(2)
-    with_rfo, _ = ber_with_rfo(
-        db_to_linear(10.0), 2, 2, mod, n_draws=300,
-        rng=substream(4, "limit"), n_sub=10 ** 12, imperfect_ce=False,
-    )
-    without, _ = ber_over_channels(
-        db_to_linear(10.0), 2, 2, mod, 300,
-        substream(4, "limit"), imperfect_ce=False,
-    )
+    s = db_to_linear(10.0)
+    with_rfo, _ = ber_end_to_end(s, 2, 2, mod, FLAG_SETS["rfo"], huge,
+                                 n_draws=300, rng=substream(4, "limit"))
+    without, _ = ber_end_to_end(s, 2, 2, mod, ImpairmentFlags.none(), huge,
+                                n_draws=300, rng=substream(4, "limit"))
     assert with_rfo == pytest.approx(without, rel=1e-9)
 
 
-def test_ber_with_rfo_quadrature_order_stable():
+def test_ber_end_to_end_quadrature_order_stable(params):
     mod = make_mod_scheme(2)
-    kw = dict(n_draws=300, n_sub=64, imperfect_ce=True)
-    b7, _ = ber_with_rfo(db_to_linear(20.0), 2, 2, mod, quad_order=7,
-                         rng=substream(5, "quad"), **kw)
-    b15, _ = ber_with_rfo(db_to_linear(20.0), 2, 2, mod, quad_order=15,
-                          rng=substream(5, "quad"), **kw)
+    flags = ImpairmentFlags(phase_noise=False, rfo=True, channel_est=True)
+    b7, _ = ber_end_to_end(db_to_linear(20.0), 2, 2, mod, flags, params,
+                           n_draws=300, rng=substream(5, "quad"), quad_order=7)
+    b15, _ = ber_end_to_end(db_to_linear(20.0), 2, 2, mod, flags, params,
+                            n_draws=300, rng=substream(5, "quad"), quad_order=15)
     assert b7 == pytest.approx(b15, rel=0.02)
 
 
-def test_ber_with_rfo_rejects_bad_sinr():
-    with pytest.raises(ValueError):
-        ber_with_rfo(0.0, 1, 1, make_mod_scheme(1))
-
-
-# ---------------------------------------------------------------------------
-# end-to-end chain
+def test_ber_end_to_end_rejects_bad_sinr(params):
+    for bad in (-1e-9, float("nan")):
+        with pytest.raises(ValueError):
+            ber_end_to_end(bad, 1, 1, make_mod_scheme(1), ImpairmentFlags.all(),
+                           params)
 
 
 def test_ber_end_to_end_zero_sinr_is_coin_flip(params):
@@ -271,13 +253,15 @@ def test_ber_end_to_end_rejects_more_streams_than_antennas(params):
 
 
 def test_ber_end_to_end_all_flags_off_is_plain_average(params):
+    # the same draws the chain takes from its generator: channels, then the
+    # (unused) estimate errors
     mod = make_mod_scheme(2)
     s = db_to_linear(8.0)
     chain, _ = ber_end_to_end(s, 2, 2, mod, ImpairmentFlags.none(), params,
                               n_draws=200, rng=substream(6, "e2e"))
-    direct, _ = ber_over_channels(s, 2, 2, mod, 200, substream(6, "e2e"),
-                                  imperfect_ce=False)
-    assert chain == direct
+    h = complex_normal(substream(6, "e2e"), (200, 2, 2))
+    direct = np.mean([conditional_ber(hi, hi, s, mod) for hi in h])
+    assert chain == pytest.approx(direct, rel=1e-12)
 
 
 def test_ber_end_to_end_phase_noise_floor(params):
@@ -369,20 +353,39 @@ def test_build_rate_table_small_grid(params):
     for e in table.entries:
         assert e.rate_bps == params.r_base_bps * e.m * e.u
         assert e.m == 1
-    assert table.build_info["n_draws"] == 80
+    assert table.build_info == table_build_key(
+        params, grid_step_db=0.5, sinr_range_db=(-5.0, 25.0), n_draws=80, seed=0)
+    assert RateTable.from_dict(table.to_dict()).build_info == table.build_info
 
     # bracket contract on the shared draw set: pass at the threshold, fail
     # one grid step below
     for e in table.entries:
         def mean_ber(sinr_db: float) -> float:
-            return ber_over_channels(
-                db_to_linear(sinr_db), e.m, 1, make_mod_scheme(e.u), 80,
-                substream(0, "rate-table-n1-m1-none"), imperfect_ce=False,
+            return ber_end_to_end(
+                db_to_linear(sinr_db), e.m, 1, make_mod_scheme(e.u),
+                ImpairmentFlags.none(), params, 80,
+                substream(0, "rate-table-n1-m1-none"),
             )[0]
 
         assert mean_ber(e.threshold_db) <= params.gamma_ber
         if e.threshold_db > -5.0:
             assert mean_ber(e.threshold_db - 0.5) > params.gamma_ber
+
+
+def test_table_build_key_tracks_table_shaping_params(params):
+    base = table_build_key(params)
+    assert base == table_build_key(SystemParams())
+    # fields the BER chain or the rates read change the key ...
+    for changed in (
+        SystemParams(gamma_ber=0.001),
+        SystemParams(f_ici=10.0 ** -2.5),
+        SystemParams(ns=128, ws_hz=156.25e3),
+        SystemParams(r_base_bps=4e6),
+    ):
+        assert table_build_key(changed) != base
+    # ... network-level ones do not
+    assert table_build_key(SystemParams(alpha=3.5, p_t_mw=50.0)) == base
+    assert table_build_key(params, seed=1) != base
 
 
 def test_build_rate_table_impairments_shift_thresholds_up(params):

@@ -1,5 +1,4 @@
-"""Network SINR coupling, sum throughput, the GA power search, and the
-throughput-loss metric."""
+"""Network SINR coupling, sum throughput, and the GA power search."""
 
 import numpy as np
 import pytest
@@ -7,9 +6,7 @@ import pytest
 from adhocmimo.config import SystemParams, dbm_to_mw
 from adhocmimo.network_opt import (
     GaParams,
-    loss_ratio,
     maximize_sum_throughput,
-    sinr_in,
     sinr_in_all,
     sum_throughput,
 )
@@ -36,9 +33,8 @@ def test_single_pair_sinr_formula(params):
     topo = topo_from_d([[10.0]], params)
     p = np.array([params.p_t_mw])
     want = params.p_t_mw * path_gain(10.0, params) / total_noise_power(params)
-    assert sinr_in(0, p, topo, noise_variance(params), params.ns) == pytest.approx(
-        want, rel=1e-12
-    )
+    noise = params.ns * noise_variance(params)
+    assert sinr_in_all(p, topo, noise)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_two_pair_sinr_by_hand(params):
@@ -79,7 +75,7 @@ def test_sinr_batch_matches_rows(params):
 def test_sinr_in_validates_allocation_shape(params):
     topo = topo_from_d([[10.0]], params)
     with pytest.raises(ValueError):
-        sinr_in(0, np.ones(3), topo, noise_variance(params), params.ns)
+        sinr_in_all(np.ones(3), topo, total_noise_power(params))
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +112,6 @@ def test_sum_throughput_repeatable(params, table_cache):
     assert sum_throughput(p, topo, table, params) == sum_throughput(
         p, topo, table, params
     )
-
-
-# ---------------------------------------------------------------------------
-# loss metric
-
-
-def test_loss_ratio_values():
-    assert loss_ratio(100.0, 100.0) == 0.0
-    assert loss_ratio(100.0, 0.0) == 1.0
-    assert loss_ratio(100.0, 73.0) == pytest.approx(0.27, abs=1e-15)
-    assert np.isnan(loss_ratio(0.0, 10.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Path gain, thermal noise, topology sampling, and fading statistics."""
+"""Path gain, thermal noise, and topology sampling."""
 
 import math
 from dataclasses import replace
@@ -13,7 +13,6 @@ from adhocmimo.radio_env import (
     Topology,
     noise_variance,
     path_gain,
-    sample_fading,
     sample_topology,
     total_noise_power,
 )
@@ -109,31 +108,3 @@ def test_topology_validation(params):
     with pytest.raises(ValueError):
         Topology(k=2, d=np.ones((2, 3)), rho=np.ones((2, 2)))
 
-
-def test_fading_shape_and_moments():
-    rng = substream(0, "fading")
-    h = sample_fading(2, 3, 64, rng)
-    assert h.shape == (64, 3, 2)
-    big = sample_fading(2, 2, 10_000, substream(1, "fading"))
-    power = np.abs(big) ** 2
-    # |entry|^2 is exponential with unit mean, se ~ 1/sqrt(N)
-    assert abs(power.mean() - 1.0) < 4.0 / math.sqrt(power.size)
-    assert abs(big.real.var() - 0.5) < 0.01
-    assert abs(big.imag.var() - 0.5) < 0.01
-
-
-def test_scalar_fading_power_is_exponential():
-    h = sample_fading(1, 1, 50_000, substream(2, "fading"))
-    stat = stats.kstest(np.abs(h).ravel() ** 2, stats.expon.cdf)
-    assert stat.pvalue > 0.01
-
-
-def test_fading_seeded_determinism():
-    a = sample_fading(2, 2, 16, substream(5, "fading", 1))
-    b = sample_fading(2, 2, 16, substream(5, "fading", 1))
-    np.testing.assert_array_equal(a, b)
-
-
-def test_fading_validation():
-    with pytest.raises(ValueError):
-        sample_fading(0, 1, 1, substream(0, "fading"))

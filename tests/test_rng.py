@@ -1,7 +1,9 @@
-"""Named-substream determinism, independence, and complex Gaussian moments."""
+"""Named-substream determinism, independence, and complex Gaussian
+statistics."""
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from adhocmimo.rng import complex_normal, derive_seed, substream
 
@@ -46,6 +48,13 @@ def test_complex_normal_moments():
     assert abs(z.real.var() - 0.5) < 0.01
     assert abs(z.imag.var() - 0.5) < 0.01
     assert abs(z.mean()) < 0.01
+
+
+def test_complex_normal_power_is_exponential():
+    # a Rayleigh fading gain: |z|^2 is exponential with unit mean
+    z = complex_normal(substream(2, "fading"), 50_000)
+    stat = stats.kstest(np.abs(z) ** 2, stats.expon.cdf)
+    assert stat.pvalue > 0.01
 
 
 def test_complex_normal_shape():
