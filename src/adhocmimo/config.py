@@ -52,7 +52,6 @@ class SystemParams:
     ws_hz: float = 312.5e3             # subcarrier bandwidth
     ns: int = 64                       # subcarriers per channel
     f_n_db: float = 4.0                # receiver noise figure
-    w_t_hz: float = 20e6               # occupied bandwidth, ns * ws
     f_ici: float = 10.0 ** (-3.19)     # phase-noise ICI fraction (linear)
     gamma_ber: float = 0.02            # uncoded BER target for rate selection
     r_base_bps: float = 8e6            # single-stream 1-bit rate after coding
@@ -65,8 +64,6 @@ class SystemParams:
             raise ConfigError("alpha must be positive")
         if self.ws_hz <= 0 or self.ns < 1:
             raise ConfigError("ws_hz must be positive and ns at least 1")
-        if abs(self.ns * self.ws_hz - self.w_t_hz) > 1e-6 * self.w_t_hz:
-            raise ConfigError("w_t_hz must equal ns * ws_hz")
         if self.f_ici <= 0:
             raise ConfigError("f_ici must be positive")
         if not 0 < self.gamma_ber < 0.5:
@@ -121,7 +118,6 @@ class SystemParams:
             "ws_hz": self.ws_hz,
             "ns": self.ns,
             "f_n_db": self.f_n_db,
-            "w_t_hz": self.w_t_hz,
             "f_ici_dbc": self.f_ici_dbc,
             "gamma_ber": self.gamma_ber,
             "r_base_bps": self.r_base_bps,
@@ -138,7 +134,6 @@ _CONFIG_KEYS = {
     "ws_hz": ("ws_hz", float),
     "ns": ("ns", lambda v: int(float(v))),
     "f_n_db": ("f_n_db", float),
-    "w_t_hz": ("w_t_hz", float),
     "f_ici_dbc": ("f_ici", lambda v: float(db_to_linear(float(v)))),
     "gamma_ber": ("gamma_ber", float),
     "r_base_bps": ("r_base_bps", float),

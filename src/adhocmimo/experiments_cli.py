@@ -17,8 +17,10 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from time import perf_counter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,26 +41,6 @@ from .mc_oracle import OracleConfig, simulate_link_ber
 from .network_opt import GaParams, maximize_sum_throughput
 from .radio_env import sample_topology
 from .rng import derive_seed, substream
-
-SCENARIOS = (
-    "sinr-map",
-    "ber-validate",
-    "rate-table",
-    "mst-sweep",
-    "loss-ratio",
-    "dprc-sweep",
-)
-
-# scenario -> (k values, n_rx values, flag-set names)
-_SCENARIO_AXES = {
-    "sinr-map": ((), (), ()),
-    "ber-validate": ((), (1, 2, 4), ("rfo", "ce")),
-    "rate-table": ((), (1, 2, 4), ("ideal", "imp")),
-    "mst-sweep": ((2, 6, 10), (1, 2, 4), ("ideal", "imp")),
-    "loss-ratio": ((10,), (4,), ("ideal", "imp", "pn", "ce", "rfo")),
-    "dprc-sweep": ((2, 6, 10), (4,), ("ideal", "imp")),
-}
-
 
 class UsageError(Exception):
     pass
@@ -455,51 +437,13 @@ def _aggregate(rows, value_idx: int):
     return out
 
 
-def _run_mst_sweep(spec: ExperimentSpec) -> list[str]:
-    tables = _load_tables(spec)
-    results = _flatten(_map_tasks(_mst_chunk, _chunk_tasks(spec, tables), spec.jobs))
-    csv_rows, flat = [], []
-    for res in results:
-        for n_rx, name, mst, runtime_ms in res["results"]:
-            impaired = name != "ideal"
-            csv_rows.append(
-                [
-                    res["trial"], res["k"], n_rx, str(impaired).lower(),
-                    str(int(round(mst))), _fmt(runtime_ms),
-                ]
-            )
-            flat.append((res["k"], n_rx, name, mst))
-    _write_csv(
-        spec.out_dir / "mst_trials.csv",
-        ["trial_id", "K", "n_rx", "impaired", "mst_bps", "runtime_ms"],
-        csv_rows,
-    )
-    _write_json(
-        spec.out_dir / "mst_aggregate.json",
-        {"mean_mst": _aggregate(flat, 3)},
-    )
-    return ["mst_trials.csv", "mst_aggregate.json"]
+def _label(column: str, name: str) -> str:
+    """A trial row's flag-set cell: the flag name, or whether it is impaired."""
+    return name if column == "flags" else str(name != "ideal").lower()
 
 
-def _run_loss_ratio(spec: ExperimentSpec) -> list[str]:
-    tables = _load_tables(spec)
-    results = _flatten(_map_tasks(_mst_chunk, _chunk_tasks(spec, tables), spec.jobs))
-    csv_rows, flat = [], []
-    for res in results:
-        for n_rx, name, mst, runtime_ms in res["results"]:
-            csv_rows.append(
-                [
-                    res["trial"], res["k"], n_rx, name,
-                    str(int(round(mst))), _fmt(runtime_ms),
-                ]
-            )
-            flat.append((res["k"], n_rx, name, mst))
-    _write_csv(
-        spec.out_dir / "loss_trials.csv",
-        ["trial_id", "K", "n_rx", "flags", "mst_bps", "runtime_ms"],
-        csv_rows,
-    )
-    agg = _aggregate(flat, 3)
+def _loss_ratios(spec: ExperimentSpec, agg: list[dict]) -> list[dict]:
+    """Each impaired flag set's share of the ideal mean sum throughput lost."""
     means = {
         (entry["k"], entry["n_rx"], entry["flags"]): entry["mean_bps"]
         for entry in agg
@@ -521,11 +465,37 @@ def _run_loss_ratio(spec: ExperimentSpec) -> list[str]:
                         "loss_ratio": (ref - means[(k, n_rx, name)]) / ref,
                     }
                 )
-    _write_json(
-        spec.out_dir / "loss_aggregate.json",
-        {"mean_mst": agg, "loss_ratios": ratios},
+    return ratios
+
+
+def _run_ga_sweep(spec: ExperimentSpec, *, stem: str, label: str,
+                  loss_ratios: bool) -> list[str]:
+    """GA sum throughput per trial into <stem>_trials.csv (label names the
+    flag-set column) and the means, plus loss ratios if asked, into
+    <stem>_aggregate.json."""
+    tables = _load_tables(spec)
+    results = _flatten(_map_tasks(_mst_chunk, _chunk_tasks(spec, tables), spec.jobs))
+    csv_rows, flat = [], []
+    for res in results:
+        for n_rx, name, mst, runtime_ms in res["results"]:
+            csv_rows.append(
+                [
+                    res["trial"], res["k"], n_rx, _label(label, name),
+                    str(int(round(mst))), _fmt(runtime_ms),
+                ]
+            )
+            flat.append((res["k"], n_rx, name, mst))
+    trials, aggregate = f"{stem}_trials.csv", f"{stem}_aggregate.json"
+    _write_csv(
+        spec.out_dir / trials,
+        ["trial_id", "K", "n_rx", label, "mst_bps", "runtime_ms"],
+        csv_rows,
     )
-    return ["loss_trials.csv", "loss_aggregate.json"]
+    doc = {"mean_mst": _aggregate(flat, 3)}
+    if loss_ratios:
+        doc["loss_ratios"] = _loss_ratios(spec, doc["mean_mst"])
+    _write_json(spec.out_dir / aggregate, doc)
+    return [trials, aggregate]
 
 
 def _run_dprc_sweep(spec: ExperimentSpec) -> list[str]:
@@ -537,10 +507,9 @@ def _run_dprc_sweep(spec: ExperimentSpec) -> list[str]:
     csv_rows, flat, outputs = [], [], []
     for res in results:
         for n_rx, name, dprc_bps, mst, runtime_ms in res["results"]:
-            impaired = name != "ideal"
             csv_rows.append(
                 [
-                    res["trial"], res["k"], n_rx, str(impaired).lower(),
+                    res["trial"], res["k"], n_rx, _label("impaired", name),
                     str(int(round(dprc_bps))), str(int(round(mst))),
                     _fmt(runtime_ms),
                 ]
@@ -569,20 +538,33 @@ def _run_dprc_sweep(spec: ExperimentSpec) -> list[str]:
     return ["dprc_trials.csv", "dprc_aggregate.json"] + outputs
 
 
-_RUNNERS = {
-    "sinr-map": _run_sinr_map,
-    "ber-validate": _run_ber_validate,
-    "rate-table": _run_rate_table,
-    "mst-sweep": _run_mst_sweep,
-    "loss-ratio": _run_loss_ratio,
-    "dprc-sweep": _run_dprc_sweep,
+class _Scenario(NamedTuple):
+    k_values: tuple[int, ...]       # defaults, overridden by --k
+    n_rx_values: tuple[int, ...]    # defaults, overridden by --nrx
+    flag_names: tuple[str, ...]
+    run: Callable[[ExperimentSpec], list[str]]
+
+
+SCENARIOS = {
+    "sinr-map": _Scenario((), (), (), _run_sinr_map),
+    "ber-validate": _Scenario((), (1, 2, 4), ("rfo", "ce"), _run_ber_validate),
+    "rate-table": _Scenario((), (1, 2, 4), ("ideal", "imp"), _run_rate_table),
+    "mst-sweep": _Scenario(
+        (2, 6, 10), (1, 2, 4), ("ideal", "imp"),
+        partial(_run_ga_sweep, stem="mst", label="impaired", loss_ratios=False),
+    ),
+    "loss-ratio": _Scenario(
+        (10,), (4,), ("ideal", "imp", "pn", "ce", "rfo"),
+        partial(_run_ga_sweep, stem="loss", label="flags", loss_ratios=True),
+    ),
+    "dprc-sweep": _Scenario((2, 6, 10), (4,), ("ideal", "imp"), _run_dprc_sweep),
 }
 
 
 def run_experiment(spec: ExperimentSpec) -> list[Path]:
     """Execute one scenario and return the paths of everything written."""
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = _RUNNERS[spec.scenario](spec)
+    outputs = SCENARIOS[spec.scenario].run(spec)
     _write_json(spec.out_dir / "manifest.json", _manifest(spec, outputs))
     return [spec.out_dir / "manifest.json"] + [spec.out_dir / o for o in outputs]
 
@@ -632,14 +614,14 @@ def spec_from_args(argv: list[str]) -> ExperimentSpec:
         raise UsageError(str(exc)) from exc
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    k_def, nrx_def, flag_names = _SCENARIO_AXES[args.scenario]
+    axes = SCENARIOS[args.scenario]
     trials = 1000 if args.paper else args.trials
     return ExperimentSpec(
         scenario=args.scenario,
         params=params,
-        k_values=tuple(args.k) if args.k else k_def,
-        n_rx_values=tuple(args.nrx) if args.nrx else nrx_def,
-        flag_names=flag_names,
+        k_values=tuple(args.k) if args.k else axes.k_values,
+        n_rx_values=tuple(args.nrx) if args.nrx else axes.n_rx_values,
+        flag_names=axes.flag_names,
         n_trials=trials,
         seed=args.seed,
         out_dir=args.out,

@@ -1,9 +1,8 @@
 """Oscillator phase noise and residual frequency offset at the SINR level.
 
-Phase noise is a piecewise power-law PSD around the carrier whose integral
-over the occupied band gives the fraction of signal power smeared into
-inter-carrier interference. That fraction bounds the usable baseband SINR.
-The residual frequency offset left by a training-based estimator is modeled
+Phase noise enters through one number, the fraction of signal power the
+oscillator smears into inter-carrier interference (f_ici); it bounds the
+usable baseband SINR at 1 / (2 f_ici). The residual frequency offset left by a training-based estimator is modeled
 as a zero-mean Gaussian whose variance shrinks with the number of subcarriers
 and the baseband SINR; a given offset scales the SINR through a sinc-squared
 attenuation plus an ICI term.
@@ -12,16 +11,11 @@ attenuation plus an ICI term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "RFO_EPS_LIMIT",
-    "PhaseNoisePsdParams",
-    "phase_noise_psd",
-    "ici_factor",
     "sinr_baseband",
     "rfo_std",
     "sinr_after_rfo",
@@ -35,66 +29,6 @@ RFO_ICI_COEFF = 0.5947
 # of sinr_after_rfo; the Gaussian tail beyond this is negligible at any SINR
 # where a link is usable.
 RFO_EPS_LIMIT = 0.4999
-
-
-@dataclass(frozen=True)
-class PhaseNoisePsdParams:
-    """Piecewise oscillator PSD: flat close to the carrier, log-linear
-    roll-off between f_l and f_h, plus a wideband floor."""
-
-    a: float = 8.5       # near-carrier plateau is 10^-a (1/Hz)
-    b: float = 2.0       # decades dropped across [f_l, f_h]
-    c: float = 12.5      # wideband floor is 10^-c (1/Hz)
-    f_l: float = 10e3    # plateau corner, Hz
-    f_h: float = 100e3   # roll-off reference frequency, Hz
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and self.c > 0):
-            raise ValueError("PSD exponents a, b, c must be positive")
-        if not (0 < self.f_l < self.f_h):
-            raise ValueError("PSD corners must satisfy 0 < f_l < f_h")
-
-
-def phase_noise_psd(f, psd: PhaseNoisePsdParams = PhaseNoisePsdParams()):
-    """One-sided-symmetric oscillator PSD value at offset frequency f (Hz).
-
-    Even in f, continuous at +-f_l, and floored at 10^-c far from the carrier.
-    Accepts scalars or arrays.
-    """
-    f = np.asarray(f, dtype=float)
-    af = np.abs(f)
-    slope = psd.b / (psd.f_h - psd.f_l)
-    shaped = np.where(
-        af < psd.f_l,
-        10.0 ** (-psd.a),
-        10.0 ** (-(af - psd.f_l) * slope - psd.a),
-    )
-    out = 10.0 ** (-psd.c) + shaped
-    return float(out) if np.isscalar(f) or out.ndim == 0 else out
-
-
-def ici_factor(psd: PhaseNoisePsdParams, w_t_hz: float) -> float:
-    """Fraction of signal power the oscillator smears across the band:
-    the PSD integrated over [-W_T/2, +W_T/2].
-
-    Uses adaptive quadrature with breakpoints at the PSD corners.
-    """
-    if w_t_hz <= 0:
-        raise ValueError("total bandwidth must be positive")
-    half = w_t_hz / 2.0
-    points = [p for p in (-psd.f_l, psd.f_l) if -half < p < half]
-    val, err = integrate.quad(
-        lambda f: phase_noise_psd(f, psd),
-        -half,
-        half,
-        points=points or None,
-        limit=200,
-        epsabs=0.0,
-        epsrel=1e-6,
-    )
-    if not math.isfinite(val) or err > 1e-4 * abs(val):
-        raise ArithmeticError("ICI quadrature did not converge")
-    return val
 
 
 def sinr_baseband(sinr_in, f_ici: float):

@@ -32,15 +32,12 @@ __all__ = [
     "make_mod_scheme",
     "ImpairmentFlags",
     "FLAG_SETS",
-    "EstimatedChannel",
     "training_length",
-    "perturb_channel",
     "mmse_weights",
     "conditional_ber",
     "ber_end_to_end",
     "RateEntry",
     "RateTable",
-    "LinkOutcome",
     "table_build_key",
     "build_rate_table",
     "select_mode",
@@ -165,27 +162,6 @@ def training_length(m: int) -> int:
     if m < 1:
         raise ValueError("m must be at least 1")
     return 1 << (m - 1).bit_length()
-
-
-@dataclass(frozen=True)
-class EstimatedChannel:
-    h_hat: np.ndarray
-    err_var: float   # per-entry error variance of the normalized estimate
-
-
-def perturb_channel(
-    h: np.ndarray, sinr_rfo: float, rng: np.random.Generator
-) -> EstimatedChannel:
-    """Training-based estimate of h: additive complex Gaussian error whose
-    per-entry variance is 1 / (training_length * sinr), scaled by sqrt(M) to
-    live on the same (unnormalized) scale as h."""
-    if sinr_rfo <= 0:
-        raise ValueError("sinr_rfo must be positive")
-    h = np.asarray(h)
-    m = h.shape[-1]
-    err_var = 1.0 / (training_length(m) * sinr_rfo)
-    noise = complex_normal(rng, h.shape) * math.sqrt(err_var)
-    return EstimatedChannel(h_hat=h + math.sqrt(m) * noise, err_var=err_var)
 
 
 def mmse_weights(h_hat: np.ndarray, sinr_rfo) -> np.ndarray:
@@ -446,25 +422,11 @@ class RateTable:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-@dataclass(frozen=True)
-class LinkOutcome:
-    """Mode selected for one pair at its achieved input SINR."""
-
-    m: int
-    u: int
-    rate_bps: float
-    sinr_in: float
-    feasible: bool
-
-
-def select_mode(sinr_in: float, table: RateTable) -> LinkOutcome:
-    """Highest-rate entry whose threshold does not exceed sinr_in; an
-    all-zero outcome when even the lowest mode is out of reach."""
+def select_mode(sinr_in: float, table: RateTable) -> RateEntry | None:
+    """Highest-rate entry whose threshold does not exceed sinr_in; None when
+    even the lowest mode is out of reach."""
     idx = int(np.searchsorted(table.thresholds_linear, sinr_in, side="right"))
-    if idx == 0:
-        return LinkOutcome(m=0, u=0, rate_bps=0.0, sinr_in=float(sinr_in), feasible=False)
-    e = table.entries[idx - 1]
-    return LinkOutcome(m=e.m, u=e.u, rate_bps=e.rate_bps, sinr_in=float(sinr_in), feasible=True)
+    return table.entries[idx - 1] if idx else None
 
 
 def _pareto_front(cands: list[RateEntry]) -> tuple[RateEntry, ...]:

@@ -1,5 +1,5 @@
-"""Network-level SINR, the sum-throughput objective, and its centralized
-maximization with a real-coded genetic algorithm.
+"""Network-level SINR and the centralized maximization of sum throughput
+with a real-coded genetic algorithm.
 
 Power allocations are plain float arrays (mW, one entry per pair). The
 objective is piecewise constant: each pair's rate is a table lookup on its
@@ -21,7 +21,6 @@ from .rng import substream
 
 __all__ = [
     "sinr_in_all",
-    "sum_throughput",
     "GaParams",
     "maximize_sum_throughput",
 ]
@@ -38,15 +37,6 @@ def sinr_in_all(p, topo: Topology, noise_mw: float) -> np.ndarray:
     received = p @ topo.rho.T          # (..., j) = sum_i p_i * rho[j, i]
     interference = received - p * own
     return p * own / (interference + noise_mw)
-
-
-def sum_throughput(
-    p, topo: Topology, table: RateTable, params: SystemParams
-) -> float:
-    """Network sum rate (bits/s) with every pair running its best table mode
-    at the SINR produced by allocation p."""
-    sinr = sinr_in_all(p, topo, total_noise_power(params))
-    return float(table.rate_for_sinr(sinr).sum())
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """SystemParams defaults, the config-file loader, and unit conversions."""
 
+from pathlib import Path
+
 import pytest
 
 from adhocmimo.config import (
@@ -10,6 +12,8 @@ from adhocmimo.config import (
     linear_to_db,
     mw_to_dbm,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_db_round_trips():
@@ -23,7 +27,6 @@ def test_db_round_trips():
 
 def test_defaults_are_consistent():
     p = SystemParams()
-    assert p.ns * p.ws_hz == pytest.approx(p.w_t_hz)
     assert p.f_ici == pytest.approx(10.0 ** (-3.19))
     assert p.f_ici_dbc == pytest.approx(-31.9, abs=1e-9)
     assert p.p_t_mw == 100.0
@@ -32,8 +35,6 @@ def test_defaults_are_consistent():
 
 
 def test_invariant_violations_raise():
-    with pytest.raises(ConfigError):
-        SystemParams(w_t_hz=19e6)            # ns * ws mismatch
     with pytest.raises(ConfigError):
         SystemParams(gamma_ber=0.7)
     with pytest.raises(ConfigError):
@@ -53,6 +54,20 @@ def test_from_mapping_converts_units():
 def test_from_mapping_rejects_unknown_key():
     with pytest.raises(ConfigError, match="no_such_key"):
         SystemParams.from_mapping({"no_such_key": "1"})
+    # the occupied bandwidth is ns * ws_hz, not a key of its own
+    with pytest.raises(ConfigError, match="unknown config key: 'w_t_hz'"):
+        SystemParams.from_mapping({"w_t_hz": "20e6"})
+
+
+def test_readme_key_table_lists_every_config_key():
+    section = README.read_text().split("### Config keys", 1)[1].split("\n#", 1)[0]
+    lines = section.splitlines()
+    keys = [ln.split("`")[1] for ln in lines if ln.startswith("| `")]
+    assert keys == list(SystemParams().to_config_dict())
+    assert len(keys) == 11
+    # every documented key is accepted on its own
+    for key, value in SystemParams().to_config_dict().items():
+        SystemParams.from_mapping({key: str(value)})
 
 
 def test_from_mapping_rejects_bad_value():
@@ -86,7 +101,7 @@ def test_config_dict_round_trip():
         {k: str(v) for k, v in p.to_config_dict().items()}
     )
     for name in ("d0_m", "lp_d0_db", "alpha", "eta_n_dbm_hz", "ws_hz", "ns",
-                 "f_n_db", "w_t_hz", "gamma_ber", "r_base_bps"):
+                 "f_n_db", "gamma_ber", "r_base_bps"):
         assert getattr(q, name) == getattr(p, name)
     assert q.p_t_mw == pytest.approx(p.p_t_mw, rel=1e-12)
     assert q.f_ici == pytest.approx(p.f_ici, rel=1e-12)

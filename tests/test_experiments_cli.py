@@ -1,13 +1,17 @@
 """Command-line scenarios: argument resolution, cache discipline, output
 layout, and reproducibility of the written artifacts."""
 
+import ast
 import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adhocmimo
 from adhocmimo.experiments_cli import (
     ExperimentSpec,
     UsageError,
@@ -18,6 +22,8 @@ from adhocmimo.experiments_cli import (
 )
 
 from conftest import CACHE_DIR
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def seed_tables(out_dir: Path) -> None:
@@ -318,3 +324,29 @@ def test_run_experiment_returns_written_paths(tmp_path):
     paths = run_experiment(spec)
     assert paths[0].name == "manifest.json"
     assert all(p.exists() for p in paths)
+
+
+# ---------------------------------------------------------------------------
+# package surface
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the quadrature module (with scipy.optimize, sparse and spatial behind
+    # it) costs start-up time and nothing on the CLI path needs it
+    code = "import sys, adhocmimo.experiments_cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_package_exports_the_readme_quick_start_names():
+    block = README.read_text().split("## Quick start", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "adhocmimo"
+        for alias in node.names
+    ]
+    assert sorted(adhocmimo.__all__) == sorted(imported)
+    assert all(hasattr(adhocmimo, name) for name in imported)

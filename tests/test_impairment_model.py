@@ -1,4 +1,4 @@
-"""Oscillator PSD, ICI fraction, baseband SINR compression, and the residual
+"""Baseband SINR compression by phase-noise ICI and the residual
 frequency-offset model."""
 
 import math
@@ -9,85 +9,10 @@ from hypothesis import given, strategies as st
 
 from adhocmimo.impairment_model import (
     RFO_EPS_LIMIT,
-    PhaseNoisePsdParams,
-    ici_factor,
-    phase_noise_psd,
     rfo_std,
     sinr_after_rfo,
     sinr_baseband,
 )
-
-PSD = PhaseNoisePsdParams()
-
-
-def test_psd_flat_region_value():
-    # below the corner the shaped part sits on the plateau
-    want = 10.0 ** (-12.5) + 10.0 ** (-8.5)
-    assert phase_noise_psd(0.0, PSD) == pytest.approx(want, rel=1e-12)
-    assert phase_noise_psd(9_999.0, PSD) == pytest.approx(want, rel=1e-12)
-
-
-def test_psd_rolloff_endpoint_value():
-    # at f_h the shaped exponent has dropped by the full b decades
-    want = 10.0 ** (-12.5) + 10.0 ** (-10.5)
-    assert phase_noise_psd(PSD.f_h, PSD) == pytest.approx(want, rel=1e-12)
-
-
-def test_psd_even_and_continuous_at_corner():
-    assert phase_noise_psd(37e3, PSD) == phase_noise_psd(-37e3, PSD)
-    below = phase_noise_psd(PSD.f_l * (1 - 1e-9), PSD)
-    above = phase_noise_psd(PSD.f_l * (1 + 1e-9), PSD)
-    assert below == pytest.approx(above, rel=1e-6)
-
-
-def test_psd_accepts_arrays():
-    f = np.array([-50e3, 0.0, 50e3])
-    vals = phase_noise_psd(f, PSD)
-    assert vals.shape == (3,)
-    assert vals[0] == vals[2]
-
-
-def test_psd_params_validated():
-    with pytest.raises(ValueError):
-        PhaseNoisePsdParams(a=-1.0)
-    with pytest.raises(ValueError):
-        PhaseNoisePsdParams(f_l=200e3, f_h=100e3)
-
-
-def test_ici_factor_constant_psd_is_level_times_bandwidth():
-    # corners far outside the band leave the integrand flat across it
-    flat = PhaseNoisePsdParams(f_l=100e6, f_h=200e6)
-    level = 10.0 ** (-12.5) + 10.0 ** (-8.5)
-    assert ici_factor(flat, 20e6) == pytest.approx(level * 20e6, rel=1e-6)
-
-
-def test_ici_factor_monotone_in_bandwidth():
-    assert ici_factor(PSD, 10e6) <= ici_factor(PSD, 20e6)
-
-
-def test_ici_factor_default_band_matches_closed_form():
-    # piecewise closed form: floor + plateau + two exponential roll-off wings
-    floor = 10.0 ** (-12.5) * 20e6
-    plateau = 2.0 * 10.0 ** (-8.5) * PSD.f_l
-    slope = PSD.b / (PSD.f_h - PSD.f_l)          # decades per Hz
-    width = 10e6 - PSD.f_l
-    wings = (
-        2.0 * 10.0 ** (-8.5)
-        * (1.0 - 10.0 ** (-slope * width))
-        / (slope * math.log(10.0))
-    )
-    want = floor + plateau + wings
-    got = ici_factor(PSD, 20e6)
-    assert got == pytest.approx(want, rel=1e-4)
-    # the integral does not reproduce the configured pipeline constant; the
-    # configured value is what every downstream threshold is anchored to
-    assert got < 10.0 ** (-3.19)
-
-
-def test_ici_factor_rejects_bad_bandwidth():
-    with pytest.raises(ValueError):
-        ici_factor(PSD, 0.0)
-
 
 def test_sinr_baseband_identity_and_zero():
     assert sinr_baseband(0.0, 1e-3) == 0.0

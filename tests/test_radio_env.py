@@ -56,9 +56,9 @@ def test_noise_variance_table_values(params):
 
 
 def test_noise_variance_identity_and_scaling(params):
-    unit = SystemParams(ws_hz=1.0, ns=1, w_t_hz=1.0, f_n_db=0.0)
+    unit = SystemParams(ws_hz=1.0, ns=1, f_n_db=0.0)
     assert 10.0 * math.log10(noise_variance(unit)) == pytest.approx(-174.0, abs=1e-9)
-    doubled = replace(params, ws_hz=625e3, w_t_hz=40e6)
+    doubled = replace(params, ws_hz=625e3)
     gain_db = 10.0 * math.log10(noise_variance(doubled) / noise_variance(params))
     assert gain_db == pytest.approx(10.0 * math.log10(2.0), abs=1e-9)
 
