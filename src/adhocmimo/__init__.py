@@ -8,15 +8,13 @@ else is imported from its module."""
 __version__ = "0.1.0"
 
 from .config import SystemParams
-from .dprc import DprcParams, run_dprc
+from .dprc import run_dprc
 from .link_abstraction import ImpairmentFlags, build_rate_table
-from .network_opt import GaParams, maximize_sum_throughput
+from .network_opt import maximize_sum_throughput
 from .radio_env import sample_topology
 from .rng import substream
 
 __all__ = [
-    "DprcParams",
-    "GaParams",
     "ImpairmentFlags",
     "SystemParams",
     "build_rate_table",

@@ -25,7 +25,6 @@ from .radio_env import Topology, total_noise_power
 from .rng import substream
 
 __all__ = [
-    "DprcParams",
     "DprcState",
     "sigmoid_utility",
     "best_response_power",
@@ -35,32 +34,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DprcParams:
-    """Utility shaping and iteration depth.
-
-    The sigmoid midpoint beta is placed where a reward of 1/2 is earned at
-    the smallest SINR considered useful (gamma_sig); the price alpha_price
-    is charged per mW.
-    """
-
-    a: float = 1.0
-    alpha_price: float = 1e-3
-    gamma_sig: float = 1.001
-    loop_num: int = 30
-
-    def __post_init__(self):
-        if self.a * self.gamma_sig <= 1.0:
-            raise ValueError("need a * gamma_sig > 1 for the sigmoid midpoint")
-        if self.alpha_price <= 0:
-            raise ValueError("alpha_price must be positive")
-        if self.loop_num < 1:
-            raise ValueError("loop_num must be at least 1")
-
-    @property
-    def beta(self) -> float:
-        """Sigmoid midpoint (linear SINR units)."""
-        return self.gamma_sig - math.log(self.a * self.gamma_sig - 1.0) / self.a
+# Utility shaping and iteration depth (the README's constants table lists
+# them). BETA, the SINR at which the sigmoid reward is 1/2, is derived from
+# GAMMA_SIG, the smallest SINR considered useful; the price is charged per
+# mW. Both stages run ROUNDS rounds.
+SIGMOID_A = 1.0
+PRICE_PER_MW = 1e-3
+GAMMA_SIG = 1.001
+ROUNDS = 30
+BETA = GAMMA_SIG - math.log(SIGMOID_A * GAMMA_SIG - 1.0) / SIGMOID_A
 
 
 @dataclass
@@ -75,13 +57,13 @@ class DprcState:
     )
 
 
-def sigmoid_utility(sinr, p, params: DprcParams):
-    """Reward-minus-price utility: expit(a * (sinr - beta)) - alpha * p."""
-    return expit(params.a * (np.asarray(sinr, float) - params.beta)) \
-        - params.alpha_price * np.asarray(p, float)
+def sigmoid_utility(sinr, p):
+    """Reward-minus-price utility: expit(a * (sinr - beta)) - price * p."""
+    return expit(SIGMOID_A * (np.asarray(sinr, float) - BETA)) \
+        - PRICE_PER_MW * np.asarray(p, float)
 
 
-def best_response_power(ieff, params: DprcParams, p_t: float):
+def best_response_power(ieff, p_t: float):
     """Utility-maximizing power for each pair whose SINR at power p is
     p / ieff (ieff = interference-plus-noise over own gain, mW), in closed
     form. Returns a float for a scalar ieff and an array for an array.
@@ -101,14 +83,13 @@ def best_response_power(ieff, params: DprcParams, p_t: float):
     if p_t <= 0:
         raise ValueError("p_t must be positive")
     ieff_arr = np.atleast_1d(x)
-    q = 4.0 * params.alpha_price * ieff_arr / params.a
+    q = 4.0 * PRICE_PER_MW * ieff_arr / SIGMOID_A
     on = q < 1.0
     root = np.sqrt(np.where(on, 1.0 - q, 0.0))
     log_odds = 2.0 * np.log1p(root) - np.log(q)
-    p = np.clip(ieff_arr * (params.beta + log_odds / params.a), 0.0, p_t)
+    p = np.clip(ieff_arr * (BETA + log_odds / SIGMOID_A), 0.0, p_t)
     # drop rule: silence unless transmitting beats the zero-power floor
-    keep = on & (sigmoid_utility(p / ieff_arr, p, params)
-                 > sigmoid_utility(0.0, 0.0, params))
+    keep = on & (sigmoid_utility(p / ieff_arr, p) > sigmoid_utility(0.0, 0.0))
     p = np.where(keep, p, 0.0)
     return float(p[0]) if x.ndim == 0 else p.reshape(x.shape)
 
@@ -129,7 +110,6 @@ def _rate_indices(sinr: np.ndarray, thresholds_linear: np.ndarray) -> np.ndarray
 def stage1(
     topo: Topology,
     params: SystemParams,
-    dprc: DprcParams,
     rng: np.random.Generator,
     *,
     trace: list | None = None,
@@ -138,14 +118,14 @@ def stage1(
     """Synchronous best-response power game from a random start
     p_i(0) = u_i * P_T: every round, all pairs play the closed-form best
     response to the interference of the previous round. Returns the power
-    vector after loop_num rounds. Trace rows carry each pair's rate index
+    vector after ROUNDS rounds. Trace rows carry each pair's rate index
     against thresholds_linear (run_dprc passes its table's)."""
     p_t = params.p_t_mw
     noise_mw = total_noise_power(params)
     p = rng.uniform(0.0, 1.0, size=topo.k) * p_t
-    for it in range(dprc.loop_num):
+    for it in range(ROUNDS):
         ieff = _effective_interference(p, topo, noise_mw)
-        p = best_response_power(ieff, dprc, p_t)
+        p = best_response_power(ieff, p_t)
         if trace is not None:
             sinr = sinr_in_all(p, topo, noise_mw)
             r = _rate_indices(sinr, np.asarray(thresholds_linear, dtype=float))
@@ -165,11 +145,11 @@ def stage2(
     thresholds_linear: np.ndarray,
     params: SystemParams,
     *,
-    loop_num: int = 30,
     trace: list | None = None,
 ) -> DprcState:
-    """Threshold tracking: every round, each pair picks the best rate its
-    SINR clears and rescales power to sit just above that rate's threshold.
+    """Threshold tracking: in each of ROUNDS rounds, every pair picks the
+    best rate its SINR clears and rescales power to sit just above that
+    rate's threshold.
 
     Pairs clearing no threshold keep their power untouched; powers stay in
     [0, P_T].
@@ -181,7 +161,7 @@ def stage2(
     p = np.asarray(p0, dtype=float).copy()
     r = np.zeros(topo.k, dtype=int)
     hist: list = trace if trace is not None else []
-    for it in range(loop_num):
+    for it in range(ROUNDS):
         sinr = sinr_in_all(p, topo, noise_mw)
         r = _rate_indices(sinr, thresholds_linear)
         active = (r > 0) & (p > 0)
@@ -202,7 +182,6 @@ def run_dprc(
     topo: Topology,
     table: RateTable,
     params: SystemParams,
-    dprc: DprcParams,
     rng: np.random.Generator | None = None,
     *,
     trace: bool = False,
@@ -212,13 +191,9 @@ def run_dprc(
     and the resulting sum throughput (bits/s)."""
     rng = rng if rng is not None else substream(0, "dprc")
     rows: list | None = [] if trace else None
-    p1 = stage1(topo, params, dprc, rng, trace=rows,
+    p1 = stage1(topo, params, rng, trace=rows,
                 thresholds_linear=table.thresholds_linear)
-    state = stage2(
-        p1, topo, table.thresholds_linear, params,
-        loop_num=dprc.loop_num, trace=rows,
-    )
-    # step 3: the reported rates are the table's at the final powers; stage2's
-    # closing rate indices are the same lookup, so state.r already matches
-    sinr = sinr_in_all(state.p, topo, total_noise_power(params))
-    return state, float(table.rate_for_sinr(sinr).sum())
+    state = stage2(p1, topo, table.thresholds_linear, params, trace=rows)
+    # step 3: stage2's closing rate indices are the table lookup at the
+    # final powers, so the rates are read off them
+    return state, float(table.rates_by_index[state.r].sum())

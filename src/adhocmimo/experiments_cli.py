@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, SystemParams, linear_to_db, db_to_linear, mw_to_dbm
-from .dprc import DprcParams, run_dprc
+from .dprc import run_dprc
 from .impairment_model import sinr_baseband
 from .link_abstraction import (
     FLAG_SETS,
@@ -38,8 +38,8 @@ from .link_abstraction import (
     table_build_key,
 )
 from .mc_oracle import OracleConfig, simulate_link_ber
-from .network_opt import GaParams, maximize_sum_throughput
-from .radio_env import sample_topology
+from .network_opt import maximize_sum_throughput
+from .radio_env import PAIR_MIN_M, sample_topology
 from .rng import derive_seed, substream
 
 class UsageError(Exception):
@@ -75,9 +75,23 @@ class ExperimentSpec:
             raise UsageError("n_trials must be at least 1")
         if self.jobs < 1:
             raise UsageError("jobs must be at least 1")
+        if min(self.k_values, default=1) < 1:
+            raise UsageError("pair counts (--k) must be at least 1")
+        if min(self.n_rx_values, default=1) < 1:
+            raise UsageError("receive antenna counts (--nrx) must be at least 1")
+        if self.seed < 0 or self.table_seed < 0:
+            raise UsageError("--seed and --table-seed must be non-negative")
+        if self.table_draws < 1:
+            raise UsageError("--table-draws must be at least 1")
         unknown = [f for f in self.flag_names if f not in FLAG_SETS]
         if unknown:
             raise UsageError(f"unknown flag set: {unknown[0]}")
+        # scenarios with pair counts draw topologies, whose pair distances
+        # start at PAIR_MIN_M and must not reach below the path-loss model
+        if SCENARIOS[self.scenario].k_values and self.params.d0_m > PAIR_MIN_M:
+            raise UsageError(
+                f"d0_m must not exceed the shortest pair distance {PAIR_MIN_M} m"
+            )
 
 
 def _fmt(x: float) -> str:
@@ -192,47 +206,45 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _chunk_topologies(task: dict, params: SystemParams) -> list:
-    k = task["k"]
+def _chunk_topologies(task: dict) -> list:
+    k, params = task["k"], task["params"]
     return [
         sample_topology(k, params, substream(task["seed"], f"topology-k{k}", trial))
         for trial in task["trials"]
     ]
 
 
-def _ga_reference(task: dict, params: SystemParams, topos: list, tables: list,
-                  extra_seeds=None) -> tuple[list, float]:
+def _ga_reference(task: dict, topos: list, extra_seeds=None) -> tuple[list, float]:
     """One batched GA call over every (trial, table) member of a chunk.
 
     Flag sets share the GA seed of their (trial, K, n_rx), so loss shares
     compare the same search. Returns the sums as a (trials, tables) list
     and each member's equal share of the call's time (ms).
     """
-    k = task["k"]
+    k, tables = task["k"], task["tables"]
     members = [
-        (topo, table, GaParams(seed=derive_seed(task["seed"], f"ga-k{k}-n{n_rx}", trial)))
+        (topo, table, derive_seed(task["seed"], f"ga-k{k}-n{n_rx}", trial))
         for trial, topo in zip(task["trials"], topos)
         for (n_rx, _), table in tables
     ]
+    topo_m, table_m, seed_m = zip(*members)
     t0 = perf_counter()
     _, mst = maximize_sum_throughput(
-        *zip(*members), params, extra_seeds=extra_seeds
+        topo_m, table_m, task["params"], seed=seed_m, extra_seeds=extra_seeds
     )
     share_ms = (perf_counter() - t0) * 1e3 / len(members)
     return mst.reshape(len(topos), len(tables)).tolist(), share_ms
 
 
 def _mst_chunk(task: dict) -> list[dict]:
-    params = SystemParams.from_mapping(task["params"])
-    tables = [(key, RateTable.from_dict(doc)) for key, doc in task["tables"]]
-    mst, share_ms = _ga_reference(task, params, _chunk_topologies(task, params), tables)
+    mst, share_ms = _ga_reference(task, _chunk_topologies(task))
     return [
         {
             "trial": trial,
             "k": task["k"],
             "results": [
                 (n_rx, name, value, share_ms)
-                for ((n_rx, name), _), value in zip(tables, row)
+                for ((n_rx, name), _), value in zip(task["tables"], row)
             ],
         }
         for trial, row in zip(task["trials"], mst)
@@ -240,25 +252,22 @@ def _mst_chunk(task: dict) -> list[dict]:
 
 
 def _dprc_chunk(task: dict) -> list[dict]:
-    params = SystemParams.from_mapping(task["params"])
-    tables = [(key, RateTable.from_dict(doc)) for key, doc in task["tables"]]
-    k = task["k"]
-    topos = _chunk_topologies(task, params)
-    dprc_params = DprcParams()
+    params, k = task["params"], task["k"]
+    topos = _chunk_topologies(task)
     per_trial, finals = [], []
     for trial, topo in zip(task["trials"], topos):
         trace = trial < task["trace_trials"]
         results, traces = [], {}
-        for (n_rx, name), table in tables:
+        for (n_rx, name), table in task["tables"]:
             t0 = perf_counter()
             rng = substream(
                 derive_seed(task["seed"], f"dprc-k{k}-n{n_rx}-{name}"), "dprc", trial
             )
-            state, dprc_bps = run_dprc(topo, table, params, dprc_params, rng, trace=trace)
+            state, dprc_bps = run_dprc(topo, table, params, rng, trace=trace)
             results.append([n_rx, name, dprc_bps, (perf_counter() - t0) * 1e3])
             finals.append(state.p)
             if trace:
-                rates = np.concatenate([[0.0], table.rates_bps])
+                rates = table.rates_by_index
                 traces[(n_rx, name)] = [
                     [
                         step,
@@ -273,7 +282,7 @@ def _dprc_chunk(task: dict) -> list[dict]:
         per_trial.append({"trial": trial, "k": k, "results": results, "traces": traces})
     # centralized reference on the same topologies; warm-started with the
     # DPRC allocations so elitism guarantees distributed <= centralized
-    mst, share_ms = _ga_reference(task, params, topos, tables, extra_seeds=finals)
+    mst, share_ms = _ga_reference(task, topos, extra_seeds=finals)
     for res, row in zip(per_trial, mst):
         res["results"] = [
             (n_rx, name, dprc_bps, value, dprc_ms + share_ms)
@@ -283,9 +292,8 @@ def _dprc_chunk(task: dict) -> list[dict]:
 
 
 def _ber_point(task: dict) -> dict:
-    params = SystemParams.from_mapping(task["params"])
+    params, flags = task["params"], task["flags"]
     m, n, u, sinr_db = task["m"], task["n"], task["u"], task["sinr_db"]
-    flags = ImpairmentFlags(**task["flags"])
     mod = make_mod_scheme(u)
     sinr = db_to_linear(sinr_db)
     rng = substream(task["seed"], f"ber-analytic-{m}-{n}-{u}-{flags.label()}",
@@ -339,13 +347,9 @@ def _run_ber_validate(spec: ExperimentSpec) -> list[str]:
             for sinr_db in np.arange(0.0, 25.0 + 1e-9, 5.0):
                 tasks.append(
                     {
-                        "params": spec.params.to_config_dict(),
+                        "params": spec.params,
                         "m": n, "n": n, "u": u, "sinr_db": float(sinr_db),
-                        "flags": {
-                            "phase_noise": flags.phase_noise,
-                            "rfo": flags.rfo,
-                            "channel_est": flags.channel_est,
-                        },
+                        "flags": flags,
                         "n_draws": 2000,
                         "n_symbols": 100_000,
                         "seed": spec.seed,
@@ -392,16 +396,13 @@ def _chunk_tasks(spec: ExperimentSpec, tables) -> list[dict]:
     """Contiguous chunks of trials of one K: one chunk per K at --jobs 1 and
     jobs chunks per K otherwise, split further so that no chunk's batched
     GA holds more than _CHUNK_MEMBERS (trial, table) members."""
-    table_docs = [
-        (key, tables[key].to_dict())
-        for key in sorted(tables)
-    ]
-    size = min(-(-spec.n_trials // spec.jobs), _CHUNK_MEMBERS // len(table_docs))
+    keyed = sorted(tables.items())
+    size = min(-(-spec.n_trials // spec.jobs), _CHUNK_MEMBERS // len(keyed))
     size = max(size, 1)
     return [
         {
-            "params": spec.params.to_config_dict(),
-            "tables": table_docs,
+            "params": spec.params,
+            "tables": keyed,
             "k": k,
             "trials": list(range(start, min(start + size, spec.n_trials))),
             "seed": spec.seed,

@@ -362,14 +362,15 @@ class RateTable:
         return np.array([e.rate_bps for e in self.entries])
 
     @cached_property
-    def _rates_with_zero(self) -> np.ndarray:
+    def rates_by_index(self) -> np.ndarray:
+        """Rate (bps) of each rate index; index 0, below every threshold, is 0."""
         return np.concatenate([[0.0], self.rates_bps])
 
     def rate_for_sinr(self, sinr_in) -> np.ndarray:
         """Best achievable rate (bps) at each input SINR; 0 below the lowest
         threshold. Thresholds are inclusive lower bounds."""
         idx = np.searchsorted(self.thresholds_linear, np.asarray(sinr_in), side="right")
-        return self._rates_with_zero[idx]
+        return self.rates_by_index[idx]
 
     def to_dict(self) -> dict:
         doc = {

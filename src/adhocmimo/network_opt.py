@@ -10,8 +10,6 @@ appropriate tool.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .config import SystemParams
@@ -21,7 +19,6 @@ from .rng import substream
 
 __all__ = [
     "sinr_in_all",
-    "GaParams",
     "maximize_sum_throughput",
 ]
 
@@ -39,29 +36,14 @@ def sinr_in_all(p, topo: Topology, noise_mw: float) -> np.ndarray:
     return p * own / (interference + noise_mw)
 
 
-@dataclass(frozen=True)
-class GaParams:
-    """Genetic-algorithm configuration. population defaults to 4 * K and
-    mutation_rate to 1 / K at run time."""
-
-    population: int | None = None
-    generations: int = 100
-    crossover_rate: float = 0.8
-    mutation_rate: float | None = None
-    mutation_sigma_frac: float = 0.1   # mutation std as a fraction of P_T
-    mutation_reset_frac: float = 0.8   # share of mutations that redraw the gene
-    elitism: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.elitism < 1:
-            raise ValueError("elitism must be at least 1")
-        if self.generations < 1:
-            raise ValueError("generations must be at least 1")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must be a probability")
-        if not 0.0 <= self.mutation_reset_frac <= 1.0:
-            raise ValueError("mutation_reset_frac must be a probability")
+# GA settings (the README's constants table lists them)
+POPULATION_PER_PAIR = 4         # population size 4 K
+GENERATIONS = 100
+CROSSOVER_RATE = 0.8
+MUTATIONS_PER_ALLOCATION = 1.0  # each gene mutates with probability 1 / K
+STEP_FRAC = 0.1                 # Gaussian mutation step std, share of P_T
+RESET_FRAC = 0.8                # share of mutations that redraw the gene
+ELITISM = 2
 
 
 def _corner_allocations(k: int, p_t: float) -> np.ndarray:
@@ -74,9 +56,9 @@ def _corner_allocations(k: int, p_t: float) -> np.ndarray:
 def maximize_sum_throughput(
     topo: Topology | Sequence[Topology],
     table: RateTable | Sequence[RateTable],
-    ga: GaParams | Sequence[GaParams],
     params: SystemParams,
     *,
+    seed: int | Sequence[int],
     extra_seeds=None,
 ):
     """Search per-pair powers in [0, P_T] for the maximum sum throughput.
@@ -89,36 +71,32 @@ def maximize_sum_throughput(
     Returns (best allocation, its sum throughput).
 
     Batch form: equal-length sequences of topologies (all with the same K),
-    tables and GA settings (equal apart from the seed) evolve M independent
-    runs as one (M, population, K) array, and the result is ((M, K)
-    allocations, (M,) sums); extra_seeds is then one (K,) or (rows, K)
-    array per member, with the same row count for all. Each run draws only
-    from its own substream(seed, "ga") in a fixed layout per generation, so
-    a member's result is bit-identical alone and in any batch.
+    tables and seeds evolve M independent runs as one (M, population, K)
+    array, and the result is ((M, K) allocations, (M,) sums); extra_seeds
+    is then one (K,) or (rows, K) array per member, with the same row count
+    for all. Each run draws only from its own substream(seed, "ga") in a
+    fixed layout per generation, so a member's result is bit-identical
+    alone and in any batch.
     """
     single = isinstance(topo, Topology)
-    topos, tables, gas = ([topo], [table], [ga]) if single else (
-        list(topo), list(table), list(ga))
+    topos, tables, ga_seeds = ([topo], [table], [seed]) if single else (
+        list(topo), list(table), list(seed))
     m = len(topos)
-    if m == 0 or not m == len(tables) == len(gas):
-        raise ValueError("topo, table and ga must be sequences of one nonzero length")
+    if m == 0 or not m == len(tables) == len(ga_seeds):
+        raise ValueError("topo, table and seed must be sequences of one nonzero length")
     k = topos[0].k
     if any(t.k != k for t in topos):
         raise ValueError("batch members must share the pair count K")
-    ga = gas[0]
-    if any(replace(g, seed=ga.seed) != ga for g in gas):
-        raise ValueError("batch members may differ only in the GA seed")
 
     p_t = params.p_t_mw
-    mut_rate = ga.mutation_rate if ga.mutation_rate is not None else 1.0 / k
-    mut_sigma = ga.mutation_sigma_frac * p_t
+    mut_rate = MUTATIONS_PER_ALLOCATION / k
+    mut_sigma = STEP_FRAC * p_t
     noise_mw = total_noise_power(params)
     seeds = np.broadcast_to(_corner_allocations(k, p_t), (m, k + 2, k))
     if extra_seeds is not None:
         extra = np.asarray(extra_seeds, dtype=float).reshape(m, -1, k)
         seeds = np.concatenate([seeds, np.clip(extra, 0.0, p_t)], axis=1)
-    pop_size = ga.population if ga.population is not None else 4 * k
-    pop_size = max(pop_size, seeds.shape[1] + ga.elitism)
+    pop_size = max(POPULATION_PER_PAIR * k, seeds.shape[1] + ELITISM)
     n_pairs = pop_size // 2
 
     # gains laid out for p @ rho^T per member, and members grouped by table
@@ -138,8 +116,8 @@ def maximize_sum_throughput(
         return fit
 
     # one generator per distinct seed; members sharing a seed share its draws
-    slot = {s: j for j, s in enumerate(dict.fromkeys(g.seed for g in gas))}
-    member_slot = np.array([slot[g.seed] for g in gas])
+    slot = {s: j for j, s in enumerate(dict.fromkeys(ga_seeds))}
+    member_slot = np.array([slot[s] for s in ga_seeds])
     rngs = [substream(s, "ga") for s in slot]
     # per generation: tournament entrants, crossover coins, blend weights,
     # mutation choice, redraw values, then one block of Gaussian steps
@@ -151,7 +129,7 @@ def maximize_sum_throughput(
     genes[:, : seeds.shape[1]] = seeds
     fit = fitness(genes)
 
-    for _ in range(ga.generations):
+    for _ in range(GENERATIONS):
         for r, u, z in zip(rngs, uniform, normal):
             r.random(out=u)
             r.standard_normal(out=z)
@@ -170,7 +148,7 @@ def maximize_sum_throughput(
         lo = mates.min(axis=2, keepdims=True)
         span = mates.max(axis=2, keepdims=True) - lo
         blended = lo - 0.5 * span + 2.0 * span * blend.reshape(m, n_pairs, 2, k)
-        crossed = (cross < ga.crossover_rate)[..., None, None]
+        crossed = (cross < CROSSOVER_RATE)[..., None, None]
         children[:, : 2 * n_pairs] = np.where(crossed, blended, mates).reshape(
             m, 2 * n_pairs, k)
 
@@ -179,15 +157,15 @@ def maximize_sum_throughput(
         choice = choice.reshape(m, pop_size, k)
         stepped = children + mut_sigma * normal[member_slot].reshape(m, pop_size, k)
         children = np.where(
-            choice < mut_rate * ga.mutation_reset_frac,
+            choice < mut_rate * RESET_FRAC,
             p_t * redraw.reshape(m, pop_size, k),
             np.where(choice < mut_rate, stepped, children),
         )
         np.clip(children, 0.0, p_t, out=children)
 
         # elitism: best of the current generation survive unchanged
-        elite = np.argsort(fit, axis=1, kind="stable")[:, -ga.elitism:]
-        children[:, : ga.elitism] = np.take_along_axis(genes, elite[..., None], 1)
+        elite = np.argsort(fit, axis=1, kind="stable")[:, -ELITISM:]
+        children[:, :ELITISM] = np.take_along_axis(genes, elite[..., None], 1)
 
         genes = children
         fit = fitness(genes)

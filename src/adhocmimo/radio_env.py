@@ -51,6 +51,13 @@ def total_noise_power(params: SystemParams) -> float:
     return params.ns * noise_variance(params)
 
 
+# layout of every draw: transmitters on a disk of this radius, each receiver
+# this far from its own transmitter (the README's constants table lists them)
+DISK_RADIUS_M = 1000.0
+PAIR_MIN_M = 10.0
+PAIR_MAX_M = 300.0
+
+
 @dataclass(frozen=True)
 class Topology:
     """K transmit/receive pairs with pairwise distances and gains."""
@@ -70,26 +77,23 @@ def sample_topology(
     k: int,
     params: SystemParams,
     rng: np.random.Generator,
-    *,
-    disk_radius_m: float = 1000.0,
-    pair_range_m: tuple[float, float] = (10.0, 300.0),
 ) -> Topology:
     """Draw one network layout.
 
     Transmitters are uniform by area on the disk; each receiver is placed at
-    a uniform distance in pair_range_m and uniform angle from its own
-    transmitter. Cross distances shorter than the path-loss reference are
-    clamped to it so the gain model stays in its domain.
+    a uniform distance in [PAIR_MIN_M, PAIR_MAX_M] and uniform angle from
+    its own transmitter. Cross distances shorter than the path-loss
+    reference are clamped to it so the gain model stays in its domain.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    lo, hi = pair_range_m
-    if not params.d0_m <= lo <= hi:
-        raise ValueError("pair distance range must sit above the reference distance")
-    r = disk_radius_m * np.sqrt(rng.uniform(size=k))
+    if params.d0_m > PAIR_MIN_M:
+        raise ValueError(
+            f"d0_m must not exceed the shortest pair distance {PAIR_MIN_M} m")
+    r = DISK_RADIUS_M * np.sqrt(rng.uniform(size=k))
     theta = rng.uniform(0.0, 2.0 * math.pi, size=k)
     tx = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    dist = rng.uniform(lo, hi, size=k)
+    dist = rng.uniform(PAIR_MIN_M, PAIR_MAX_M, size=k)
     phi = rng.uniform(0.0, 2.0 * math.pi, size=k)
     rx = tx + np.column_stack([dist * np.cos(phi), dist * np.sin(phi)])
     d = np.linalg.norm(rx[:, None, :] - tx[None, :, :], axis=-1)

@@ -13,7 +13,7 @@ import pytest
 
 import conftest
 from adhocmimo.config import SystemParams, db_to_linear, linear_to_db
-from adhocmimo.dprc import DprcParams, run_dprc, best_response_power, sigmoid_utility
+from adhocmimo.dprc import run_dprc, best_response_power, sigmoid_utility
 from adhocmimo.experiments_cli import ExperimentSpec, run_experiment, table_filename
 from adhocmimo.impairment_model import sinr_baseband
 from adhocmimo.link_abstraction import (
@@ -22,11 +22,7 @@ from adhocmimo.link_abstraction import (
     make_mod_scheme,
 )
 from adhocmimo.mc_oracle import OracleConfig, simulate_link_ber
-from adhocmimo.network_opt import (
-    GaParams,
-    maximize_sum_throughput,
-    sinr_in_all,
-)
+from adhocmimo.network_opt import maximize_sum_throughput, sinr_in_all
 from adhocmimo.radio_env import sample_topology, total_noise_power
 from adhocmimo.rng import derive_seed, substream
 
@@ -259,7 +255,7 @@ def test_primary_08_ga_against_brute_force(params, table_cache):
     for i in range(n_inst):
         k = 2 + (i % 2)
         topo = sample_topology(k, params, substream(i, "acc8-topo"))
-        _, fit = maximize_sum_throughput(topo, table, GaParams(seed=i), params)
+        _, fit = maximize_sum_throughput(topo, table, params, seed=i)
         grids = np.meshgrid(*([levels] * k), indexing="ij")
         alloc = np.stack(grids, axis=-1).reshape(-1, k)
         sinr = sinr_in_all(alloc, topo, noise)
@@ -304,7 +300,7 @@ def test_primary_09_distributed_control(params, table_cache, tmp_path):
     for k in (2, 6, 10):
         for i in range(5):
             topo = sample_topology(k, params, substream(i, f"acc9-k{k}"))
-            state, _ = run_dprc(topo, table, params, DprcParams(),
+            state, _ = run_dprc(topo, table, params,
                                 substream(i, f"acc9-run-k{k}"))
             sinr = sinr_in_all(state.p, topo, noise)
             for j in range(k):
@@ -320,7 +316,6 @@ def test_primary_09_distributed_control(params, table_cache, tmp_path):
 
 
 def test_primary_10_best_response_against_brute_force(params):
-    dprc = DprcParams()
     p_t = params.p_t_mw
     grid = np.linspace(0.0, p_t, 10_001)
     step = grid[1] - grid[0]
@@ -328,9 +323,9 @@ def test_primary_10_best_response_against_brute_force(params):
     ieffs = 10.0 ** rng.uniform(-6.0, 3.0, size=1000)
     misses = 0
     for ieff in ieffs:
-        util = sigmoid_utility(grid / ieff, grid, dprc)
+        util = sigmoid_utility(grid / ieff, grid)
         brute = grid[int(np.argmax(util))]
-        best = best_response_power(float(ieff), dprc, p_t)
+        best = best_response_power(float(ieff), p_t)
         if abs(best - brute) > step + 1e-9:
             misses += 1
     ok = misses == 0

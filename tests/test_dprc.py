@@ -6,16 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from adhocmimo import dprc
 from adhocmimo.config import SystemParams
 from adhocmimo.dprc import (
-    DprcParams,
     best_response_power,
     run_dprc,
     sigmoid_utility,
     stage1,
     stage2,
 )
-from adhocmimo.network_opt import GaParams, maximize_sum_throughput, sinr_in_all
+from adhocmimo.network_opt import maximize_sum_throughput, sinr_in_all
 from adhocmimo.radio_env import Topology, path_gain, sample_topology, total_noise_power
 from adhocmimo.rng import substream
 
@@ -30,26 +30,15 @@ def topo_from_d(d, params: SystemParams) -> Topology:
 
 
 def test_default_sigmoid_midpoint_value():
-    dprc = DprcParams()
-    assert dprc.beta == pytest.approx(1.001 - math.log(0.001), rel=1e-15)
-    assert dprc.beta == pytest.approx(7.908755278982137, rel=1e-15)
-
-
-def test_dprc_params_validation():
-    with pytest.raises(ValueError):
-        DprcParams(a=1.0, gamma_sig=1.0)
-    with pytest.raises(ValueError):
-        DprcParams(alpha_price=0.0)
-    with pytest.raises(ValueError):
-        DprcParams(loop_num=0)
+    assert dprc.BETA == pytest.approx(1.001 - math.log(0.001), rel=1e-15)
+    assert dprc.BETA == pytest.approx(7.908755278982137, rel=1e-15)
 
 
 def test_sigmoid_utility_midpoint_and_monotonicity():
-    dprc = DprcParams()
-    assert sigmoid_utility(dprc.beta, 0.0, dprc) == 0.5
-    assert sigmoid_utility(2.0, 0.0, dprc) < sigmoid_utility(8.0, 0.0, dprc)
+    assert sigmoid_utility(dprc.BETA, 0.0) == 0.5
+    assert sigmoid_utility(2.0, 0.0) < sigmoid_utility(8.0, 0.0)
     # price strictly penalizes power at fixed SINR
-    u = [sigmoid_utility(5.0, p, dprc) for p in (0.0, 50.0, 100.0)]
+    u = [sigmoid_utility(5.0, p) for p in (0.0, 50.0, 100.0)]
     assert u[0] > u[1] > u[2]
 
 
@@ -58,74 +47,69 @@ def test_sigmoid_utility_midpoint_and_monotonicity():
 
 
 def test_best_response_shuts_off_above_price_cutoff():
-    dprc = DprcParams()
     # alpha * ieff >= a / 4 kills the interior maximum outright
-    assert best_response_power(250.0, dprc, 100.0) == 0.0
+    assert best_response_power(250.0, 100.0) == 0.0
     # just below the cutoff the interior optimum exists but cannot pay
     # its own price within the power budget
-    assert best_response_power(249.0, dprc, 100.0) == 0.0
+    assert best_response_power(249.0, 100.0) == 0.0
 
 
 def test_best_response_interior_optimum():
-    dprc = DprcParams()
-    p = best_response_power(1.0, dprc, 100.0)
+    p = best_response_power(1.0, 100.0)
     assert 0.0 < p < 100.0
     # at ieff = 1 the optimum sits where the sigmoid has nearly saturated
-    assert sigmoid_utility(p, p, dprc) > 0.9
+    assert sigmoid_utility(p, p) > 0.9
 
 
 def test_best_response_input_validation():
-    dprc = DprcParams()
     with pytest.raises(ValueError):
-        best_response_power(0.0, dprc, 100.0)
+        best_response_power(0.0, 100.0)
     with pytest.raises(ValueError):
-        best_response_power(1.0, dprc, 0.0)
+        best_response_power(1.0, 0.0)
 
 
 def test_best_response_matches_brute_force():
-    dprc = DprcParams()
     p_t = 100.0
     p_grid = np.linspace(0.0, p_t, 10_001)
     rng = substream(0, "brute-ieff")
     ieffs = 10.0 ** rng.uniform(-6.0, 3.0, size=200)
     step = p_grid[1] - p_grid[0]
     for ieff in ieffs:
-        util = sigmoid_utility(p_grid / ieff, p_grid, dprc)
+        util = sigmoid_utility(p_grid / ieff, p_grid)
         brute = p_grid[int(np.argmax(util))]
-        best = best_response_power(float(ieff), dprc, p_t)
+        best = best_response_power(float(ieff), p_t)
         assert abs(best - brute) <= step + 1e-9
 
 
-def utility_gain(p_from, p_to, ieff, dprc):
+def utility_gain(p_from, p_to, ieff):
     """U(p_to) - U(p_from) for SINR p / ieff, written so that it does not
     subtract two utilities near 1: the sigmoid difference uses
     expit(z1) - expit(z0) = -e0 * expm1(-dz) / ((1 + e0) * (1 + e1)) with
     e = exp(-z). sigmoid_utility itself rounds to 1e-16, more than the
     second-order drop over a 1e-6 relative step when ieff is small."""
-    z0 = dprc.a * (p_from / ieff - dprc.beta)
-    dz = dprc.a * (p_to - p_from) / ieff
+    z0 = dprc.SIGMOID_A * (p_from / ieff - dprc.BETA)
+    dz = dprc.SIGMOID_A * (p_to - p_from) / ieff
     e0 = np.exp(-z0)
     d_sig = -e0 * np.expm1(-dz) / ((1.0 + e0) * (1.0 + e0 * np.exp(-dz)))
-    return d_sig - dprc.alpha_price * (p_to - p_from)
+    return d_sig - dprc.PRICE_PER_MW * (p_to - p_from)
 
 
 def test_best_response_exact_below_the_grid_resolution():
     # log-uniform over 1e-14..1e3 mW reaches the ~5e-12 mW of a 10 m pair,
     # far below the 0.01 mW step of the brute-force grid
-    dprc = DprcParams()
     p_t = 100.0
     ieffs = 10.0 ** substream(0, "exact-ieff").uniform(-14.0, 3.0, size=5000)
-    p = best_response_power(ieffs, dprc, p_t)
+    p = best_response_power(ieffs, p_t)
     assert p.shape == ieffs.shape
-    scalar = np.array([best_response_power(float(x), dprc, p_t) for x in ieffs])
+    scalar = np.array([best_response_power(float(x), p_t) for x in ieffs])
     np.testing.assert_array_equal(p, scalar)
-    assert isinstance(best_response_power(1.0, dprc, p_t), float)
+    assert isinstance(best_response_power(1.0, p_t), float)
 
     interior = (p > 0.0) & (p < p_t)
     assert interior.sum() > 1000
     pi, ii = p[interior], ieffs[interior]
     for step in (1.0 + 1e-6, 1.0 - 1e-6):
-        assert np.all(utility_gain(pi, pi * step, ii, dprc) <= 0.0)
+        assert np.all(utility_gain(pi, pi * step, ii) <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +119,9 @@ def test_best_response_exact_below_the_grid_resolution():
 def test_stage1_single_pair_settles_in_one_round(params):
     topo = topo_from_d([[10.0]], params)
     rows = []
-    stage1(topo, params, DprcParams(loop_num=5), substream(0, "s1"), trace=rows)
+    stage1(topo, params, substream(0, "s1"), trace=rows)
     powers = [row[2][0] for row in rows]
-    assert len(powers) == 5
+    assert len(powers) == dprc.ROUNDS
     # without interference the response never changes after the first round
     assert all(p == powers[0] for p in powers[1:])
     assert powers[0] > 0.0
@@ -147,14 +131,15 @@ def test_stage1_mutual_outage_shuts_both_off(params):
     # each receiver sits 1 m from the other transmitter and 300 m from its
     # own; any plausible start price both pairs out of the game
     topo = topo_from_d([[300.0, 1.0], [1.0, 300.0]], params)
-    p = stage1(topo, params, DprcParams(loop_num=1), substream(3, "s1"))
-    np.testing.assert_array_equal(p, [0.0, 0.0])
+    rows = []
+    stage1(topo, params, substream(3, "s1"), trace=rows)
+    np.testing.assert_array_equal(rows[0][2], [0.0, 0.0])
 
 
 def test_stage1_deterministic(params):
     topo = sample_topology(5, params, substream(4, "topo"))
-    a = stage1(topo, params, DprcParams(), substream(7, "s1"))
-    b = stage1(topo, params, DprcParams(), substream(7, "s1"))
+    a = stage1(topo, params, substream(7, "s1"))
+    b = stage1(topo, params, substream(7, "s1"))
     np.testing.assert_array_equal(a, b)
 
 
@@ -169,9 +154,9 @@ def test_stage2_one_round_lands_on_threshold(params, table_cache):
     own = topo.rho[0, 0]
     noise = total_noise_power(params)
     p0 = np.array([thr[2] * noise / own * 1.0000001])
-    state = stage2(p0, topo, thr, params, loop_num=1)
-    sinr = sinr_in_all(state.p, topo, noise)
-    assert sinr[0] == pytest.approx(thr[2], rel=1e-12)
+    rows = []
+    stage2(p0, topo, thr, params, trace=rows)
+    assert rows[0][3][0] == pytest.approx(thr[2], rel=1e-12)
 
 
 def test_stage2_parks_on_some_threshold(params, table_cache):
@@ -206,9 +191,9 @@ def test_stage2_keeps_rate_started_just_above_each_threshold(params, table_cache
     for j in range(thr.size):
         p0 = np.array([thr[j] * noise / topo.rho[0, 0] * (1.0 + 1e-9)])
         rows = []
-        state = stage2(p0, topo, thr, params, loop_num=30, trace=rows)
-        assert len(rows) == 30
-        assert [int(row[4][0]) for row in rows] == [j + 1] * 30
+        state = stage2(p0, topo, thr, params, trace=rows)
+        assert len(rows) == dprc.ROUNDS
+        assert [int(row[4][0]) for row in rows] == [j + 1] * dprc.ROUNDS
         assert state.r[0] == j + 1
 
 
@@ -225,16 +210,15 @@ def test_stage2_rejects_unsorted_thresholds(params):
 def test_run_dprc_single_strong_pair(params, table_cache):
     table = table_cache(4, "ideal")
     topo = topo_from_d([[10.0]], params)
-    dprc = DprcParams()
-    state, total = run_dprc(topo, table, params, dprc, substream(0, "dprc"),
+    state, total = run_dprc(topo, table, params, substream(0, "dprc"),
                             trace=True)
     # alone, the pair's stage-1 SINR is the closed-form optimum
     # beta + ln(sg / (1 - sg)) / a at ieff = noise / own gain
     ieff = total_noise_power(params) / topo.rho[0, 0]
-    q = 4.0 * dprc.alpha_price * ieff / dprc.a
+    q = 4.0 * dprc.PRICE_PER_MW * ieff / dprc.SIGMOID_A
     sg = 0.5 * (1.0 + math.sqrt(1.0 - q))
     one_minus_sg = q / (2.0 * (1.0 + math.sqrt(1.0 - q)))
-    sinr_opt = dprc.beta + math.log(sg / one_minus_sg) / dprc.a
+    sinr_opt = dprc.BETA + math.log(sg / one_minus_sg) / dprc.SIGMOID_A
     stage1_rows = [row for row in state.history if row[0] == 1]
     assert stage1_rows
     for row in stage1_rows:
@@ -253,8 +237,7 @@ def test_run_dprc_single_strong_pair(params, table_cache):
 def test_run_dprc_mutual_outage_is_silent(params, table_cache):
     table = table_cache(4, "ideal")
     topo = topo_from_d([[300.0, 1.0], [1.0, 300.0]], params)
-    state, total = run_dprc(topo, table, params, DprcParams(),
-                            substream(0, "dprc"))
+    state, total = run_dprc(topo, table, params, substream(0, "dprc"))
     assert total == 0.0
     np.testing.assert_array_equal(state.r, [0, 0])
 
@@ -262,8 +245,7 @@ def test_run_dprc_mutual_outage_is_silent(params, table_cache):
 def test_run_dprc_powers_stay_in_budget(params, table_cache):
     table = table_cache(4, "imp")
     topo = sample_topology(3, params, substream(9, "topo"))
-    state, _ = run_dprc(topo, table, params, DprcParams(),
-                        substream(9, "dprc"), trace=True)
+    state, _ = run_dprc(topo, table, params, substream(9, "dprc"), trace=True)
     assert state.history
     stages = {row[0] for row in state.history}
     assert stages == {1, 2}
@@ -278,8 +260,7 @@ def test_run_dprc_final_rates_are_feasible(params, table_cache):
     noise = total_noise_power(params)
     for seed in range(30):
         topo = sample_topology(3, params, substream(seed, "feas-topo"))
-        state, _ = run_dprc(topo, table, params, DprcParams(),
-                            substream(seed, "feas"))
+        state, _ = run_dprc(topo, table, params, substream(seed, "feas"))
         sinr = sinr_in_all(state.p, topo, noise)
         for j in range(topo.k):
             if state.r[j] > 0:
@@ -290,10 +271,9 @@ def test_run_dprc_never_beats_warm_started_optimum(params, table_cache):
     table = table_cache(4, "ideal")
     for seed in range(3):
         topo = sample_topology(3, params, substream(seed, "cmp-topo"))
-        state, total = run_dprc(topo, table, params, DprcParams(),
-                                substream(seed, "cmp"))
+        state, total = run_dprc(topo, table, params, substream(seed, "cmp"))
         _, best = maximize_sum_throughput(
-            topo, table, GaParams(seed=seed), params,
+            topo, table, params, seed=seed,
             extra_seeds=state.p[None, :],
         )
         assert total <= best

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import adhocmimo
+from adhocmimo import dprc, experiments_cli as cli, network_opt, radio_env
+from adhocmimo.config import SystemParams
 from adhocmimo.experiments_cli import (
     ExperimentSpec,
     UsageError,
@@ -81,11 +83,22 @@ def test_paper_flag_sets_full_trial_count():
     assert spec_from_args(["mst-sweep", "--paper", "--trials", "3"]).n_trials == 1000
 
 
+BAD_ARGV = [
+    ["mst-sweep", "--trials", "0"],
+    ["mst-sweep", "--jobs", "0"],
+    ["mst-sweep", "--k", "0"],
+    ["ber-validate", "--nrx", "0"],
+    ["mst-sweep", "--nrx", "0", "--build-tables"],
+    ["sinr-map", "--seed", "-1"],
+    ["rate-table", "--table-seed", "-1"],
+    ["rate-table", "--table-draws", "0"],
+]
+
+
 def test_spec_validation():
-    with pytest.raises(UsageError):
-        spec_from_args(["mst-sweep", "--trials", "0"])
-    with pytest.raises(UsageError):
-        spec_from_args(["mst-sweep", "--jobs", "0"])
+    for argv in BAD_ARGV:
+        with pytest.raises(UsageError):
+            spec_from_args(argv)
 
 
 def test_main_exit_codes_for_usage_errors(tmp_path, capsys):
@@ -93,6 +106,17 @@ def test_main_exit_codes_for_usage_errors(tmp_path, capsys):
     assert main(["sinr-map", "--config", str(tmp_path / "nope.cfg")]) == 1
     err = capsys.readouterr().err
     assert "simcli:" in err
+
+    # pair distances start at 10 m, below which the path-loss model is undefined
+    near = tmp_path / "near.cfg"
+    near.write_text("d0_m = 20\n")
+    out = tmp_path / "out"
+    for argv in BAD_ARGV + [["mst-sweep", "--config", str(near)]]:
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("simcli: ")
+        assert not out.exists()
+    # sinr-map draws no topology, so the same config is fine there
+    assert main(["sinr-map", "--config", str(near), "--out", str(out)]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +312,42 @@ def test_dprc_sweep_outputs_and_traces(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "scenario, called",
+    [("mst-sweep", {"maximize_sum_throughput"}),
+     ("dprc-sweep", {"maximize_sum_throughput", "run_dprc"})],
+)
+def test_workers_get_the_spec_params_unchanged(tmp_path, monkeypatch, scenario,
+                                               called):
+    # p_t_dbm = 2.3 is 1.6982436524617444 mW; a trip through the dBm value of
+    # the config dict would hand the workers a cap one ulp larger
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("p_t_dbm = 2.3\n")
+    out = tmp_path / "out"
+    seed_tables(out)
+    argv = [scenario, "--k", "2", "--nrx", "4", "--trials", "1", "--jobs", "1",
+            "--config", str(cfg), "--out", str(out)]
+    seen = []
+
+    def spy(name):
+        fn = getattr(cli, name)
+
+        def wrapped(*args, **kwargs):
+            seen.extend((name, a) for a in (*args, *kwargs.values())
+                        if isinstance(a, SystemParams))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapped)
+
+    spy("maximize_sum_throughput")
+    spy("run_dprc")
+    assert main(argv) == 0
+    assert {name for name, _ in seen} == called
+    want = spec_from_args(argv).params
+    assert want.p_t_mw == 1.6982436524617444
+    assert all(params == want for _, params in seen)
+
+
+@pytest.mark.parametrize(
     "scenario, csv_name",
     [("mst-sweep", "mst_trials.csv"), ("dprc-sweep", "dprc_trials.csv")],
 )
@@ -350,3 +410,17 @@ def test_package_exports_the_readme_quick_start_names():
     ]
     assert sorted(adhocmimo.__all__) == sorted(imported)
     assert all(hasattr(adhocmimo, name) for name in imported)
+
+
+def test_readme_constants_table_matches_the_modules():
+    section = README.read_text().split("### Fixed constants", 1)[1].split("\n#", 1)[0]
+    rows = [ln.split("|")[1:3] for ln in section.splitlines() if ln.startswith("| `")]
+    documented = {name.strip().strip("`"): float(value) for name, value in rows}
+    defined = {
+        f"{mod.__name__.rsplit('.', 1)[1]}.{name}": value
+        for mod in (network_opt, dprc, radio_env)
+        for name, value in vars(mod).items()
+        if name.isupper() and not name.startswith("_")
+    }
+    assert len(documented) == 15
+    assert documented == defined

@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from adhocmimo.config import SystemParams, dbm_to_mw
-from adhocmimo.network_opt import (
-    GaParams,
-    maximize_sum_throughput,
-    sinr_in_all,
-)
+from adhocmimo.network_opt import maximize_sum_throughput, sinr_in_all
 from adhocmimo.radio_env import (
     Topology,
     noise_variance,
@@ -124,19 +120,10 @@ def test_sum_throughput_repeatable(params, table_cache):
 # GA power search
 
 
-def test_ga_params_validation():
-    with pytest.raises(ValueError):
-        GaParams(elitism=0)
-    with pytest.raises(ValueError):
-        GaParams(generations=0)
-    with pytest.raises(ValueError):
-        GaParams(crossover_rate=1.5)
-
-
 def test_ga_single_pair_takes_full_power_rate(params, table_cache):
     topo = topo_from_d([[10.0]], params)
-    p, fit = maximize_sum_throughput(topo, table_cache(4, "ideal"),
-                                     GaParams(), params)
+    p, fit = maximize_sum_throughput(topo, table_cache(4, "ideal"), params,
+                                     seed=0)
     assert fit == 192e6
     assert 0.0 <= p[0] <= params.p_t_mw
 
@@ -146,7 +133,7 @@ def test_ga_never_below_corner_baselines(params, table_cache):
     noise = total_noise_power(params)
     for seed in (3, 4):
         topo = sample_topology(4, params, substream(seed, "corner"))
-        _, fit = maximize_sum_throughput(topo, table, GaParams(seed=seed), params)
+        _, fit = maximize_sum_throughput(topo, table, params, seed=seed)
         corners = np.zeros((6, 4))
         corners[0] = params.p_t_mw
         corners[2:] = params.p_t_mw * np.eye(4)
@@ -162,7 +149,7 @@ def test_ga_silences_hopeless_pair(params, table_cache):
     # runs one pair at the top rate and keeps the other dark
     table = table_cache(4, "ideal")
     topo = topo_from_d([[10.0, 300.0], [1.0, 250.0]], params)
-    p, fit = maximize_sum_throughput(topo, table, GaParams(), params)
+    p, fit = maximize_sum_throughput(topo, table, params, seed=0)
     assert fit == 192e6
     sinr = sinr_in_all(p, topo, total_noise_power(params))
     rates = np.asarray(table.rate_for_sinr(sinr))
@@ -172,7 +159,7 @@ def test_ga_silences_hopeless_pair(params, table_cache):
 def test_ga_matches_brute_force_grid(params, table_cache):
     table = table_cache(4, "ideal")
     topo = sample_topology(3, params, substream(42, "brute"))
-    _, fit = maximize_sum_throughput(topo, table, GaParams(), params)
+    _, fit = maximize_sum_throughput(topo, table, params, seed=0)
 
     levels = np.concatenate([[0.0], dbm_to_mw(np.arange(-10.0, 20.0 + 1e-9, 1.0))])
     grid = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), axis=-1)
@@ -186,42 +173,47 @@ def test_ga_matches_brute_force_grid(params, table_cache):
 def test_ga_deterministic_per_seed(params, table_cache):
     table = table_cache(4, "imp")
     topo = sample_topology(3, params, substream(5, "det"))
-    p1, f1 = maximize_sum_throughput(topo, table, GaParams(seed=7), params)
-    p2, f2 = maximize_sum_throughput(topo, table, GaParams(seed=7), params)
+    p1, f1 = maximize_sum_throughput(topo, table, params, seed=7)
+    p2, f2 = maximize_sum_throughput(topo, table, params, seed=7)
     assert f1 == f2
     np.testing.assert_array_equal(p1, p2)
 
 
 def test_ga_warm_start_seeds_are_kept(params, table_cache):
+    # on this 3-pair layout the GA alone stops at 320 Mbps; the warm row
+    # (near the minimum powers of the 96/192/48 Mbps modes) reaches 336 Mbps,
+    # so the result matches it only if extra_seeds enters the population
     table = table_cache(4, "ideal")
-    topo = topo_from_d([[10.0, 300.0], [1.0, 250.0]], params)
-    warm = np.array([[params.p_t_mw, 0.0]])
-    _, fit = maximize_sum_throughput(topo, table, GaParams(generations=1),
-                                     params, extra_seeds=warm)
-    assert fit == 192e6
+    topo = sample_topology(3, params, substream(16, "warm"))
+    warm = np.array([0.0065, 0.035, 0.0028])
+    warm_sum = sum_rate(warm, topo, table, params)
+    _, alone = maximize_sum_throughput(topo, table, params, seed=0)
+    assert alone < warm_sum == 336e6
+    _, fit = maximize_sum_throughput(topo, table, params, seed=0,
+                                     extra_seeds=warm[None, :])
+    assert fit == warm_sum
 
 
 def test_ga_batch_members_match_single_runs(params, table_cache):
     # a member's result is bit-identical alone and in any batch order
     tables = [table_cache(4, "ideal"), table_cache(4, "imp")]
     topos = [sample_topology(4, params, substream(s, "batch")) for s in (11, 12)]
-    members = [(t, tab, GaParams(seed=s)) for s, t in enumerate(topos)
-               for tab in tables]
+    members = [(t, tab, s) for s, t in enumerate(topos) for tab in tables]
     warm = [np.full(4, 2.0 + i) for i in range(len(members))]
     for extra in (None, warm):
-        topo_b, table_b, ga_b = map(list, zip(*members))
-        p_b, fit_b = maximize_sum_throughput(topo_b, table_b, ga_b, params,
-                                             extra_seeds=extra)
+        topo_b, table_b, seed_b = map(list, zip(*members))
+        p_b, fit_b = maximize_sum_throughput(topo_b, table_b, params,
+                                             seed=seed_b, extra_seeds=extra)
         assert p_b.shape == (4, 4) and fit_b.shape == (4,)
-        for i, (t, tab, ga) in enumerate(members):
+        for i, (t, tab, seed) in enumerate(members):
             p, fit = maximize_sum_throughput(
-                t, tab, ga, params,
+                t, tab, params, seed=seed,
                 extra_seeds=None if extra is None else extra[i])
             assert isinstance(fit, float)
             assert fit == fit_b[i]
             np.testing.assert_array_equal(p, p_b[i])
         p_r, fit_r = maximize_sum_throughput(
-            topo_b[::-1], table_b[::-1], ga_b[::-1], params,
+            topo_b[::-1], table_b[::-1], params, seed=seed_b[::-1],
             extra_seeds=None if extra is None else extra[::-1])
         np.testing.assert_array_equal(p_r[::-1], p_b)
         np.testing.assert_array_equal(fit_r[::-1], fit_b)
@@ -232,11 +224,8 @@ def test_ga_batch_input_validation(params, table_cache):
     t2 = sample_topology(2, params, substream(1, "val"))
     t3 = sample_topology(3, params, substream(2, "val"))
     with pytest.raises(ValueError):
-        maximize_sum_throughput([t2, t3], [table, table],
-                                [GaParams(), GaParams()], params)
+        maximize_sum_throughput([t2, t3], [table, table], params, seed=[0, 0])
     with pytest.raises(ValueError):
-        maximize_sum_throughput([t2, t2], [table], [GaParams(), GaParams()],
-                                params)
+        maximize_sum_throughput([t2, t2], [table], params, seed=[0, 0])
     with pytest.raises(ValueError):
-        maximize_sum_throughput([t2, t2], [table, table],
-                                [GaParams(), GaParams(generations=5)], params)
+        maximize_sum_throughput([t2, t2], [table, table], params, seed=[0])

@@ -104,7 +104,7 @@ def test_topology_validation(params):
     with pytest.raises(ValueError):
         sample_topology(0, params, substream(0, "topology"))
     with pytest.raises(ValueError):
-        sample_topology(2, params, substream(0, "topology"), pair_range_m=(0.5, 300.0))
+        sample_topology(2, replace(params, d0_m=20.0), substream(0, "topology"))
     with pytest.raises(ValueError):
         Topology(k=2, d=np.ones((2, 3)), rho=np.ones((2, 2)))
 
