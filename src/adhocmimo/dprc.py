@@ -8,11 +8,15 @@ answers all pairs of a round in one array expression. Stage 2 walks the
 surviving powers onto the rate-table thresholds: each active pair rescales
 its power so its SINR lands on the threshold of the best rate it currently
 clears. Step 3 reads the final rates off the table.
+
+The stages and run_dprc also take a batch of members with the same pair
+count and run them as one (M, K) array; a single call is the M = 1 case.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +24,6 @@ from scipy.special import expit
 
 from .config import SystemParams
 from .link_abstraction import RateTable
-from .network_opt import sinr_in_all
 from .radio_env import Topology, total_noise_power
 from .rng import substream
 
@@ -94,43 +97,108 @@ def best_response_power(ieff, p_t: float):
     return float(p[0]) if x.ndim == 0 else p.reshape(x.shape)
 
 
-def _effective_interference(p: np.ndarray, topo: Topology, noise_mw: float):
-    """Per-pair (interference + noise) / own gain, the ieff of the game."""
-    received = topo.rho @ p
-    own = np.diagonal(topo.rho)
+def _gains(topo) -> tuple[bool, np.ndarray]:
+    """Whether topo is one Topology rather than a batch, and the (M, K, K)
+    stack of the members' gains (M = 1 for one topology)."""
+    if isinstance(topo, Topology):
+        return True, topo.rho[None]
+    topos = list(topo)
+    if not topos:
+        raise ValueError("a batch needs at least one topology")
+    if any(t.k != topos[0].k for t in topos):
+        raise ValueError("batch members must share the pair count K")
+    return False, np.stack([t.rho for t in topos])
+
+
+def _per_member(single: bool, value, m: int, name: str) -> list:
+    """One value per batch member: [value] for a single call, otherwise the
+    sequence itself, which must hold one entry per topology."""
+    values = [value] if single else list(value)
+    if len(values) != m:
+        raise ValueError(f"{name} must have one entry per topology")
+    return values
+
+
+def _thresholds(single: bool, thresholds_linear, m: int) -> np.ndarray:
+    """Each member's strictly ascending thresholds as a row of an (M, T)
+    array, padded with +inf, which no SINR clears. None means no thresholds."""
+    if thresholds_linear is None:
+        return np.empty((m, 0))
+    rows = [np.asarray(t, dtype=float)
+            for t in _per_member(single, thresholds_linear, m, "thresholds_linear")]
+    if any(t.ndim != 1 or np.any(np.diff(t) <= 0) for t in rows):
+        raise ValueError("thresholds must be strictly ascending")
+    out = np.full((m, max(t.size for t in rows)), np.inf)
+    for row, t in zip(out, rows):
+        row[: t.size] = t
+    return out
+
+
+def _effective_interference(p: np.ndarray, rho: np.ndarray, noise_mw: float):
+    """Per-pair (interference + noise) / own gain, the ieff of the game, for
+    (M, K) powers against (M, K, K) gains."""
+    received = (rho @ p[..., None])[..., 0]
+    own = np.diagonal(rho, axis1=1, axis2=2)
     interference = received - p * own
     return (interference + noise_mw) / own
 
 
-def _rate_indices(sinr: np.ndarray, thresholds_linear: np.ndarray) -> np.ndarray:
-    """Highest threshold index cleared by each SINR; 0 means none."""
-    return np.searchsorted(thresholds_linear, sinr, side="right")
+def _sinr(p: np.ndarray, rho: np.ndarray, noise_mw: float) -> np.ndarray:
+    """network_opt.sinr_in_all for (M, K) powers, each row against its own
+    (K, K) gains."""
+    own = np.diagonal(rho, axis1=1, axis2=2)
+    received = (p[:, None, :] @ rho.transpose(0, 2, 1))[:, 0]
+    interference = received - p * own
+    return p * own / (interference + noise_mw)
+
+
+def _rate_indices(sinr: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Highest threshold index cleared by each SINR of an (M, K) array
+    against the members' (M, T) thresholds; 0 means none. The count of
+    thresholds at or below a SINR is searchsorted(..., side="right")."""
+    return (thresholds[:, None, :] <= sinr[:, :, None]).sum(axis=-1)
+
+
+def _record(trace: list, single: bool, stage: int, it: int, *arrays) -> None:
+    """Append one round's (stage, iteration, powers, sinr, rate index) row:
+    (K,) arrays for a single call, (traced members, K) for a batch."""
+    trace.append((stage, it, *(a[0] if single else a for a in arrays)))
 
 
 def stage1(
-    topo: Topology,
+    topo: Topology | Sequence[Topology],
     params: SystemParams,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     *,
     trace: list | None = None,
-    thresholds_linear=(),
+    thresholds_linear=None,
+    traced=None,
 ) -> np.ndarray:
     """Synchronous best-response power game from a random start
     p_i(0) = u_i * P_T: every round, all pairs play the closed-form best
     response to the interference of the previous round. Returns the power
     vector after ROUNDS rounds. Trace rows carry each pair's rate index
-    against thresholds_linear (run_dprc passes its table's)."""
+    against thresholds_linear (run_dprc passes its table's).
+
+    Batch form: equal-length sequences of topologies (one K), generators
+    and, if given, thresholds play M games as one (M, K) array and return
+    (M, K) powers; each member draws its start from its own generator.
+    Trace rows then hold the members indexed by traced (default all)."""
+    single, rho = _gains(topo)
+    m, k = rho.shape[:2]
+    rngs = _per_member(single, rng, m, "rng")
+    sel = np.arange(m) if traced is None else np.asarray(traced, dtype=np.intp)
+    rho_sel = rho[sel]
+    thr_sel = _thresholds(single, thresholds_linear, m)[sel]
     p_t = params.p_t_mw
     noise_mw = total_noise_power(params)
-    p = rng.uniform(0.0, 1.0, size=topo.k) * p_t
+    p = np.stack([g.uniform(0.0, 1.0, size=k) for g in rngs]) * p_t
     for it in range(ROUNDS):
-        ieff = _effective_interference(p, topo, noise_mw)
-        p = best_response_power(ieff, p_t)
+        p = best_response_power(_effective_interference(p, rho, noise_mw), p_t)
         if trace is not None:
-            sinr = sinr_in_all(p, topo, noise_mw)
-            r = _rate_indices(sinr, np.asarray(thresholds_linear, dtype=float))
-            trace.append((1, it, p.copy(), sinr, r))
-    return p
+            sinr = _sinr(p[sel], rho_sel, noise_mw)
+            _record(trace, single, 1, it, p[sel], sinr, _rate_indices(sinr, thr_sel))
+    return p[0] if single else p
 
 
 # stage 2 lands a pair this hair above its threshold: the SINR recomputed at
@@ -141,59 +209,91 @@ _LANDING_MARGIN = 1.0 + 1e-13
 
 def stage2(
     p0: np.ndarray,
-    topo: Topology,
-    thresholds_linear: np.ndarray,
+    topo: Topology | Sequence[Topology],
+    thresholds_linear,
     params: SystemParams,
     *,
     trace: list | None = None,
-) -> DprcState:
+    traced=None,
+) -> DprcState | list[DprcState]:
     """Threshold tracking: in each of ROUNDS rounds, every pair picks the
     best rate its SINR clears and rescales power to sit just above that
     rate's threshold.
 
     Pairs clearing no threshold keep their power untouched; powers stay in
     [0, P_T].
+
+    Batch form: (M, K) starting powers, equal-length sequences of
+    topologies (one K) and threshold arrays; returns one state per member,
+    whose history holds that member's rows of trace if it is among traced
+    (default all).
     """
-    thresholds_linear = np.asarray(thresholds_linear, dtype=float)
-    if thresholds_linear.ndim != 1 or np.any(np.diff(thresholds_linear) <= 0):
-        raise ValueError("thresholds must be strictly ascending")
+    single, rho = _gains(topo)
+    m, k = rho.shape[:2]
+    thr = _thresholds(single, thresholds_linear, m)
+    sel = np.arange(m) if traced is None else np.asarray(traced, dtype=np.intp)
+    rho_sel = rho[sel]
     noise_mw = total_noise_power(params)
-    p = np.asarray(p0, dtype=float).copy()
-    r = np.zeros(topo.k, dtype=int)
-    hist: list = trace if trace is not None else []
+    p = np.array(p0, dtype=float).reshape(m, k)
     for it in range(ROUNDS):
-        sinr = sinr_in_all(p, topo, noise_mw)
-        r = _rate_indices(sinr, thresholds_linear)
+        sinr = _sinr(p, rho, noise_mw)
+        r = _rate_indices(sinr, thr)
         active = (r > 0) & (p > 0)
-        target = np.where(
-            active, thresholds_linear[np.maximum(r - 1, 0)] * _LANDING_MARGIN, 1.0
-        )
+        landing = np.take_along_axis(thr, np.maximum(r - 1, 0), axis=1)
+        target = np.where(active, landing * _LANDING_MARGIN, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(active, target / np.maximum(sinr, 1e-300), 1.0)
         p = np.clip(p * ratio, 0.0, params.p_t_mw)
         if trace is not None:
-            hist.append((2, it, p.copy(), sinr_in_all(p, topo, noise_mw), r.copy()))
-    sinr = sinr_in_all(p, topo, noise_mw)
-    r = _rate_indices(sinr, thresholds_linear)
-    return DprcState(p=p, r=r, history=hist)
+            _record(trace, single, 2, it, p[sel], _sinr(p[sel], rho_sel, noise_mw), r[sel])
+    r = _rate_indices(_sinr(p, rho, noise_mw), thr)
+    if single:
+        return DprcState(p=p[0], r=r[0], history=trace if trace is not None else [])
+    slot = dict(zip(sel.tolist(), range(sel.size)))
+    rows = trace if trace is not None else []
+
+    def history(j: int) -> list:
+        if j not in slot:
+            return []
+        return [(s, it, *(a[slot[j]] for a in arrays)) for s, it, *arrays in rows]
+
+    return [DprcState(p=p[j], r=r[j], history=history(j)) for j in range(m)]
 
 
 def run_dprc(
-    topo: Topology,
-    table: RateTable,
+    topo: Topology | Sequence[Topology],
+    table: RateTable | Sequence[RateTable],
     params: SystemParams,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
     *,
-    trace: bool = False,
-) -> tuple[DprcState, float]:
+    trace: bool | Sequence[bool] = False,
+) -> tuple[DprcState, float] | tuple[list[DprcState], np.ndarray]:
     """Full algorithm: power game, threshold tracking against the table's
     thresholds, then the final per-pair mode pick. Returns the final state
-    and the resulting sum throughput (bits/s)."""
-    rng = rng if rng is not None else substream(0, "dprc")
-    rows: list | None = [] if trace else None
-    p1 = stage1(topo, params, rng, trace=rows,
-                thresholds_linear=table.thresholds_linear)
-    state = stage2(p1, topo, table.thresholds_linear, params, trace=rows)
+    and the resulting sum throughput (bits/s).
+
+    Batch form: equal-length sequences of topologies (all with the same K),
+    tables and generators run M members through both stages as one (M, K)
+    array and return (list of M states, (M,) sums); trace is one bool or one
+    per member, and only traced members keep a history. Each member draws
+    only from its own generator, so its result is bit-identical alone and
+    in any batch.
+    """
+    single = isinstance(topo, Topology)
+    if single:
+        rng = rng if rng is not None else substream(0, "dprc")
+    else:
+        topo, rng = list(topo), list(rng)
+    m = 1 if single else len(topo)
+    tables = _per_member(single, table, m, "table")
+    flags = [trace] * m if np.ndim(trace) == 0 else _per_member(False, trace, m, "trace")
+    traced = np.flatnonzero(flags)
+    rows: list | None = [] if traced.size else None
+    thr = table.thresholds_linear if single else [t.thresholds_linear for t in tables]
+    p1 = stage1(topo, params, rng, trace=rows, thresholds_linear=thr, traced=traced)
+    state = stage2(p1, topo, thr, params, trace=rows, traced=traced)
     # step 3: stage2's closing rate indices are the table lookup at the
     # final powers, so the rates are read off them
-    return state, float(table.rates_by_index[state.r].sum())
+    if single:
+        return state, float(table.rates_by_index[state.r].sum())
+    return state, np.array([t.rates_by_index[s.r].sum() for s, t in zip(state, tables)])

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, SystemParams, linear_to_db, db_to_linear, mw_to_dbm
-from .dprc import run_dprc
+from .dprc import DprcState, run_dprc
 from .impairment_model import sinr_baseband
 from .link_abstraction import (
     FLAG_SETS,
@@ -195,7 +195,7 @@ def _load_tables(spec: ExperimentSpec) -> dict[tuple[int, str], RateTable]:
 # ---------------------------------------------------------------------------
 # scenario workers (module-level so process pools can pickle them)
 
-# members per batched GA call: bounds a chunk's working set to a few MB
+# members per batched GA or DPRC call: bounds a chunk's working set to a few MB
 _CHUNK_MEMBERS = 64
 
 
@@ -251,44 +251,49 @@ def _mst_chunk(task: dict) -> list[dict]:
     ]
 
 
+def _trace_rows(state: DprcState, table: RateTable) -> list[list]:
+    """A traced member's trace CSV rows, one per (round, pair), converted to
+    dBm and dB as whole (rounds, K) arrays."""
+    _, _, p, sinr, r = (np.array(column) for column in zip(*state.history))
+    with np.errstate(divide="ignore"):
+        power_dbm = np.where(p > 0, mw_to_dbm(p), -np.inf).tolist()
+        sinr_db = np.where(sinr > 0, linear_to_db(sinr), -np.inf).tolist()
+    rate = [str(int(x)) for x in table.rates_by_index]
+    return [
+        [step, pair, _fmt(dbm), _fmt(db), rate[idx]]
+        for step, row in enumerate(zip(power_dbm, sinr_db, r.tolist()))
+        for pair, (dbm, db, idx) in enumerate(zip(*row))
+    ]
+
+
 def _dprc_chunk(task: dict) -> list[dict]:
-    params, k = task["params"], task["k"]
+    """One batched run_dprc call over every (trial, table) member of a
+    chunk, then the GA reference on the same topologies. Members of the
+    first trace_trials trials keep their per-round history for the trace
+    CSVs; runtime_ms is each member's equal share of both calls."""
+    k, tables = task["k"], task["tables"]
     topos = _chunk_topologies(task)
-    per_trial, finals = [], []
-    for trial, topo in zip(task["trials"], topos):
-        trace = trial < task["trace_trials"]
-        results, traces = [], {}
-        for (n_rx, name), table in task["tables"]:
-            t0 = perf_counter()
-            rng = substream(
-                derive_seed(task["seed"], f"dprc-k{k}-n{n_rx}-{name}"), "dprc", trial
-            )
-            state, dprc_bps = run_dprc(topo, table, params, rng, trace=trace)
-            results.append([n_rx, name, dprc_bps, (perf_counter() - t0) * 1e3])
-            finals.append(state.p)
-            if trace:
-                rates = table.rates_by_index
-                traces[(n_rx, name)] = [
-                    [
-                        step,
-                        pair,
-                        _fmt(mw_to_dbm(p[pair]) if p[pair] > 0 else -np.inf),
-                        _fmt(linear_to_db(sinr[pair]) if sinr[pair] > 0 else -np.inf),
-                        str(int(rates[r[pair]])),
-                    ]
-                    for step, (_, _, p, sinr, r) in enumerate(state.history)
-                    for pair in range(k)
-                ]
-        per_trial.append({"trial": trial, "k": k, "results": results, "traces": traces})
+    members = [
+        (trial, topo, key, table,
+         substream(derive_seed(task["seed"], f"dprc-k{k}-n{key[0]}-{key[1]}"), "dprc", trial))
+        for trial, topo in zip(task["trials"], topos)
+        for key, table in tables
+    ]
+    trial_m, topo_m, _, table_m, rng_m = zip(*members)
+    traced = [trial < task["trace_trials"] for trial in trial_m]
+    t0 = perf_counter()
+    states, dprc_bps = run_dprc(topo_m, table_m, task["params"], rng_m, trace=traced)
+    dprc_ms = (perf_counter() - t0) * 1e3 / len(members)
     # centralized reference on the same topologies; warm-started with the
     # DPRC allocations so elitism guarantees distributed <= centralized
-    mst, share_ms = _ga_reference(task, topos, extra_seeds=finals)
-    for res, row in zip(per_trial, mst):
-        res["results"] = [
-            (n_rx, name, dprc_bps, value, dprc_ms + share_ms)
-            for (n_rx, name, dprc_bps, dprc_ms), value in zip(res["results"], row)
-        ]
-    return per_trial
+    mst, ga_ms = _ga_reference(task, topos, extra_seeds=[s.p for s in states])
+    per_trial = {t: {"trial": t, "k": k, "results": [], "traces": {}} for t in task["trials"]}
+    for (trial, _, key, table, _), state, is_traced, dprc, value in zip(
+            members, states, traced, dprc_bps.tolist(), [v for row in mst for v in row]):
+        per_trial[trial]["results"].append((*key, dprc, value, dprc_ms + ga_ms))
+        if is_traced:
+            per_trial[trial]["traces"][key] = _trace_rows(state, table)
+    return list(per_trial.values())
 
 
 def _ber_point(task: dict) -> dict:
@@ -395,7 +400,7 @@ def _run_rate_table(spec: ExperimentSpec) -> list[str]:
 def _chunk_tasks(spec: ExperimentSpec, tables) -> list[dict]:
     """Contiguous chunks of trials of one K: one chunk per K at --jobs 1 and
     jobs chunks per K otherwise, split further so that no chunk's batched
-    GA holds more than _CHUNK_MEMBERS (trial, table) members."""
+    GA or DPRC call holds more than _CHUNK_MEMBERS (trial, table) members."""
     keyed = sorted(tables.items())
     size = min(-(-spec.n_trials // spec.jobs), _CHUNK_MEMBERS // len(keyed))
     size = max(size, 1)

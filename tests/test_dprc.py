@@ -30,8 +30,14 @@ def topo_from_d(d, params: SystemParams) -> Topology:
 
 
 def test_default_sigmoid_midpoint_value():
-    assert dprc.BETA == pytest.approx(1.001 - math.log(0.001), rel=1e-15)
-    assert dprc.BETA == pytest.approx(7.908755278982137, rel=1e-15)
+    # BETA is the module's own formula, bit for bit
+    assert dprc.BETA == dprc.GAMMA_SIG - math.log(
+        dprc.SIGMOID_A * dprc.GAMMA_SIG - 1.0) / dprc.SIGMOID_A
+    assert dprc.BETA == 7.908755278982246
+    # the closed form 1.001 - ln(0.001) is 7.908755278982137: in floating
+    # point 1.001 - 1.0 is 0.000999999999999889, 1.1e-13 below 0.001
+    # relative, and the log turns that into 1.1e-13 absolute, 1.4e-14 of BETA
+    assert dprc.BETA == pytest.approx(1.001 - math.log(0.001), rel=2e-14, abs=0)
 
 
 def test_sigmoid_utility_midpoint_and_monotonicity():
@@ -277,3 +283,65 @@ def test_run_dprc_never_beats_warm_started_optimum(params, table_cache):
             extra_seeds=state.p[None, :],
         )
         assert total <= best
+
+
+def _assert_same_state(a, b):
+    np.testing.assert_array_equal(a.p, b.p)
+    np.testing.assert_array_equal(a.r, b.r)
+    assert len(a.history) == len(b.history)
+    for row_a, row_b in zip(a.history, b.history):
+        assert row_a[:2] == row_b[:2]
+        for x, y in zip(row_a[2:], row_b[2:]):
+            np.testing.assert_array_equal(x, y)
+
+
+def test_dprc_batch_members_match_single_runs(params, table_cache):
+    # a member's result is bit-identical alone and in any batch order,
+    # whether or not it or the other members keep a history
+    tables = [table_cache(4, "ideal"), table_cache(4, "imp")]
+    for k in (3, 6):
+        topos = [sample_topology(k, params, substream(s, "dprc-batch", k))
+                 for s in (21, 22)]
+        members = [(t, tab, (s, i)) for s, t in enumerate(topos)
+                   for i, tab in enumerate(tables)]
+        topo_b, table_b, seed_b = map(list, zip(*members))
+
+        def rngs(seeds):
+            return [substream(s, "dprc-batch-rng", i) for s, i in seeds]
+
+        for trace in (False, True, [True, False, False, True]):
+            flags = list(np.broadcast_to(trace, (len(members),)))
+            states, sums = run_dprc(topo_b, table_b, params, rngs(seed_b),
+                                    trace=trace)
+            assert len(states) == len(members) and sums.shape == (len(members),)
+            for (t, tab, s), flag, state, total in zip(members, flags, states, sums):
+                alone, alone_total = run_dprc(t, tab, params, *rngs([s]),
+                                              trace=bool(flag))
+                assert isinstance(alone_total, float)
+                assert alone_total == total
+                _assert_same_state(state, alone)
+                assert bool(state.history) == flag
+            rev_states, rev_sums = run_dprc(
+                topo_b[::-1], table_b[::-1], params, rngs(seed_b[::-1]),
+                trace=flags[::-1])
+            np.testing.assert_array_equal(rev_sums[::-1], sums)
+            for a, b in zip(rev_states[::-1], states):
+                _assert_same_state(a, b)
+
+
+def test_dprc_batch_input_validation(params, table_cache):
+    table = table_cache(4, "ideal")
+    t2 = sample_topology(2, params, substream(1, "val"))
+    t3 = sample_topology(3, params, substream(2, "val"))
+
+    def rngs(n):
+        return [substream(0, "val-rng", i) for i in range(n)]
+
+    with pytest.raises(ValueError):
+        run_dprc([t2, t3], [table, table], params, rngs(2))
+    with pytest.raises(ValueError):
+        run_dprc([t2, t2], [table], params, rngs(2))
+    with pytest.raises(ValueError):
+        run_dprc([t2, t2], [table, table], params, rngs(1))
+    with pytest.raises(ValueError):
+        run_dprc([t2, t2], [table, table], params, rngs(2), trace=[True])

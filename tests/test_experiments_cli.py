@@ -311,6 +311,32 @@ def test_dprc_sweep_outputs_and_traces(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_dprc_tracing_does_not_change_results(tmp_path):
+    # traced and untraced members share one batched run_dprc call; keeping
+    # a member's history must not change any member's result or trace
+    outs = {}
+    for trace_trials in (None, "0", "1", "2"):
+        out = tmp_path / f"out{trace_trials}"
+        seed_tables(out)
+        extra = [] if trace_trials is None else ["--trace-trials", trace_trials]
+        assert main(["dprc-sweep", "--k", "3", "--trials", "3",
+                     "--out", str(out)] + extra) == 0
+        outs[trace_trials] = out
+    header, rows = read_csv(outs[None] / "dprc_trials.csv")
+    _, rows0 = read_csv(outs["0"] / "dprc_trials.csv")
+    t_idx = header.index("runtime_ms")
+    assert drop_column(rows0, t_idx) == drop_column(rows, t_idx)
+    assert (outs["0"] / "dprc_aggregate.json").read_bytes() == \
+        (outs[None] / "dprc_aggregate.json").read_bytes()
+    assert not list(outs["0"].glob("dprc_trace_*.csv"))
+    for name in ("ideal", "imp"):
+        trace = f"dprc_trace_k3_n4_{name}_t0.csv"
+        assert (outs["1"] / trace).read_bytes() == (outs["2"] / trace).read_bytes()
+        assert (outs["1"] / trace).read_bytes() == (outs[None] / trace).read_bytes()
+    assert len(list(outs["1"].glob("dprc_trace_*.csv"))) == 2
+    assert len(list(outs["2"].glob("dprc_trace_*.csv"))) == 4
+
+
 @pytest.mark.parametrize(
     "scenario, called",
     [("mst-sweep", {"maximize_sum_throughput"}),
