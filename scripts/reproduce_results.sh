@@ -3,8 +3,8 @@
 # order, into one output directory.
 #
 # Usage: scripts/reproduce_results.sh [OUT_DIR] [extra simcli args...]
-#   scripts/reproduce_results.sh                 quick pass, default sizes
-#   scripts/reproduce_results.sh out --paper     full-size trial counts
+#   scripts/reproduce_results.sh                     quick pass, default sizes
+#   scripts/reproduce_results.sh out --trials 1000   full-size trial counts
 #
 # Every run is seeded, so a repeated invocation with the same arguments
 # rewrites byte-identical CSVs, apart from the runtime_ms column of the

@@ -135,60 +135,49 @@ def table_filename(n_rx: int, flag_name: str) -> str:
     return f"rates_N{n_rx}_{flag_name}.json"
 
 
-def build_tables(spec: ExperimentSpec) -> list[Path]:
-    """Build any missing or stale cached tables for the spec's axes.
-
-    A cache file is fresh when its build block equals the table build key of
-    the spec's parameters, table seed and draw count; fresh files are left
-    untouched so rebuilds are idempotent and byte-stable.
-    """
-    table_dir = spec.out_dir / "tables"
-    table_dir.mkdir(parents=True, exist_ok=True)
-    want = table_build_key(spec.params, seed=spec.table_seed, n_draws=spec.table_draws)
-    written = []
-    for n_rx in spec.n_rx_values:
-        for name in spec.flag_names:
-            path = table_dir / table_filename(n_rx, name)
-            if path.exists():
-                try:
-                    if RateTable.load(path).build_info == want:
-                        continue
-                except (ValueError, KeyError, json.JSONDecodeError):
-                    pass
-            table = build_rate_table(
-                n_rx, FLAG_SETS[name], spec.params,
-                seed=spec.table_seed, n_draws=spec.table_draws,
-            )
-            table.save(path)
-            written.append(path)
-    return written
+def _cached_table(path: Path, want: dict) -> tuple[RateTable | None, str]:
+    """The table cached at path if it is fresh, else None and what is wrong."""
+    if not path.exists():
+        return None, f"missing rate table cache: {path}"
+    try:
+        table = RateTable.load(path)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        return None, f"cannot read cached table {path} ({type(exc).__name__}: {exc})"
+    if table.build_info != want:
+        return None, f"cached table {path} was built with different settings"
+    return table, ""
 
 
 def _load_tables(spec: ExperimentSpec) -> dict[tuple[int, str], RateTable]:
-    """Load every table the scenario needs, building when allowed."""
-    if spec.build_tables or spec.scenario == "rate-table":
-        build_tables(spec)
-    tables = {}
-    missing = []
+    """Every table on the spec's axes, read once from <out>/tables.
+
+    A cached table is fresh when it parses and its build block equals the
+    table build key of the spec's parameters, table seed and draw count.
+    With --build-tables (and always for the rate-table scenario) a table
+    that is not fresh is built and saved, and fresh files are left untouched,
+    so rebuilds are idempotent and byte-stable; otherwise it is a
+    RuntimeFailure naming every such path.
+    """
+    build = spec.build_tables or spec.scenario == "rate-table"
     want = table_build_key(spec.params, seed=spec.table_seed, n_draws=spec.table_draws)
+    tables, problems = {}, []
     for n_rx in spec.n_rx_values:
         for name in spec.flag_names:
             path = spec.out_dir / "tables" / table_filename(n_rx, name)
-            if not path.exists():
-                missing.append(path)
-                continue
-            table = RateTable.load(path)
-            if table.build_info != want:
-                raise RuntimeFailure(
-                    f"cached table {path} was built with different settings; "
-                    "rerun with --build-tables to rebuild it"
+            table, problem = _cached_table(path, want)
+            if table is None and build:
+                table = build_rate_table(
+                    n_rx, FLAG_SETS[name], spec.params,
+                    seed=spec.table_seed, n_draws=spec.table_draws,
                 )
+                path.parent.mkdir(parents=True, exist_ok=True)
+                table.save(path)
+            elif table is None:
+                problems.append(problem)
+                continue
             tables[(n_rx, name)] = table
-    if missing:
-        paths = ", ".join(str(p) for p in missing)
-        raise RuntimeFailure(
-            f"missing rate table cache: {paths}; rerun with --build-tables"
-        )
+    if problems:
+        raise RuntimeFailure("; ".join(problems) + "; rerun with --build-tables")
     return tables
 
 
@@ -230,7 +219,7 @@ def _ga_reference(task: dict, topos: list, extra_seeds=None) -> tuple[list, floa
     topo_m, table_m, seed_m = zip(*members)
     t0 = perf_counter()
     _, mst = maximize_sum_throughput(
-        topo_m, table_m, task["params"], seed=seed_m, extra_seeds=extra_seeds
+        topo_m, table_m, task["params"], seeds=seed_m, extra_seeds=extra_seeds
     )
     share_ms = (perf_counter() - t0) * 1e3 / len(members)
     return mst.reshape(len(topos), len(tables)).tolist(), share_ms
@@ -253,8 +242,8 @@ def _mst_chunk(task: dict) -> list[dict]:
 
 def _trace_rows(state: DprcState, table: RateTable) -> list[list]:
     """A traced member's trace CSV rows, one per (round, pair), converted to
-    dBm and dB as whole (rounds, K) arrays."""
-    _, _, p, sinr, r = (np.array(column) for column in zip(*state.history))
+    dBm and dB as whole (rounds, K) history arrays."""
+    p, sinr, r = state.history
     with np.errstate(divide="ignore"):
         power_dbm = np.where(p > 0, mw_to_dbm(p), -np.inf).tolist()
         sinr_db = np.where(sinr > 0, linear_to_db(sinr), -np.inf).tolist()
@@ -388,7 +377,7 @@ def _run_ber_validate(spec: ExperimentSpec) -> list[str]:
 
 
 def _run_rate_table(spec: ExperimentSpec) -> list[str]:
-    build_tables(spec)
+    _load_tables(spec)
     # report every table on the axes, whether just built or already fresh
     return [
         str(Path("tables") / table_filename(n, f))
@@ -597,10 +586,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", type=Path, default=Path("out"))
-    parser.add_argument("--paper", action="store_true",
-                        help="full-size trial counts (1000 per grid point)")
     parser.add_argument("--build-tables", action="store_true",
-                        help="build missing rate-table caches before running")
+                        help="build missing, stale or unreadable rate-table caches")
     parser.add_argument("--table-seed", type=int, default=0)
     parser.add_argument("--table-draws", type=int, default=2000)
     parser.add_argument("--trace-trials", type=int, default=5,
@@ -621,14 +608,13 @@ def spec_from_args(argv: list[str]) -> ExperimentSpec:
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     axes = SCENARIOS[args.scenario]
-    trials = 1000 if args.paper else args.trials
     return ExperimentSpec(
         scenario=args.scenario,
         params=params,
         k_values=tuple(args.k) if args.k else axes.k_values,
         n_rx_values=tuple(args.nrx) if args.nrx else axes.n_rx_values,
         flag_names=axes.flag_names,
-        n_trials=trials,
+        n_trials=args.trials,
         seed=args.seed,
         out_dir=args.out,
         jobs=args.jobs,

@@ -18,22 +18,33 @@ from .radio_env import Topology, total_noise_power
 from .rng import substream
 
 __all__ = [
+    "stack_gains",
     "sinr_in_all",
     "maximize_sum_throughput",
 ]
 
 
-def sinr_in_all(p, topo: Topology, noise_mw: float) -> np.ndarray:
-    """Input SINR of every pair (or batch of allocations) at once.
+def stack_gains(topos: Sequence[Topology]) -> np.ndarray:
+    """The (M, K, K) stack of a batch's gains; the M >= 1 topologies must
+    share the pair count K."""
+    topos = list(topos)
+    if not topos:
+        raise ValueError("a batch needs at least one topology")
+    if any(t.k != topos[0].k for t in topos):
+        raise ValueError("batch members must share the pair count K")
+    return np.stack([t.rho for t in topos])
 
-    p may be (K,) or (B, K); the result matches. noise_mw is the total
-    receiver noise power over all subcarriers.
-    """
+
+def sinr_in_all(p, rho: np.ndarray, noise_mw: float) -> np.ndarray:
+    """Input SINR of every pair for allocation rows p of shape (..., B, K)
+    against stacked gains rho of shape (..., K, K), where rho[..., j, i] is
+    the gain from transmitter i to receiver j; the result has p's shape.
+    noise_mw is the total receiver noise power over all subcarriers."""
     p = np.asarray(p, dtype=float)
-    own = np.diagonal(topo.rho)
-    received = p @ topo.rho.T          # (..., j) = sum_i p_i * rho[j, i]
-    interference = received - p * own
-    return p * own / (interference + noise_mw)
+    own = np.diagonal(rho, axis1=-2, axis2=-1)[..., None, :]
+    signal = p * own
+    # received[..., b, j] = sum_i p[..., b, i] * rho[..., j, i]
+    return signal / (p @ np.swapaxes(rho, -1, -2) - signal + noise_mw)
 
 
 # GA settings (the README's constants table lists them)
@@ -54,70 +65,61 @@ def _corner_allocations(k: int, p_t: float) -> np.ndarray:
 
 
 def maximize_sum_throughput(
-    topo: Topology | Sequence[Topology],
-    table: RateTable | Sequence[RateTable],
+    topos: Sequence[Topology],
+    tables: Sequence[RateTable],
     params: SystemParams,
     *,
-    seed: int | Sequence[int],
+    seeds: Sequence[int],
     extra_seeds=None,
-):
-    """Search per-pair powers in [0, P_T] for the maximum sum throughput.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Search per-pair powers in [0, P_T] for the maximum sum throughput of
+    each member of a batch: equal-length sequences of topologies (all with
+    the same K), tables and seeds evolve M independent runs as one
+    (M, population, K) array. Returns the (M, K) best allocations and their
+    (M,) sum throughputs; a single run is a batch of one.
 
     Tournament selection (size 2), blend crossover, mixed Gaussian-step and
-    uniform-redraw mutation, elitism. The initial population contains the
-    K+2 corner allocations
-    (all-on, all-off, each pair alone at P_T) plus any extra_seeds rows, so
-    with elitism the result never falls below the best of those baselines.
-    Returns (best allocation, its sum throughput).
-
-    Batch form: equal-length sequences of topologies (all with the same K),
-    tables and seeds evolve M independent runs as one (M, population, K)
-    array, and the result is ((M, K) allocations, (M,) sums); extra_seeds
-    is then one (K,) or (rows, K) array per member, with the same row count
-    for all. Each run draws only from its own substream(seed, "ga") in a
-    fixed layout per generation, so a member's result is bit-identical
-    alone and in any batch.
+    uniform-redraw mutation, elitism. Each initial population contains the
+    K+2 corner allocations (all-on, all-off, each pair alone at P_T) plus
+    the member's extra_seeds rows (one (K,) or (rows, K) array per member,
+    the same row count for all), so with elitism the result never falls
+    below the best of those baselines. Each run draws only from its own
+    substream(seed, "ga") in a fixed layout per generation, so a member's
+    result is bit-identical in any batch.
     """
-    single = isinstance(topo, Topology)
-    topos, tables, ga_seeds = ([topo], [table], [seed]) if single else (
-        list(topo), list(table), list(seed))
-    m = len(topos)
-    if m == 0 or not m == len(tables) == len(ga_seeds):
-        raise ValueError("topo, table and seed must be sequences of one nonzero length")
-    k = topos[0].k
-    if any(t.k != k for t in topos):
-        raise ValueError("batch members must share the pair count K")
+    tables, seeds = list(tables), list(seeds)
+    rho = stack_gains(topos)
+    m, k = rho.shape[:2]
+    if not m == len(tables) == len(seeds):
+        raise ValueError("topos, tables and seeds must have one length")
 
     p_t = params.p_t_mw
     mut_rate = MUTATIONS_PER_ALLOCATION / k
     mut_sigma = STEP_FRAC * p_t
     noise_mw = total_noise_power(params)
-    seeds = np.broadcast_to(_corner_allocations(k, p_t), (m, k + 2, k))
+    baseline = np.broadcast_to(_corner_allocations(k, p_t), (m, k + 2, k))
     if extra_seeds is not None:
         extra = np.asarray(extra_seeds, dtype=float).reshape(m, -1, k)
-        seeds = np.concatenate([seeds, np.clip(extra, 0.0, p_t)], axis=1)
-    pop_size = max(POPULATION_PER_PAIR * k, seeds.shape[1] + ELITISM)
+        baseline = np.concatenate([baseline, np.clip(extra, 0.0, p_t)], axis=1)
+    pop_size = max(POPULATION_PER_PAIR * k, baseline.shape[1] + ELITISM)
     n_pairs = pop_size // 2
 
-    # gains laid out for p @ rho^T per member, and members grouped by table
-    # so each generation does one rate lookup per distinct table
-    rho_t = np.stack([t.rho.T for t in topos])
-    own = np.stack([np.diagonal(t.rho) for t in topos])[:, None, :]
+    # members grouped by table, so each generation does one rate lookup per
+    # distinct table
     groups: dict[int, tuple[RateTable, list[int]]] = {}
     for i, tab in enumerate(tables):
         groups.setdefault(id(tab), (tab, []))[1].append(i)
 
     def fitness(pop: np.ndarray) -> np.ndarray:
-        signal = pop * own
-        sinr = signal / (pop @ rho_t - signal + noise_mw)
+        sinr = sinr_in_all(pop, rho, noise_mw)
         fit = np.empty(pop.shape[:2])
         for tab, idx in groups.values():
             fit[idx] = tab.rate_for_sinr(sinr[idx]).sum(axis=-1)
         return fit
 
     # one generator per distinct seed; members sharing a seed share its draws
-    slot = {s: j for j, s in enumerate(dict.fromkeys(ga_seeds))}
-    member_slot = np.array([slot[s] for s in ga_seeds])
+    slot = {s: j for j, s in enumerate(dict.fromkeys(seeds))}
+    member_slot = np.array([slot[s] for s in seeds])
     rngs = [substream(s, "ga") for s in slot]
     # per generation: tournament entrants, crossover coins, blend weights,
     # mutation choice, redraw values, then one block of Gaussian steps
@@ -126,7 +128,7 @@ def maximize_sum_throughput(
     normal = np.empty((len(rngs), pop_size * k))
 
     genes = p_t * np.stack([r.random((pop_size, k)) for r in rngs])[member_slot]
-    genes[:, : seeds.shape[1]] = seeds
+    genes[:, : baseline.shape[1]] = baseline
     fit = fitness(genes)
 
     for _ in range(GENERATIONS):
@@ -172,6 +174,4 @@ def maximize_sum_throughput(
 
     # elitism carries the best allocation seen so far into every generation
     best = fit.argmax(axis=1)
-    best_p = genes[np.arange(m), best]
-    best_fit = fit[np.arange(m), best]
-    return (best_p[0], float(best_fit[0])) if single else (best_p, best_fit)
+    return genes[np.arange(m), best], fit[np.arange(m), best]

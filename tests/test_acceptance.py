@@ -255,12 +255,12 @@ def test_primary_08_ga_against_brute_force(params, table_cache):
     for i in range(n_inst):
         k = 2 + (i % 2)
         topo = sample_topology(k, params, substream(i, "acc8-topo"))
-        _, fit = maximize_sum_throughput(topo, table, params, seed=i)
+        _, fit = maximize_sum_throughput([topo], [table], params, seeds=[i])
         grids = np.meshgrid(*([levels] * k), indexing="ij")
         alloc = np.stack(grids, axis=-1).reshape(-1, k)
-        sinr = sinr_in_all(alloc, topo, noise)
+        sinr = sinr_in_all(alloc, topo.rho, noise)
         brute = float(np.asarray(table.rate_for_sinr(sinr)).sum(axis=-1).max())
-        if fit >= brute - 8e6:
+        if fit[0] >= brute - 8e6:
             hits += 1
     ok = hits >= math.ceil(0.9 * n_inst)
     record(
@@ -300,9 +300,9 @@ def test_primary_09_distributed_control(params, table_cache, tmp_path):
     for k in (2, 6, 10):
         for i in range(5):
             topo = sample_topology(k, params, substream(i, f"acc9-k{k}"))
-            state, _ = run_dprc(topo, table, params,
-                                substream(i, f"acc9-run-k{k}"))
-            sinr = sinr_in_all(state.p, topo, noise)
+            (state,), _ = run_dprc([topo], [table], params,
+                                   [substream(i, f"acc9-run-k{k}")])
+            sinr = sinr_in_all(state.p[None], topo.rho, noise)[0]
             for j in range(k):
                 if state.r[j] > 0 and sinr[j] < thr[state.r[j] - 1] * slack:
                     feas_ok = False

@@ -25,6 +25,17 @@ def topo_from_d(d, params: SystemParams) -> Topology:
     return Topology(k=d.shape[0], d=d, rho=path_gain(d, params))
 
 
+def dprc_one(topo: Topology, table, params: SystemParams, rng, trace=False):
+    """run_dprc on a batch of one: the member's state and float sum."""
+    states, totals = run_dprc([topo], [table], params, [rng], trace=trace)
+    return states[0], float(totals[0])
+
+
+def sinr_of(p, topo: Topology, params: SystemParams) -> np.ndarray:
+    """(K,) input SINR of one (K,) allocation."""
+    return sinr_in_all(p[None], topo.rho, total_noise_power(params))[0]
+
+
 # ---------------------------------------------------------------------------
 # utility shape
 
@@ -125,8 +136,8 @@ def test_best_response_exact_below_the_grid_resolution():
 def test_stage1_single_pair_settles_in_one_round(params):
     topo = topo_from_d([[10.0]], params)
     rows = []
-    stage1(topo, params, substream(0, "s1"), trace=rows)
-    powers = [row[2][0] for row in rows]
+    stage1([topo], params, [substream(0, "s1")], trace=rows)
+    powers = [row[0][0, 0] for row in rows]
     assert len(powers) == dprc.ROUNDS
     # without interference the response never changes after the first round
     assert all(p == powers[0] for p in powers[1:])
@@ -138,14 +149,14 @@ def test_stage1_mutual_outage_shuts_both_off(params):
     # own; any plausible start price both pairs out of the game
     topo = topo_from_d([[300.0, 1.0], [1.0, 300.0]], params)
     rows = []
-    stage1(topo, params, substream(3, "s1"), trace=rows)
-    np.testing.assert_array_equal(rows[0][2], [0.0, 0.0])
+    stage1([topo], params, [substream(3, "s1")], trace=rows)
+    np.testing.assert_array_equal(rows[0][0], [[0.0, 0.0]])
 
 
 def test_stage1_deterministic(params):
     topo = sample_topology(5, params, substream(4, "topo"))
-    a = stage1(topo, params, substream(7, "s1"))
-    b = stage1(topo, params, substream(7, "s1"))
+    a = stage1([topo], params, [substream(7, "s1")])
+    b = stage1([topo], params, [substream(7, "s1")])
     np.testing.assert_array_equal(a, b)
 
 
@@ -159,10 +170,10 @@ def test_stage2_one_round_lands_on_threshold(params, table_cache):
     topo = topo_from_d([[10.0]], params)
     own = topo.rho[0, 0]
     noise = total_noise_power(params)
-    p0 = np.array([thr[2] * noise / own * 1.0000001])
+    p0 = np.array([[thr[2] * noise / own * 1.0000001]])
     rows = []
-    stage2(p0, topo, thr, params, trace=rows)
-    assert rows[0][3][0] == pytest.approx(thr[2], rel=1e-12)
+    stage2(p0, [topo], [thr], params, trace=rows)
+    assert rows[0][1][0, 0] == pytest.approx(thr[2], rel=1e-12)
 
 
 def test_stage2_parks_on_some_threshold(params, table_cache):
@@ -170,21 +181,21 @@ def test_stage2_parks_on_some_threshold(params, table_cache):
     thr = table.thresholds_linear
     topo = topo_from_d([[10.0]], params)
     noise = total_noise_power(params)
-    p0 = np.array([thr[5] * noise / topo.rho[0, 0] * 3.7])
-    state = stage2(p0, topo, thr, params)
-    sinr = sinr_in_all(state.p, topo, noise)[0]
+    p0 = np.array([[thr[5] * noise / topo.rho[0, 0] * 3.7]])
+    (state,) = stage2(p0, [topo], [thr], params)
+    sinr = sinr_of(state.p, topo, params)[0]
     assert min(abs(sinr / t - 1.0) for t in thr) < 1e-9
     assert state.r[0] > 0
-    assert state.p[0] <= p0[0]
+    assert state.p[0] <= p0[0, 0]
 
 
 def test_stage2_leaves_infeasible_pair_untouched(params, table_cache):
     thr = table_cache(4, "ideal").thresholds_linear
     topo = topo_from_d([[10.0]], params)
     noise = total_noise_power(params)
-    p0 = np.array([0.5 * thr[0] * noise / topo.rho[0, 0]])
-    state = stage2(p0, topo, thr, params)
-    np.testing.assert_array_equal(state.p, p0)
+    p0 = np.array([[0.5 * thr[0] * noise / topo.rho[0, 0]]])
+    (state,) = stage2(p0, [topo], [thr], params)
+    np.testing.assert_array_equal(state.p, p0[0])
     assert state.r[0] == 0
 
 
@@ -195,18 +206,18 @@ def test_stage2_keeps_rate_started_just_above_each_threshold(params, table_cache
     topo = topo_from_d([[10.0]], params)
     noise = total_noise_power(params)
     for j in range(thr.size):
-        p0 = np.array([thr[j] * noise / topo.rho[0, 0] * (1.0 + 1e-9)])
+        p0 = np.array([[thr[j] * noise / topo.rho[0, 0] * (1.0 + 1e-9)]])
         rows = []
-        state = stage2(p0, topo, thr, params, trace=rows)
+        (state,) = stage2(p0, [topo], [thr], params, trace=rows)
         assert len(rows) == dprc.ROUNDS
-        assert [int(row[4][0]) for row in rows] == [j + 1] * dprc.ROUNDS
+        assert [int(row[2][0, 0]) for row in rows] == [j + 1] * dprc.ROUNDS
         assert state.r[0] == j + 1
 
 
 def test_stage2_rejects_unsorted_thresholds(params):
     topo = topo_from_d([[10.0]], params)
     with pytest.raises(ValueError):
-        stage2(np.array([1.0]), topo, np.array([2.0, 2.0]), params)
+        stage2(np.array([[1.0]]), [topo], [np.array([2.0, 2.0])], params)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +227,7 @@ def test_stage2_rejects_unsorted_thresholds(params):
 def test_run_dprc_single_strong_pair(params, table_cache):
     table = table_cache(4, "ideal")
     topo = topo_from_d([[10.0]], params)
-    state, total = run_dprc(topo, table, params, substream(0, "dprc"),
+    state, total = dprc_one(topo, table, params, substream(0, "dprc"),
                             trace=True)
     # alone, the pair's stage-1 SINR is the closed-form optimum
     # beta + ln(sg / (1 - sg)) / a at ieff = noise / own gain
@@ -225,25 +236,25 @@ def test_run_dprc_single_strong_pair(params, table_cache):
     sg = 0.5 * (1.0 + math.sqrt(1.0 - q))
     one_minus_sg = q / (2.0 * (1.0 + math.sqrt(1.0 - q)))
     sinr_opt = dprc.BETA + math.log(sg / one_minus_sg) / dprc.SIGMOID_A
-    stage1_rows = [row for row in state.history if row[0] == 1]
-    assert stage1_rows
-    for row in stage1_rows:
-        assert row[3][0] == pytest.approx(sinr_opt, rel=1e-9)
-        # stage-1 rows report the mode that SINR clears, not rate 0
-        assert table.rates_bps[row[4][0] - 1] == 64e6
+    _, sinr_h, r_h = state.history
+    assert sinr_h.shape == r_h.shape == (2 * dprc.ROUNDS, 1)
+    # the first ROUNDS rows are stage 1's
+    np.testing.assert_allclose(sinr_h[: dprc.ROUNDS, 0], sinr_opt, rtol=1e-9)
+    # stage-1 rows report the mode that SINR clears, not rate 0
+    assert np.all(table.rates_bps[r_h[: dprc.ROUNDS, 0] - 1] == 64e6)
     assert 10.0 * math.log10(sinr_opt) == pytest.approx(16.11, abs=0.005)
     # the tracker parks on the threshold of the mode that SINR clears
     # (12.9 dB) and keeps that rate
     assert total == table.rate_for_sinr(sinr_opt) == 64e6
     assert state.r[0] > 0
-    sinr = sinr_in_all(state.p, topo, total_noise_power(params))[0]
+    sinr = sinr_of(state.p, topo, params)[0]
     assert sinr >= table.thresholds_linear[state.r[0] - 1]
 
 
 def test_run_dprc_mutual_outage_is_silent(params, table_cache):
     table = table_cache(4, "ideal")
     topo = topo_from_d([[300.0, 1.0], [1.0, 300.0]], params)
-    state, total = run_dprc(topo, table, params, substream(0, "dprc"))
+    state, total = dprc_one(topo, table, params, substream(0, "dprc"))
     assert total == 0.0
     np.testing.assert_array_equal(state.r, [0, 0])
 
@@ -251,23 +262,21 @@ def test_run_dprc_mutual_outage_is_silent(params, table_cache):
 def test_run_dprc_powers_stay_in_budget(params, table_cache):
     table = table_cache(4, "imp")
     topo = sample_topology(3, params, substream(9, "topo"))
-    state, _ = run_dprc(topo, table, params, substream(9, "dprc"), trace=True)
-    assert state.history
-    stages = {row[0] for row in state.history}
-    assert stages == {1, 2}
-    for row in state.history:
-        assert np.all(row[2] >= 0.0) and np.all(row[2] <= params.p_t_mw)
+    state, _ = dprc_one(topo, table, params, substream(9, "dprc"), trace=True)
+    p_h = state.history[0]
+    # one row per round of stage 1 and of stage 2
+    assert p_h.shape == (2 * dprc.ROUNDS, 3)
+    assert np.all(p_h >= 0.0) and np.all(p_h <= params.p_t_mw)
 
 
 def test_run_dprc_final_rates_are_feasible(params, table_cache):
     table = table_cache(4, "ideal")
     thr = table.thresholds_linear
     slack = 10.0 ** (-0.001)           # 0.01 dB
-    noise = total_noise_power(params)
     for seed in range(30):
         topo = sample_topology(3, params, substream(seed, "feas-topo"))
-        state, _ = run_dprc(topo, table, params, substream(seed, "feas"))
-        sinr = sinr_in_all(state.p, topo, noise)
+        state, _ = dprc_one(topo, table, params, substream(seed, "feas"))
+        sinr = sinr_of(state.p, topo, params)
         for j in range(topo.k):
             if state.r[j] > 0:
                 assert sinr[j] >= thr[state.r[j] - 1] * slack
@@ -277,25 +286,21 @@ def test_run_dprc_never_beats_warm_started_optimum(params, table_cache):
     table = table_cache(4, "ideal")
     for seed in range(3):
         topo = sample_topology(3, params, substream(seed, "cmp-topo"))
-        state, total = run_dprc(topo, table, params, substream(seed, "cmp"))
+        state, total = dprc_one(topo, table, params, substream(seed, "cmp"))
         _, best = maximize_sum_throughput(
-            topo, table, params, seed=seed,
-            extra_seeds=state.p[None, :],
-        )
-        assert total <= best
+            [topo], [table], params, seeds=[seed], extra_seeds=[state.p])
+        assert total <= best[0]
 
 
 def _assert_same_state(a, b):
     np.testing.assert_array_equal(a.p, b.p)
     np.testing.assert_array_equal(a.r, b.r)
-    assert len(a.history) == len(b.history)
-    for row_a, row_b in zip(a.history, b.history):
-        assert row_a[:2] == row_b[:2]
-        for x, y in zip(row_a[2:], row_b[2:]):
-            np.testing.assert_array_equal(x, y)
+    assert (a.history is None) == (b.history is None)
+    for x, y in zip(a.history or (), b.history or ()):
+        np.testing.assert_array_equal(x, y)
 
 
-def test_dprc_batch_members_match_single_runs(params, table_cache):
+def test_dprc_batch_members_match_batches_of_one(params, table_cache):
     # a member's result is bit-identical alone and in any batch order,
     # whether or not it or the other members keep a history
     tables = [table_cache(4, "ideal"), table_cache(4, "imp")]
@@ -315,12 +320,12 @@ def test_dprc_batch_members_match_single_runs(params, table_cache):
                                     trace=trace)
             assert len(states) == len(members) and sums.shape == (len(members),)
             for (t, tab, s), flag, state, total in zip(members, flags, states, sums):
-                alone, alone_total = run_dprc(t, tab, params, *rngs([s]),
+                alone, alone_total = run_dprc([t], [tab], params, rngs([s]),
                                               trace=bool(flag))
-                assert isinstance(alone_total, float)
-                assert alone_total == total
-                _assert_same_state(state, alone)
-                assert bool(state.history) == flag
+                assert len(alone) == 1 and alone_total.shape == (1,)
+                assert alone_total[0] == total
+                _assert_same_state(state, alone[0])
+                assert (state.history is not None) == flag
             rev_states, rev_sums = run_dprc(
                 topo_b[::-1], table_b[::-1], params, rngs(seed_b[::-1]),
                 trace=flags[::-1])

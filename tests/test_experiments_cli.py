@@ -2,6 +2,7 @@
 layout, and reproducibility of the written artifacts."""
 
 import ast
+import hashlib
 import json
 import shutil
 import subprocess
@@ -22,10 +23,12 @@ from adhocmimo.experiments_cli import (
     spec_from_args,
     table_filename,
 )
+from adhocmimo.link_abstraction import RateTable
 
 from conftest import CACHE_DIR
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+DIGESTS = Path(__file__).parent / "data" / "output_digests.json"
 
 
 def seed_tables(out_dir: Path) -> None:
@@ -75,12 +78,6 @@ def test_spec_overrides():
     assert spec.n_rx_values == (2,)
     assert spec.n_trials == 7 and spec.seed == 9
     assert spec.out_dir == Path("elsewhere")
-
-
-def test_paper_flag_sets_full_trial_count():
-    assert spec_from_args(["mst-sweep", "--paper"]).n_trials == 1000
-    # an explicit trial count loses to --paper
-    assert spec_from_args(["mst-sweep", "--paper", "--trials", "3"]).n_trials == 1000
 
 
 BAD_ARGV = [
@@ -146,6 +143,25 @@ def test_stale_table_cache_is_reported(tmp_path, capsys):
     assert "built with different settings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ["{not json", '{"version": 2}'],
+                         ids=["not-json", "unknown-version"])
+def test_unreadable_table_cache_is_reported(tmp_path, capsys, content):
+    # a corrupt or unknown-version cache file is a cache problem (exit 2),
+    # not a crash
+    out = tmp_path / "out"
+    seed_tables(out)
+    path = out / "tables" / table_filename(1, "ideal")
+    path.write_text(content)
+    code = main(
+        ["mst-sweep", "--k", "2", "--nrx", "1", "--trials", "1",
+         "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("simcli: cannot read cached table")
+    assert str(path) in err and "--build-tables" in err
+
+
 def test_tables_built_for_other_params_are_stale(tmp_path, capsys):
     # the shipped tables hold the default BER target and ICI fraction; a
     # config that changes either must not reuse them
@@ -183,6 +199,10 @@ def test_rate_table_scenario_is_idempotent(tmp_path):
     assert all(e["m"] == 1 for e in doc["entries"])
     assert len(doc["entries"]) <= 4
     # rerun leaves fresh caches untouched
+    assert main(argv) == 0
+    assert path.read_bytes() == first
+    # and rebuilds a corrupt one
+    path.write_text("{not json")
     assert main(argv) == 0
     assert path.read_bytes() == first
 
@@ -396,6 +416,35 @@ def test_trial_rows_do_not_depend_on_the_trial_count(tmp_path, scenario,
     assert all(r[0] in ("0", "1") for r in rows["2"])
 
 
+def output_digest(path: Path) -> str:
+    """sha256 of an output file, CSVs without their runtime_ms column."""
+    if path.suffix != ".csv":
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    header, rows = read_csv(path)
+    lines = [header, *rows]
+    if "runtime_ms" in header:
+        lines = drop_column(lines, header.index("runtime_ms"))
+    return hashlib.sha256("\n".join(map(",".join, lines)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", [
+    "mst-sweep --k 2 3 --trials 3",
+    "loss-ratio --k 3 --trials 3",
+    "dprc-sweep --k 2 3 --trials 3 --trace-trials 2",
+], ids=lambda command: command.split()[0])
+def test_outputs_match_recorded_digests(tmp_path, command):
+    # every output of these small runs at --seed 0 on the shipped tables,
+    # pinned byte for byte apart from wall time; a deliberate output change
+    # records the new digests in tests/data/output_digests.json and says why
+    # in CHANGES.md
+    out = tmp_path / "out"
+    seed_tables(out)
+    assert main([*command.split(), "--seed", "0", "--out", str(out)]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    got = {name: output_digest(out / name) for name in ["manifest.json", *outputs]}
+    assert got == json.loads(DIGESTS.read_text())[command]
+
+
 def test_run_experiment_returns_written_paths(tmp_path):
     spec = ExperimentSpec(
         scenario="sinr-map",
@@ -425,17 +474,36 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
-def test_package_exports_the_readme_quick_start_names():
+def readme_quick_start() -> str:
     block = README.read_text().split("## Quick start", 1)[1]
-    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    return block.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_package_exports_the_readme_quick_start_names():
     imported = [
         alias.name
-        for node in ast.walk(ast.parse(code))
+        for node in ast.walk(ast.parse(readme_quick_start()))
         if isinstance(node, ast.ImportFrom) and node.module == "adhocmimo"
         for alias in node.names
     ]
     assert sorted(adhocmimo.__all__) == sorted(imported)
     assert all(hasattr(adhocmimo, name) for name in imported)
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # the shipped N4 imp table stands in for the table build, which takes
+    # minutes; the rest of the block runs as written
+    shipped = RateTable.load(CACHE_DIR / "rates_N4_imp.json")
+    monkeypatch.setattr(adhocmimo, "build_rate_table", lambda *args, **kwargs: shipped)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(readme_quick_start(), str(README), "exec"), namespace)
+    assert RateTable.load(tmp_path / "rates_N4_imp.json").to_dict() == shipped.to_dict()
+    assert namespace["powers"].shape == (4, 6) and namespace["totals"].shape == (4,)
+    histories = [state.history for state in namespace["states"]]
+    assert all(h.shape == (2 * dprc.ROUNDS, 6) for h in histories[0])
+    assert histories[1:] == [None] * 3
+    assert capsys.readouterr().out
 
 
 def test_readme_constants_table_matches_the_modules():

@@ -24,7 +24,16 @@ def topo_from_d(d, params: SystemParams) -> Topology:
 def sum_rate(p, topo: Topology, table, params: SystemParams) -> float:
     """Network sum rate with every pair on its best table mode at the SINR
     that allocation p produces."""
-    return table.rate_for_sinr(sinr_in_all(p, topo, total_noise_power(params))).sum()
+    sinr = sinr_in_all(np.asarray(p)[None], topo.rho, total_noise_power(params))
+    return table.rate_for_sinr(sinr).sum()
+
+
+def ga_one(topo: Topology, table, params: SystemParams, seed: int, extra=None):
+    """The GA on a batch of one: (K,) allocation and its float sum."""
+    p, fit = maximize_sum_throughput(
+        [topo], [table], params, seeds=[seed],
+        extra_seeds=None if extra is None else [extra])
+    return p[0], float(fit[0])
 
 
 # ---------------------------------------------------------------------------
@@ -33,10 +42,10 @@ def sum_rate(p, topo: Topology, table, params: SystemParams) -> float:
 
 def test_single_pair_sinr_formula(params):
     topo = topo_from_d([[10.0]], params)
-    p = np.array([params.p_t_mw])
+    p = np.array([[params.p_t_mw]])
     want = params.p_t_mw * path_gain(10.0, params) / total_noise_power(params)
     noise = params.ns * noise_variance(params)
-    assert sinr_in_all(p, topo, noise)[0] == pytest.approx(want, rel=1e-12)
+    assert sinr_in_all(p, topo.rho, noise)[0, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_two_pair_sinr_by_hand(params):
@@ -47,37 +56,48 @@ def test_two_pair_sinr_by_hand(params):
     g = path_gain(np.asarray(d), params)
     want0 = p[0] * g[0, 0] / (p[1] * g[0, 1] + noise)
     want1 = p[1] * g[1, 1] / (p[0] * g[1, 0] + noise)
-    got = sinr_in_all(p, topo, noise)
-    np.testing.assert_allclose(got, [want0, want1], rtol=1e-12)
+    got = sinr_in_all(p[None], topo.rho, noise)
+    np.testing.assert_allclose(got, [[want0, want1]], rtol=1e-12)
 
 
 def test_symmetric_pairs_see_equal_sinr(params):
     topo = topo_from_d([[30.0, 120.0], [120.0, 30.0]], params)
-    got = sinr_in_all(np.array([50.0, 50.0]), topo, total_noise_power(params))
-    assert got[0] == pytest.approx(got[1], rel=1e-12)
+    got = sinr_in_all(np.array([[50.0, 50.0]]), topo.rho, total_noise_power(params))
+    assert got[0, 0] == pytest.approx(got[0, 1], rel=1e-12)
 
 
 def test_zero_power_gives_zero_sinr(params):
     topo = topo_from_d([[10.0, 40.0], [40.0, 10.0]], params)
-    got = sinr_in_all(np.zeros(2), topo, total_noise_power(params))
-    np.testing.assert_array_equal(got, [0.0, 0.0])
+    got = sinr_in_all(np.zeros((1, 2)), topo.rho, total_noise_power(params))
+    np.testing.assert_array_equal(got, [[0.0, 0.0]])
 
 
 def test_sinr_batch_matches_rows(params):
     topo = sample_topology(3, params, substream(0, "topo"))
     noise = total_noise_power(params)
     batch = np.abs(np.random.default_rng(1).normal(50.0, 20.0, (5, 3)))
-    got = sinr_in_all(batch, topo, noise)
+    got = sinr_in_all(batch, topo.rho, noise)
     assert got.shape == (5, 3)
     for b in range(5):
-        np.testing.assert_allclose(got[b], sinr_in_all(batch[b], topo, noise),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            got[b], sinr_in_all(batch[b: b + 1], topo.rho, noise)[0], rtol=1e-12)
+
+    # (M, B, K) rows against (M, K, K) gains, as the GA and DPRC call it:
+    # each member equals its own single-matrix result bit for bit
+    for k in (1, 3, 7):
+        rho = np.stack([sample_topology(k, params, substream(s, "stack", k)).rho
+                        for s in range(4)])
+        rows = np.abs(np.random.default_rng(k).normal(50.0, 20.0, (4, 6, k)))
+        got = sinr_in_all(rows, rho, noise)
+        assert got.shape == (4, 6, k)
+        for i in range(4):
+            np.testing.assert_array_equal(got[i], sinr_in_all(rows[i], rho[i], noise))
 
 
 def test_sinr_in_validates_allocation_shape(params):
     topo = topo_from_d([[10.0]], params)
     with pytest.raises(ValueError):
-        sinr_in_all(np.ones(3), topo, total_noise_power(params))
+        sinr_in_all(np.ones((1, 3)), topo.rho, total_noise_power(params))
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +142,7 @@ def test_sum_throughput_repeatable(params, table_cache):
 
 def test_ga_single_pair_takes_full_power_rate(params, table_cache):
     topo = topo_from_d([[10.0]], params)
-    p, fit = maximize_sum_throughput(topo, table_cache(4, "ideal"), params,
-                                     seed=0)
+    p, fit = ga_one(topo, table_cache(4, "ideal"), params, seed=0)
     assert fit == 192e6
     assert 0.0 <= p[0] <= params.p_t_mw
 
@@ -133,14 +152,12 @@ def test_ga_never_below_corner_baselines(params, table_cache):
     noise = total_noise_power(params)
     for seed in (3, 4):
         topo = sample_topology(4, params, substream(seed, "corner"))
-        _, fit = maximize_sum_throughput(topo, table, params, seed=seed)
+        _, fit = ga_one(topo, table, params, seed=seed)
         corners = np.zeros((6, 4))
         corners[0] = params.p_t_mw
         corners[2:] = params.p_t_mw * np.eye(4)
         best_corner = max(
-            float(table.rate_for_sinr(sinr_in_all(c, topo, noise)).sum())
-            for c in corners
-        )
+            table.rate_for_sinr(sinr_in_all(corners, topo.rho, noise)).sum(axis=-1))
         assert fit >= best_corner
 
 
@@ -149,9 +166,9 @@ def test_ga_silences_hopeless_pair(params, table_cache):
     # runs one pair at the top rate and keeps the other dark
     table = table_cache(4, "ideal")
     topo = topo_from_d([[10.0, 300.0], [1.0, 250.0]], params)
-    p, fit = maximize_sum_throughput(topo, table, params, seed=0)
+    p, fit = ga_one(topo, table, params, seed=0)
     assert fit == 192e6
-    sinr = sinr_in_all(p, topo, total_noise_power(params))
+    sinr = sinr_in_all(p[None], topo.rho, total_noise_power(params))
     rates = np.asarray(table.rate_for_sinr(sinr))
     assert (rates > 0).sum() == 1
 
@@ -159,12 +176,12 @@ def test_ga_silences_hopeless_pair(params, table_cache):
 def test_ga_matches_brute_force_grid(params, table_cache):
     table = table_cache(4, "ideal")
     topo = sample_topology(3, params, substream(42, "brute"))
-    _, fit = maximize_sum_throughput(topo, table, params, seed=0)
+    _, fit = ga_one(topo, table, params, seed=0)
 
     levels = np.concatenate([[0.0], dbm_to_mw(np.arange(-10.0, 20.0 + 1e-9, 1.0))])
     grid = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), axis=-1)
     grid = grid.reshape(-1, 3)
-    sinr = sinr_in_all(grid, topo, total_noise_power(params))
+    sinr = sinr_in_all(grid, topo.rho, total_noise_power(params))
     brute = float(np.asarray(table.rate_for_sinr(sinr)).sum(axis=-1).max())
     # one table step of slack covers grid quantization
     assert fit >= brute - 8e6
@@ -173,8 +190,8 @@ def test_ga_matches_brute_force_grid(params, table_cache):
 def test_ga_deterministic_per_seed(params, table_cache):
     table = table_cache(4, "imp")
     topo = sample_topology(3, params, substream(5, "det"))
-    p1, f1 = maximize_sum_throughput(topo, table, params, seed=7)
-    p2, f2 = maximize_sum_throughput(topo, table, params, seed=7)
+    p1, f1 = ga_one(topo, table, params, seed=7)
+    p2, f2 = ga_one(topo, table, params, seed=7)
     assert f1 == f2
     np.testing.assert_array_equal(p1, p2)
 
@@ -187,14 +204,13 @@ def test_ga_warm_start_seeds_are_kept(params, table_cache):
     topo = sample_topology(3, params, substream(16, "warm"))
     warm = np.array([0.0065, 0.035, 0.0028])
     warm_sum = sum_rate(warm, topo, table, params)
-    _, alone = maximize_sum_throughput(topo, table, params, seed=0)
+    _, alone = ga_one(topo, table, params, seed=0)
     assert alone < warm_sum == 336e6
-    _, fit = maximize_sum_throughput(topo, table, params, seed=0,
-                                     extra_seeds=warm[None, :])
+    _, fit = ga_one(topo, table, params, seed=0, extra=warm[None, :])
     assert fit == warm_sum
 
 
-def test_ga_batch_members_match_single_runs(params, table_cache):
+def test_ga_batch_members_match_batches_of_one(params, table_cache):
     # a member's result is bit-identical alone and in any batch order
     tables = [table_cache(4, "ideal"), table_cache(4, "imp")]
     topos = [sample_topology(4, params, substream(s, "batch")) for s in (11, 12)]
@@ -203,17 +219,17 @@ def test_ga_batch_members_match_single_runs(params, table_cache):
     for extra in (None, warm):
         topo_b, table_b, seed_b = map(list, zip(*members))
         p_b, fit_b = maximize_sum_throughput(topo_b, table_b, params,
-                                             seed=seed_b, extra_seeds=extra)
+                                             seeds=seed_b, extra_seeds=extra)
         assert p_b.shape == (4, 4) and fit_b.shape == (4,)
         for i, (t, tab, seed) in enumerate(members):
             p, fit = maximize_sum_throughput(
-                t, tab, params, seed=seed,
-                extra_seeds=None if extra is None else extra[i])
-            assert isinstance(fit, float)
-            assert fit == fit_b[i]
-            np.testing.assert_array_equal(p, p_b[i])
+                [t], [tab], params, seeds=[seed],
+                extra_seeds=None if extra is None else [extra[i]])
+            assert p.shape == (1, 4) and fit.shape == (1,)
+            assert fit[0] == fit_b[i]
+            np.testing.assert_array_equal(p[0], p_b[i])
         p_r, fit_r = maximize_sum_throughput(
-            topo_b[::-1], table_b[::-1], params, seed=seed_b[::-1],
+            topo_b[::-1], table_b[::-1], params, seeds=seed_b[::-1],
             extra_seeds=None if extra is None else extra[::-1])
         np.testing.assert_array_equal(p_r[::-1], p_b)
         np.testing.assert_array_equal(fit_r[::-1], fit_b)
@@ -224,8 +240,8 @@ def test_ga_batch_input_validation(params, table_cache):
     t2 = sample_topology(2, params, substream(1, "val"))
     t3 = sample_topology(3, params, substream(2, "val"))
     with pytest.raises(ValueError):
-        maximize_sum_throughput([t2, t3], [table, table], params, seed=[0, 0])
+        maximize_sum_throughput([t2, t3], [table, table], params, seeds=[0, 0])
     with pytest.raises(ValueError):
-        maximize_sum_throughput([t2, t2], [table], params, seed=[0, 0])
+        maximize_sum_throughput([t2, t2], [table], params, seeds=[0, 0])
     with pytest.raises(ValueError):
-        maximize_sum_throughput([t2, t2], [table, table], params, seed=[0])
+        maximize_sum_throughput([t2, t2], [table, table], params, seeds=[0])
