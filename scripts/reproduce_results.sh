@@ -6,9 +6,10 @@
 #   scripts/reproduce_results.sh                     quick pass, default sizes
 #   scripts/reproduce_results.sh out --trials 1000   full-size trial counts
 #
-# Every run is seeded, so a repeated invocation with the same arguments
-# rewrites byte-identical CSVs, apart from the runtime_ms column of the
-# trial CSVs. Pass --jobs N to fan trials out over N processes.
+# Every run is seeded and no output records wall time, so a repeated
+# invocation with the same arguments, at any --jobs, rewrites every file byte
+# for byte (the manifests' jobs entry aside). Pass --jobs N to fan trials out
+# over up to N processes, at most one per core.
 set -euo pipefail
 
 out="${1:-out}"

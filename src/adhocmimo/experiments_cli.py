@@ -1,7 +1,7 @@
 """Command-line front end: scenario orchestration and result persistence.
 
-Each scenario writes CSV data files plus a manifest.json holding the fully
-resolved configuration and seed, so any output can be reproduced from its
+Each scenario writes CSV data files plus a manifest.json holding the settings
+it read and the resolved parameters, so any output can be reproduced from its
 manifest alone. Nothing here contains method logic; it samples topologies,
 drives the library modules over chunks of trials, and serializes.
 
@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from pathlib import Path
-from time import perf_counter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,7 +53,8 @@ class RuntimeFailure(Exception):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Fully resolved run description; everything the manifest records."""
+    """Fully resolved run description; the manifest records the fields its
+    scenario reads."""
 
     scenario: str
     params: SystemParams
@@ -71,18 +73,17 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise UsageError(f"unknown scenario: {self.scenario}")
-        if self.n_trials < 1:
-            raise UsageError("n_trials must be at least 1")
-        if self.jobs < 1:
-            raise UsageError("jobs must be at least 1")
-        if min(self.k_values, default=1) < 1:
-            raise UsageError("pair counts (--k) must be at least 1")
-        if min(self.n_rx_values, default=1) < 1:
-            raise UsageError("receive antenna counts (--nrx) must be at least 1")
-        if self.seed < 0 or self.table_seed < 0:
-            raise UsageError("--seed and --table-seed must be non-negative")
-        if self.table_draws < 1:
-            raise UsageError("--table-draws must be at least 1")
+        for flag, value in (("--trials", self.n_trials), ("--jobs", self.jobs),
+                            ("--table-draws", self.table_draws)):
+            if value < 1:
+                raise UsageError(f"{flag} must be at least 1")
+        for flag, values in (("--k", self.k_values), ("--nrx", self.n_rx_values)):
+            if min(values, default=1) < 1 or len(set(values)) < len(values):
+                raise UsageError(f"{flag} values must be at least 1 and distinct")
+        if min(self.seed, self.table_seed, self.trace_trials) < 0:
+            raise UsageError(
+                "--seed, --table-seed and --trace-trials must be non-negative"
+            )
         unknown = [f for f in self.flag_names if f not in FLAG_SETS]
         if unknown:
             raise UsageError(f"unknown flag set: {unknown[0]}")
@@ -110,18 +111,13 @@ def _write_json(path: Path, doc) -> None:
 
 
 def _manifest(spec: ExperimentSpec, outputs: list[str]) -> dict:
-    return {
+    doc = {
+        "flag_sets" if name == "flag_names" else name: getattr(spec, name)
+        for name in SCENARIOS[spec.scenario].reads
+    }
+    return doc | {
         "tool_version": __version__,
         "scenario": spec.scenario,
-        "seed": spec.seed,
-        "n_trials": spec.n_trials,
-        "k_values": list(spec.k_values),
-        "n_rx_values": list(spec.n_rx_values),
-        "flag_sets": list(spec.flag_names),
-        "jobs": spec.jobs,
-        "table_seed": spec.table_seed,
-        "table_draws": spec.table_draws,
-        "trace_trials": spec.trace_trials,
         "params": spec.params.to_config_dict(),
         "outputs": sorted(outputs),
     }
@@ -186,58 +182,29 @@ def _load_tables(spec: ExperimentSpec) -> dict[tuple[int, str], RateTable]:
 
 # members per batched GA or DPRC call: bounds a chunk's working set to a few MB
 _CHUNK_MEMBERS = 64
+# analytic channel draws and oracle symbols per ber-validate point
+_BER_DRAWS = 2000
+_ORACLE_SYMBOLS = 100_000
 
 
 def _map_tasks(fn, tasks: list, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
+    # a fork pool starts all its workers at the first submit, so never ask
+    # for more than there are tasks or cores
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 
-def _chunk_topologies(task: dict) -> list:
-    k, params = task["k"], task["params"]
-    return [
-        sample_topology(k, params, substream(task["seed"], f"topology-k{k}", trial))
-        for trial in task["trials"]
-    ]
+class _Chunk(NamedTuple):
+    """Contiguous trials of one K, with every ((n_rx, flag name), table) of
+    the spec's axes."""
 
-
-def _ga_reference(task: dict, topos: list, extra_seeds=None) -> tuple[list, float]:
-    """One batched GA call over every (trial, table) member of a chunk.
-
-    Flag sets share the GA seed of their (trial, K, n_rx), so loss shares
-    compare the same search. Returns the sums as a (trials, tables) list
-    and each member's equal share of the call's time (ms).
-    """
-    k, tables = task["k"], task["tables"]
-    members = [
-        (topo, table, derive_seed(task["seed"], f"ga-k{k}-n{n_rx}", trial))
-        for trial, topo in zip(task["trials"], topos)
-        for (n_rx, _), table in tables
-    ]
-    topo_m, table_m, seed_m = zip(*members)
-    t0 = perf_counter()
-    _, mst = maximize_sum_throughput(
-        topo_m, table_m, task["params"], seeds=seed_m, extra_seeds=extra_seeds
-    )
-    share_ms = (perf_counter() - t0) * 1e3 / len(members)
-    return mst.reshape(len(topos), len(tables)).tolist(), share_ms
-
-
-def _mst_chunk(task: dict) -> list[dict]:
-    mst, share_ms = _ga_reference(task, _chunk_topologies(task))
-    return [
-        {
-            "trial": trial,
-            "k": task["k"],
-            "results": [
-                (n_rx, name, value, share_ms)
-                for ((n_rx, name), _), value in zip(task["tables"], row)
-            ],
-        }
-        for trial, row in zip(task["trials"], mst)
-    ]
+    spec: ExperimentSpec
+    tables: tuple[tuple[tuple[int, str], RateTable], ...]
+    k: int
+    trials: range
 
 
 def _trace_rows(state: DprcState, table: RateTable) -> list[list]:
@@ -255,62 +222,83 @@ def _trace_rows(state: DprcState, table: RateTable) -> list[list]:
     ]
 
 
-def _dprc_chunk(task: dict) -> list[dict]:
-    """One batched run_dprc call over every (trial, table) member of a
-    chunk, then the GA reference on the same topologies. Members of the
-    first trace_trials trials keep their per-round history for the trace
-    CSVs; runtime_ms is each member's equal share of both calls."""
-    k, tables = task["k"], task["tables"]
-    topos = _chunk_topologies(task)
-    members = [
-        (trial, topo, key, table,
-         substream(derive_seed(task["seed"], f"dprc-k{k}-n{key[0]}-{key[1]}"), "dprc", trial))
-        for trial, topo in zip(task["trials"], topos)
-        for key, table in tables
+def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, list[list]]]:
+    """A chunk's (trial, K, n_rx, flag name, *sums) rows and its traced
+    members' trace rows, keyed by trace file name.
+
+    Every (trial, table) member of the chunk runs in one batched call per
+    algorithm. For dprc-sweep, run_dprc comes first and its allocations
+    warm-start the GA, so elitism guarantees distributed <= centralized;
+    members of the first trace_trials trials keep their per-round history.
+    Flag sets share the GA seed of their (trial, K, n_rx), so loss shares
+    compare the same search.
+    """
+    spec, tables, k, trials = chunk
+    topos = [
+        sample_topology(k, spec.params, substream(spec.seed, f"topology-k{k}", trial))
+        for trial in trials
     ]
-    trial_m, topo_m, _, table_m, rng_m = zip(*members)
-    traced = [trial < task["trace_trials"] for trial in trial_m]
-    t0 = perf_counter()
-    states, dprc_bps = run_dprc(topo_m, table_m, task["params"], rng_m, trace=traced)
-    dprc_ms = (perf_counter() - t0) * 1e3 / len(members)
-    # centralized reference on the same topologies; warm-started with the
-    # DPRC allocations so elitism guarantees distributed <= centralized
-    mst, ga_ms = _ga_reference(task, topos, extra_seeds=[s.p for s in states])
-    per_trial = {t: {"trial": t, "k": k, "results": [], "traces": {}} for t in task["trials"]}
-    for (trial, _, key, table, _), state, is_traced, dprc, value in zip(
-            members, states, traced, dprc_bps.tolist(), [v for row in mst for v in row]):
-        per_trial[trial]["results"].append((*key, dprc, value, dprc_ms + ga_ms))
-        if is_traced:
-            per_trial[trial]["traces"][key] = _trace_rows(state, table)
-    return list(per_trial.values())
-
-
-def _ber_point(task: dict) -> dict:
-    params, flags = task["params"], task["flags"]
-    m, n, u, sinr_db = task["m"], task["n"], task["u"], task["sinr_db"]
-    mod = make_mod_scheme(u)
-    sinr = db_to_linear(sinr_db)
-    rng = substream(task["seed"], f"ber-analytic-{m}-{n}-{u}-{flags.label()}",
-                    task["index"])
-    ber_a, se_a = ber_end_to_end(
-        sinr, m, n, mod, flags, params, n_draws=task["n_draws"], rng=rng
+    members = [
+        (trial, topo, n_rx, name, table)
+        for trial, topo in zip(trials, topos)
+        for (n_rx, name), table in tables
+    ]
+    trial_m, topo_m, _, _, table_m = zip(*members)
+    sums, traces, warm = [], {}, None
+    if spec.scenario == "dprc-sweep":
+        rngs = [
+            substream(derive_seed(spec.seed, f"dprc-k{k}-n{n_rx}-{name}"), "dprc", trial)
+            for trial, _, n_rx, name, _ in members
+        ]
+        traced = [trial < spec.trace_trials for trial in trial_m]
+        states, dprc_bps = run_dprc(topo_m, table_m, spec.params, rngs, trace=traced)
+        warm = [state.p for state in states]
+        sums.append(dprc_bps.tolist())
+        traces = {
+            f"dprc_trace_k{k}_n{n_rx}_{name}_t{trial}.csv": _trace_rows(state, table)
+            for (trial, _, n_rx, name, table), state in zip(members, states)
+            if state.history is not None
+        }
+    seeds = [derive_seed(spec.seed, f"ga-k{k}-n{n_rx}", trial)
+             for trial, _, n_rx, _, _ in members]
+    _, mst = maximize_sum_throughput(
+        topo_m, table_m, spec.params, seeds=seeds, extra_seeds=warm
     )
-    # the oracle consumes the post-phase-noise SINR so the two paths share
-    # the deterministic ICI stage and differ only in the BER machinery
-    sinr_b = sinr_baseband(sinr, params.f_ici) if flags.phase_noise else sinr
+    sums.append(mst.tolist())
+    rows = [(trial, k, n_rx, name, *values)
+            for (trial, _, n_rx, name, _), *values in zip(members, *sums)]
+    return rows, traces
+
+
+def _ber_point(task: tuple) -> tuple[list, list]:
+    """The analytic and the oracle CSV row of one ber-validate point, given
+    as (spec, index, n, u, sinr_db) on an n x n link."""
+    spec, index, n, u, sinr_db = task
+    params = spec.params
+    flags = ImpairmentFlags(
+        phase_noise=False,
+        rfo="rfo" in spec.flag_names,
+        channel_est="ce" in spec.flag_names,
+    )
+    sinr = db_to_linear(sinr_db)
+    rng = substream(spec.seed, f"ber-analytic-{n}-{n}-{u}-{flags.label()}", index)
+    ber, se = ber_end_to_end(
+        sinr, n, n, make_mod_scheme(u), flags, params, n_draws=_BER_DRAWS, rng=rng
+    )
+    # phase noise is off, so the oracle's baseband SINR is the input SINR
     oracle = simulate_link_ber(
         OracleConfig(
-            m=m, n=n, u=u, sinr_b=float(sinr_b),
+            m=n, n=n, u=u, sinr_b=float(sinr),
             rfo=flags.rfo, imperfect_ce=flags.channel_est,
-            n_symbols=task["n_symbols"], n_sub=params.ns,
-            seed=derive_seed(task["seed"], f"ber-oracle-{m}-{n}-{u}", task["index"]),
+            n_symbols=_ORACLE_SYMBOLS, n_sub=params.ns,
+            seed=derive_seed(spec.seed, f"ber-oracle-{n}-{n}-{u}", index),
         )
     )
-    return {
-        "key": (sinr_db, m, n, u, flags.label()),
-        "analytic": (ber_a, se_a, task["n_draws"]),
-        "oracle": (oracle.ber, oracle.stderr, oracle.n_bits),
-    }
+    point = [_fmt(sinr_db), n, n, u, flags.label()]
+    return (
+        [*point, _fmt(ber), _fmt(se), _BER_DRAWS],
+        [*point, _fmt(oracle.ber), _fmt(oracle.stderr), oracle.n_bits],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -329,92 +317,28 @@ def _run_sinr_map(spec: ExperimentSpec) -> list[str]:
 
 
 def _run_ber_validate(spec: ExperimentSpec) -> list[str]:
-    flags = ImpairmentFlags(
-        phase_noise=False,
-        rfo="rfo" in spec.flag_names,
-        channel_est="ce" in spec.flag_names,
-    )
-    tasks = []
-    index = 0
-    for n in spec.n_rx_values:
-        for u in (1, 2, 4):
-            for sinr_db in np.arange(0.0, 25.0 + 1e-9, 5.0):
-                tasks.append(
-                    {
-                        "params": spec.params,
-                        "m": n, "n": n, "u": u, "sinr_db": float(sinr_db),
-                        "flags": flags,
-                        "n_draws": 2000,
-                        "n_symbols": 100_000,
-                        "seed": spec.seed,
-                        "index": index,
-                    }
-                )
-                index += 1
-    results = _map_tasks(_ber_point, tasks, spec.jobs)
-    analytic_rows, oracle_rows = [], []
-    for res in results:
-        sinr_db, m, n, u, label = res["key"]
-        ber, se, n_draws = res["analytic"]
-        analytic_rows.append(
-            [_fmt(sinr_db), m, n, u, label, _fmt(ber), _fmt(se), n_draws]
-        )
-        ber, se, n_bits = res["oracle"]
-        oracle_rows.append(
-            [_fmt(sinr_db), m, n, u, label, _fmt(ber), _fmt(se), n_bits]
-        )
-    _write_csv(
-        spec.out_dir / "ber_analytic.csv",
-        ["sinr_db", "m", "n", "u", "flags", "ber", "stderr", "n_draws"],
-        analytic_rows,
-    )
-    _write_csv(
-        spec.out_dir / "ber_oracle.csv",
-        ["sinr_db", "m", "n", "u", "flags", "ber", "stderr", "n_bits"],
-        oracle_rows,
-    )
+    grid = product(spec.n_rx_values, (1, 2, 4), np.arange(0.0, 25.0 + 1e-9, 5.0))
+    points = [
+        (spec, index, n, u, float(sinr_db))
+        for index, (n, u, sinr_db) in enumerate(grid)
+    ]
+    analytic, oracle = zip(*_map_tasks(_ber_point, points, spec.jobs))
+    header = ["sinr_db", "m", "n", "u", "flags", "ber", "stderr"]
+    _write_csv(spec.out_dir / "ber_analytic.csv", header + ["n_draws"], analytic)
+    _write_csv(spec.out_dir / "ber_oracle.csv", header + ["n_bits"], oracle)
     return ["ber_analytic.csv", "ber_oracle.csv"]
 
 
 def _run_rate_table(spec: ExperimentSpec) -> list[str]:
-    _load_tables(spec)
     # report every table on the axes, whether just built or already fresh
-    return [
-        str(Path("tables") / table_filename(n, f))
-        for n in spec.n_rx_values
-        for f in spec.flag_names
-    ]
+    return [str(Path("tables") / table_filename(*key)) for key in _load_tables(spec)]
 
 
-def _chunk_tasks(spec: ExperimentSpec, tables) -> list[dict]:
-    """Contiguous chunks of trials of one K: one chunk per K at --jobs 1 and
-    jobs chunks per K otherwise, split further so that no chunk's batched
-    GA or DPRC call holds more than _CHUNK_MEMBERS (trial, table) members."""
-    keyed = sorted(tables.items())
-    size = min(-(-spec.n_trials // spec.jobs), _CHUNK_MEMBERS // len(keyed))
-    size = max(size, 1)
-    return [
-        {
-            "params": spec.params,
-            "tables": keyed,
-            "k": k,
-            "trials": list(range(start, min(start + size, spec.n_trials))),
-            "seed": spec.seed,
-        }
-        for k in spec.k_values
-        for start in range(0, spec.n_trials, size)
-    ]
-
-
-def _flatten(chunks: list[list[dict]]) -> list[dict]:
-    return [res for chunk in chunks for res in chunk]
-
-
-def _aggregate(rows, value_idx: int):
-    """Group rows by (k, n_rx, flag name) and average one value column."""
+def _aggregate(rows: list[tuple]) -> list[dict]:
+    """Group trial rows by (K, n_rx, flag name) and average their first sum."""
     groups: dict[tuple, list[float]] = {}
     for row in rows:
-        groups.setdefault(row[:3], []).append(row[value_idx])
+        groups.setdefault(row[1:4], []).append(row[4])
     out = []
     for key in sorted(groups):
         vals = np.array(groups[key])
@@ -432,127 +356,98 @@ def _aggregate(rows, value_idx: int):
     return out
 
 
-def _label(column: str, name: str) -> str:
-    """A trial row's flag-set cell: the flag name, or whether it is impaired."""
-    return name if column == "flags" else str(name != "ideal").lower()
-
-
 def _loss_ratios(spec: ExperimentSpec, agg: list[dict]) -> list[dict]:
     """Each impaired flag set's share of the ideal mean sum throughput lost."""
-    means = {
-        (entry["k"], entry["n_rx"], entry["flags"]): entry["mean_bps"]
-        for entry in agg
-    }
-    ratios = []
-    for k in spec.k_values:
-        for n_rx in spec.n_rx_values:
-            ref = means.get((k, n_rx, "ideal"))
-            if not ref:
-                continue
-            for name in spec.flag_names:
-                if name == "ideal":
-                    continue
-                ratios.append(
-                    {
-                        "k": k,
-                        "n_rx": n_rx,
-                        "flags": name,
-                        "loss_ratio": (ref - means[(k, n_rx, name)]) / ref,
-                    }
-                )
-    return ratios
+    means = {(e["k"], e["n_rx"], e["flags"]): e["mean_bps"] for e in agg}
+    return [
+        {"k": k, "n_rx": n_rx, "flags": name,
+         "loss_ratio": (ref - means[k, n_rx, name]) / ref}
+        for k, n_rx, name in product(spec.k_values, spec.n_rx_values, spec.flag_names)
+        if name != "ideal" and (ref := means[k, n_rx, "ideal"])
+    ]
 
 
-def _run_ga_sweep(spec: ExperimentSpec, *, stem: str, label: str,
-                  loss_ratios: bool) -> list[str]:
-    """GA sum throughput per trial into <stem>_trials.csv (label names the
-    flag-set column) and the means, plus loss ratios if asked, into
-    <stem>_aggregate.json."""
-    tables = _load_tables(spec)
-    results = _flatten(_map_tasks(_mst_chunk, _chunk_tasks(spec, tables), spec.jobs))
-    csv_rows, flat = [], []
-    for res in results:
-        for n_rx, name, mst, runtime_ms in res["results"]:
-            csv_rows.append(
-                [
-                    res["trial"], res["k"], n_rx, _label(label, name),
-                    str(int(round(mst))), _fmt(runtime_ms),
-                ]
-            )
-            flat.append((res["k"], n_rx, name, mst))
-    trials, aggregate = f"{stem}_trials.csv", f"{stem}_aggregate.json"
+def _run_sweep(spec: ExperimentSpec, *, stem: str, label: str) -> list[str]:
+    """Sum throughput per (trial, table) into <stem>_trials.csv, whose label
+    column holds the flag name ("flags") or whether the set is impaired
+    ("impaired"); the means of the first sum, plus loss ratios for
+    loss-ratio, into <stem>_aggregate.json; and the dprc-sweep traces.
+
+    Trials run in contiguous chunks of one K: one chunk per K and worker
+    (--jobs, at most one per core), split further so that no batched call
+    holds more than _CHUNK_MEMBERS (trial, table) members. A member's result
+    does not depend on its chunk, so neither do the outputs.
+    """
+    tables = tuple(sorted(_load_tables(spec).items()))
+    workers = min(spec.jobs, os.cpu_count() or 1)
+    size = max(min(-(-spec.n_trials // workers), _CHUNK_MEMBERS // len(tables)), 1)
+    chunks = [
+        _Chunk(spec, tables, k, range(start, min(start + size, spec.n_trials)))
+        for k in spec.k_values
+        for start in range(0, spec.n_trials, size)
+    ]
+    rows, traces = [], {}
+    for chunk_rows, chunk_traces in _map_tasks(_sweep_chunk, chunks, spec.jobs):
+        rows += chunk_rows
+        traces.update(chunk_traces)
+    dprc = spec.scenario == "dprc-sweep"
     _write_csv(
-        spec.out_dir / trials,
-        ["trial_id", "K", "n_rx", label, "mst_bps", "runtime_ms"],
-        csv_rows,
-    )
-    doc = {"mean_mst": _aggregate(flat, 3)}
-    if loss_ratios:
-        doc["loss_ratios"] = _loss_ratios(spec, doc["mean_mst"])
-    _write_json(spec.out_dir / aggregate, doc)
-    return [trials, aggregate]
-
-
-def _run_dprc_sweep(spec: ExperimentSpec) -> list[str]:
-    tables = _load_tables(spec)
-    tasks = _chunk_tasks(spec, tables)
-    for task in tasks:
-        task["trace_trials"] = spec.trace_trials
-    results = _flatten(_map_tasks(_dprc_chunk, tasks, spec.jobs))
-    csv_rows, flat, outputs = [], [], []
-    for res in results:
-        for n_rx, name, dprc_bps, mst, runtime_ms in res["results"]:
-            csv_rows.append(
-                [
-                    res["trial"], res["k"], n_rx, _label("impaired", name),
-                    str(int(round(dprc_bps))), str(int(round(mst))),
-                    _fmt(runtime_ms),
-                ]
-            )
-            flat.append((res["k"], n_rx, name, dprc_bps))
-        for (n_rx, name), rows in res["traces"].items():
-            trace_name = f"dprc_trace_k{res['k']}_n{n_rx}_{name}_t{res['trial']}.csv"
-            _write_csv(
-                spec.out_dir / trace_name,
-                ["iteration", "pair", "power_dbm", "sinr_db", "rate_bps"],
-                rows,
-            )
-            outputs.append(trace_name)
-    _write_csv(
-        spec.out_dir / "dprc_trials.csv",
+        spec.out_dir / f"{stem}_trials.csv",
+        ["trial_id", "K", "n_rx", label, *(["dprc_bps"] if dprc else []), "mst_bps"],
         [
-            "trial_id", "K", "n_rx", "impaired",
-            "dprc_bps", "mst_bps", "runtime_ms",
+            [trial, k, n_rx, name if label == "flags" else str(name != "ideal").lower(),
+             *(str(int(round(value))) for value in values)]
+            for trial, k, n_rx, name, *values in rows
         ],
-        csv_rows,
     )
-    _write_json(
-        spec.out_dir / "dprc_aggregate.json",
-        {"mean_dprc": _aggregate(flat, 3)},
-    )
-    return ["dprc_trials.csv", "dprc_aggregate.json"] + outputs
+    doc = {"mean_dprc" if dprc else "mean_mst": _aggregate(rows)}
+    if spec.scenario == "loss-ratio":
+        doc["loss_ratios"] = _loss_ratios(spec, doc["mean_mst"])
+    _write_json(spec.out_dir / f"{stem}_aggregate.json", doc)
+    for name, trace in traces.items():
+        _write_csv(
+            spec.out_dir / name,
+            ["iteration", "pair", "power_dbm", "sinr_db", "rate_bps"],
+            trace,
+        )
+    return [f"{stem}_trials.csv", f"{stem}_aggregate.json", *traces]
 
 
 class _Scenario(NamedTuple):
     k_values: tuple[int, ...]       # defaults, overridden by --k
     n_rx_values: tuple[int, ...]    # defaults, overridden by --nrx
     flag_names: tuple[str, ...]
+    # the ExperimentSpec fields the runner reads besides params, out_dir and
+    # build_tables; the manifest records these and params
+    reads: tuple[str, ...]
     run: Callable[[ExperimentSpec], list[str]]
 
 
+_SWEEP_READS = ("k_values", "n_rx_values", "flag_names", "n_trials", "seed",
+                "jobs", "table_seed", "table_draws")
+
 SCENARIOS = {
-    "sinr-map": _Scenario((), (), (), _run_sinr_map),
-    "ber-validate": _Scenario((), (1, 2, 4), ("rfo", "ce"), _run_ber_validate),
-    "rate-table": _Scenario((), (1, 2, 4), ("ideal", "imp"), _run_rate_table),
+    "sinr-map": _Scenario((), (), (), (), _run_sinr_map),
+    "ber-validate": _Scenario(
+        (), (1, 2, 4), ("rfo", "ce"), ("n_rx_values", "flag_names", "seed", "jobs"),
+        _run_ber_validate,
+    ),
+    "rate-table": _Scenario(
+        (), (1, 2, 4), ("ideal", "imp"),
+        ("n_rx_values", "flag_names", "table_seed", "table_draws"), _run_rate_table,
+    ),
     "mst-sweep": _Scenario(
-        (2, 6, 10), (1, 2, 4), ("ideal", "imp"),
-        partial(_run_ga_sweep, stem="mst", label="impaired", loss_ratios=False),
+        (2, 6, 10), (1, 2, 4), ("ideal", "imp"), _SWEEP_READS,
+        partial(_run_sweep, stem="mst", label="impaired"),
     ),
     "loss-ratio": _Scenario(
-        (10,), (4,), ("ideal", "imp", "pn", "ce", "rfo"),
-        partial(_run_ga_sweep, stem="loss", label="flags", loss_ratios=True),
+        (10,), (4,), ("ideal", "imp", "pn", "ce", "rfo"), _SWEEP_READS,
+        partial(_run_sweep, stem="loss", label="flags"),
     ),
-    "dprc-sweep": _Scenario((2, 6, 10), (4,), ("ideal", "imp"), _run_dprc_sweep),
+    "dprc-sweep": _Scenario(
+        (2, 6, 10), (4,), ("ideal", "imp"), (*_SWEEP_READS, "trace_trials"),
+        partial(_run_sweep, stem="dprc", label="impaired"),
+    ),
 }
 
 

@@ -89,6 +89,9 @@ BAD_ARGV = [
     ["sinr-map", "--seed", "-1"],
     ["rate-table", "--table-seed", "-1"],
     ["rate-table", "--table-draws", "0"],
+    ["mst-sweep", "--k", "2", "2", "--nrx", "1", "--trials", "2"],
+    ["rate-table", "--nrx", "1", "1"],
+    ["dprc-sweep", "--trace-trials", "-3"],
 ]
 
 
@@ -230,15 +233,11 @@ def test_sinr_map_outputs_and_reproducibility(tmp_path, capsys):
     assert manifest["scenario"] == "sinr-map"
     assert manifest["outputs"] == ["sinr_map.csv"]
 
-    # the scenario has no timing column, so a rerun is byte-identical
+    # a rerun is byte-identical
     before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
     assert main(["sinr-map", "--out", str(out)]) == 0
     after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
     assert before == after
-
-
-def drop_column(rows: list[list[str]], idx: int) -> list[list[str]]:
-    return [r[:idx] + r[idx + 1:] for r in rows]
 
 
 def test_mst_sweep_outputs_and_jobs_equivalence(tmp_path):
@@ -253,20 +252,16 @@ def test_mst_sweep_outputs_and_jobs_equivalence(tmp_path):
         outs.append(out)
 
     header, rows = read_csv(outs[0] / "mst_trials.csv")
-    assert header == ["trial_id", "K", "n_rx", "impaired", "mst_bps",
-                      "runtime_ms"]
+    assert header == ["trial_id", "K", "n_rx", "impaired", "mst_bps"]
     assert len(rows) == 2 * 2            # trials x flag sets
     assert {r[3] for r in rows} == {"true", "false"}
     assert all(float(r[4]) >= 0.0 for r in rows)
+    agg = json.loads((outs[0] / "mst_aggregate.json").read_text())
+    assert {e["flags"] for e in agg["mean_mst"]} == {"ideal", "imp"}
 
-    # worker fan-out changes only the timing column
-    _, rows2 = read_csv(outs[1] / "mst_trials.csv")
-    t_idx = header.index("runtime_ms")
-    assert drop_column(rows, t_idx) == drop_column(rows2, t_idx)
-    agg1 = json.loads((outs[0] / "mst_aggregate.json").read_text())
-    agg2 = json.loads((outs[1] / "mst_aggregate.json").read_text())
-    assert agg1 == agg2
-    assert {e["flags"] for e in agg1["mean_mst"]} == {"ideal", "imp"}
+    # worker fan-out changes no byte
+    for name in ("mst_trials.csv", "mst_aggregate.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_loss_ratio_outputs(tmp_path):
@@ -301,7 +296,7 @@ def test_dprc_sweep_outputs_and_traces(tmp_path):
     out = outs[0]
     header, rows = read_csv(out / "dprc_trials.csv")
     assert header == ["trial_id", "K", "n_rx", "impaired", "dprc_bps",
-                      "mst_bps", "runtime_ms"]
+                      "mst_bps"]
     assert len(rows) == 2 * 2            # trials x flag sets
     for r in rows:
         assert float(r[4]) <= float(r[5])    # distributed never beats central
@@ -319,15 +314,9 @@ def test_dprc_sweep_outputs_and_traces(tmp_path):
     assert "dprc_trials.csv" in manifest["outputs"]
     assert manifest["outputs"] == sorted(manifest["outputs"])
 
-    # worker fan-out changes only the timing column
-    _, rows2 = read_csv(outs[1] / "dprc_trials.csv")
-    t_idx = header.index("runtime_ms")
-    assert drop_column(rows, t_idx) == drop_column(rows2, t_idx)
-    agg1 = json.loads((outs[0] / "dprc_aggregate.json").read_text())
-    agg2 = json.loads((outs[1] / "dprc_aggregate.json").read_text())
-    assert agg1 == agg2
+    # worker fan-out changes no byte
     assert sorted(p.name for p in outs[1].glob("dprc_trace_*.csv")) == traces
-    for name in traces:
+    for name in ["dprc_trials.csv", "dprc_aggregate.json", *traces]:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
@@ -342,12 +331,8 @@ def test_dprc_tracing_does_not_change_results(tmp_path):
         assert main(["dprc-sweep", "--k", "3", "--trials", "3",
                      "--out", str(out)] + extra) == 0
         outs[trace_trials] = out
-    header, rows = read_csv(outs[None] / "dprc_trials.csv")
-    _, rows0 = read_csv(outs["0"] / "dprc_trials.csv")
-    t_idx = header.index("runtime_ms")
-    assert drop_column(rows0, t_idx) == drop_column(rows, t_idx)
-    assert (outs["0"] / "dprc_aggregate.json").read_bytes() == \
-        (outs[None] / "dprc_aggregate.json").read_bytes()
+    for name in ("dprc_trials.csv", "dprc_aggregate.json"):
+        assert (outs["0"] / name).read_bytes() == (outs[None] / name).read_bytes()
     assert not list(outs["0"].glob("dprc_trace_*.csv"))
     for name in ("ideal", "imp"):
         trace = f"dprc_trace_k3_n4_{name}_t0.csv"
@@ -401,7 +386,7 @@ def test_trial_rows_do_not_depend_on_the_trial_count(tmp_path, scenario,
                                                      csv_name):
     # a trial's GA member is bit-identical in any chunk, so adding trials
     # leaves the rows of the earlier ones unchanged
-    rows = {}
+    files = {}
     for trials in ("2", "3"):
         out = tmp_path / f"out{trials}"
         seed_tables(out)
@@ -409,22 +394,18 @@ def test_trial_rows_do_not_depend_on_the_trial_count(tmp_path, scenario,
             [scenario, "--k", "3", "--nrx", "4", "--trials", trials,
              "--out", str(out)]
         ) == 0
-        header, got = read_csv(out / csv_name)
-        rows[trials] = drop_column(got, header.index("runtime_ms"))
-    assert len(rows["3"]) == 3 * 2           # trials x flag sets
-    assert rows["3"][: len(rows["2"])] == rows["2"]
-    assert all(r[0] in ("0", "1") for r in rows["2"])
+        files[trials] = (out / csv_name).read_bytes()
+    assert len(files["3"].splitlines()) == 1 + 3 * 2     # header, trials x flag sets
+    assert files["3"].startswith(files["2"])
+    assert len(files["2"].splitlines()) == 1 + 2 * 2
 
 
 def output_digest(path: Path) -> str:
-    """sha256 of an output file, CSVs without their runtime_ms column."""
+    """sha256 of an output file, CSVs with their lines joined by newlines."""
     if path.suffix != ".csv":
         return hashlib.sha256(path.read_bytes()).hexdigest()
     header, rows = read_csv(path)
-    lines = [header, *rows]
-    if "runtime_ms" in header:
-        lines = drop_column(lines, header.index("runtime_ms"))
-    return hashlib.sha256("\n".join(map(",".join, lines)).encode()).hexdigest()
+    return hashlib.sha256("\n".join(map(",".join, [header, *rows])).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("command", [
@@ -434,7 +415,7 @@ def output_digest(path: Path) -> str:
 ], ids=lambda command: command.split()[0])
 def test_outputs_match_recorded_digests(tmp_path, command):
     # every output of these small runs at --seed 0 on the shipped tables,
-    # pinned byte for byte apart from wall time; a deliberate output change
+    # pinned byte for byte; a deliberate output change
     # records the new digests in tests/data/output_digests.json and says why
     # in CHANGES.md
     out = tmp_path / "out"
@@ -443,6 +424,70 @@ def test_outputs_match_recorded_digests(tmp_path, command):
     outputs = json.loads((out / "manifest.json").read_text())["outputs"]
     got = {name: output_digest(out / name) for name in ["manifest.json", *outputs]}
     assert got == json.loads(DIGESTS.read_text())[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sinr-map"],
+    ["dprc-sweep", "--k", "2", "3", "--trials", "3", "--trace-trials", "2"],
+], ids=lambda argv: argv[0])
+def test_reruns_at_any_jobs_rewrite_every_file(tmp_path, argv):
+    # no output records wall time, so a rerun at either --jobs writes the
+    # same files byte for byte; only the manifest's jobs entry differs
+    runs = []
+    for i, jobs in enumerate(("1", "2", "1")):
+        out = tmp_path / f"out{i}"
+        seed_tables(out)
+        paths = run_experiment(spec_from_args([*argv, "--jobs", jobs, "--out", str(out)]))
+        files = {p.relative_to(out): p.read_bytes() for p in paths}
+        manifest = json.loads(files.pop(Path("manifest.json")))
+        manifest.pop("jobs", None)
+        runs.append((files, manifest))
+    assert runs[0][0] and runs[0] == runs[1] == runs[2]
+
+
+def test_process_fan_out_is_capped(tmp_path, monkeypatch):
+    # a fork pool starts every worker it is asked for at its first submit, so
+    # _map_tasks asks for no more than there are tasks or cores; the stand-in
+    # pool maps in this process and starts none
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    assert cli._map_tasks(abs, [-1, -2, -3], 10_000) == [1, 2, 3]
+    assert cli._map_tasks(abs, list(range(-20, 0)), 10_000) == list(range(20, 0, -1))
+    assert cli._map_tasks(abs, [-1, -2], 1) == [1, 2]
+    # three trials at --jobs 10000 make three one-trial chunks
+    out = tmp_path / "out"
+    seed_tables(out)
+    assert main(["mst-sweep", "--k", "2", "--nrx", "1", "--trials", "3",
+                 "--jobs", "10000", "--out", str(out)]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._map_tasks(abs, [-1, -2], 10_000) == [1, 2]
+    assert asked == [3, 8, 3]
+
+
+def test_manifest_records_only_the_settings_the_scenario_reads(tmp_path):
+    out = tmp_path / "out"
+    assert main(["sinr-map", "--trials", "1000", "--k", "3", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {"tool_version", "scenario", "params", "outputs"}
+    fields = set(ExperimentSpec.__dataclass_fields__)
+    for scenario in cli.SCENARIOS.values():
+        assert set(scenario.reads) <= fields - {"scenario", "params", "out_dir",
+                                                "build_tables"}
 
 
 def test_run_experiment_returns_written_paths(tmp_path):
