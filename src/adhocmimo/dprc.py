@@ -24,7 +24,7 @@ from scipy.special import expit
 
 from .config import SystemParams
 from .link_abstraction import RateTable
-from .network_opt import sinr_in_all, stack_gains
+from .network_opt import rate_indices, sinr_in_all, stack_gains, stack_tables
 from .radio_env import Topology, total_noise_power
 
 __all__ = [
@@ -105,21 +105,6 @@ def _per_member(values, m: int, name: str) -> list:
     return values
 
 
-def _thresholds(thresholds_linear, m: int) -> np.ndarray:
-    """Each member's strictly ascending thresholds as a row of an (M, T)
-    array, padded with +inf, which no SINR clears. None means no thresholds."""
-    if thresholds_linear is None:
-        return np.empty((m, 0))
-    rows = [np.asarray(t, dtype=float)
-            for t in _per_member(thresholds_linear, m, "thresholds_linear")]
-    if any(t.ndim != 1 or np.any(np.diff(t) <= 0) for t in rows):
-        raise ValueError("thresholds must be strictly ascending")
-    out = np.full((m, max(t.size for t in rows)), np.inf)
-    for row, t in zip(out, rows):
-        row[: t.size] = t
-    return out
-
-
 def _effective_interference(p: np.ndarray, rho: np.ndarray, noise_mw: float):
     """Per-pair (interference + noise) / own gain, the ieff of the game, for
     (M, K) powers against (M, K, K) gains."""
@@ -129,38 +114,31 @@ def _effective_interference(p: np.ndarray, rho: np.ndarray, noise_mw: float):
     return (interference + noise_mw) / own
 
 
-def _rate_indices(sinr: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Highest threshold index cleared by each SINR of an (M, K) array
-    against the members' (M, T) thresholds; 0 means none. The count of
-    thresholds at or below a SINR is searchsorted(..., side="right")."""
-    return (thresholds[:, None, :] <= sinr[:, :, None]).sum(axis=-1)
-
-
 def stage1(
     topos: Sequence[Topology],
+    tables: Sequence[RateTable],
     params: SystemParams,
     rngs: Sequence[np.random.Generator],
     *,
     trace: list | None = None,
-    thresholds_linear=None,
     traced=None,
 ) -> np.ndarray:
     """Synchronous best-response power game over a batch: equal-length
-    sequences of topologies (one K), generators and, if given, per-member
-    thresholds play M games as one (M, K) array. Each member starts from
-    p_i(0) = u_i * P_T drawn from its own generator; every round, all pairs
-    play the closed-form best response to the interference of the previous
-    round. Returns the (M, K) powers after ROUNDS rounds.
+    sequences of topologies (one K), tables and generators play M games as
+    one (M, K) array. Each member starts from p_i(0) = u_i * P_T drawn from
+    its own generator; every round, all pairs play the closed-form best
+    response to the interference of the previous round. Returns the (M, K)
+    powers after ROUNDS rounds.
 
     With a trace list, every round appends (powers, sinr, rate index) of
-    the members indexed by traced (default all), each (traced, K); rate
-    indices are against thresholds_linear (run_dprc passes its tables')."""
+    the members indexed by traced (default all), each (traced, K); the
+    tables only give those rate indices."""
     rho = stack_gains(topos)
     m, k = rho.shape[:2]
     rngs = _per_member(rngs, m, "rngs")
     sel = np.arange(m) if traced is None else np.asarray(traced, dtype=np.intp)
     rho_sel = rho[sel]
-    thr_sel = _thresholds(thresholds_linear, m)[sel]
+    thr_sel = stack_tables(_per_member(tables, m, "tables"))[0][sel]
     p_t = params.p_t_mw
     noise_mw = total_noise_power(params)
     p = np.stack([g.uniform(0.0, 1.0, size=k) for g in rngs]) * p_t
@@ -168,7 +146,7 @@ def stage1(
         p = best_response_power(_effective_interference(p, rho, noise_mw), p_t)
         if trace is not None:
             sinr = sinr_in_all(p[sel, None], rho_sel, noise_mw)[:, 0]
-            trace.append((p[sel], sinr, _rate_indices(sinr, thr_sel)))
+            trace.append((p[sel], sinr, rate_indices(sinr, thr_sel)))
     return p
 
 
@@ -181,32 +159,33 @@ _LANDING_MARGIN = 1.0 + 1e-13
 def stage2(
     p0: np.ndarray,
     topos: Sequence[Topology],
-    thresholds_linear,
+    tables: Sequence[RateTable],
     params: SystemParams,
     *,
     trace: list | None = None,
     traced=None,
 ) -> list[DprcState]:
     """Threshold tracking over a batch: (M, K) starting powers, and
-    equal-length sequences of topologies (one K) and threshold arrays. In
-    each of ROUNDS rounds, every pair picks the best rate its SINR clears
-    and rescales power to sit just above that rate's threshold. Pairs
-    clearing no threshold keep their power untouched; powers stay in
-    [0, P_T]. Returns one state per member, without history.
+    equal-length sequences of topologies (one K) and tables. In each of
+    ROUNDS rounds, every pair picks the best rate its SINR clears and
+    rescales power to sit just above that rate's threshold. Pairs clearing
+    no threshold keep their power untouched; powers stay in [0, P_T].
+    Returns one state per member, without history.
 
     A trace list receives (powers, sinr, rate index) rows as in stage1."""
     rho = stack_gains(topos)
     m = rho.shape[0]
-    thr = _thresholds(thresholds_linear, m)
+    thr = stack_tables(_per_member(tables, m, "tables"))[0]
+    rows = np.arange(m)[:, None]
     sel = np.arange(m) if traced is None else np.asarray(traced, dtype=np.intp)
     rho_sel = rho[sel]
     noise_mw = total_noise_power(params)
     p = np.array(p0, dtype=float)
     for _ in range(ROUNDS):
         sinr = sinr_in_all(p[:, None], rho, noise_mw)[:, 0]
-        r = _rate_indices(sinr, thr)
+        r = rate_indices(sinr, thr)
         active = (r > 0) & (p > 0)
-        landing = np.take_along_axis(thr, np.maximum(r - 1, 0), axis=1)
+        landing = thr[rows, np.maximum(r - 1, 0)]
         target = np.where(active, landing * _LANDING_MARGIN, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(active, target / np.maximum(sinr, 1e-300), 1.0)
@@ -214,7 +193,7 @@ def stage2(
         if trace is not None:
             sinr_sel = sinr_in_all(p[sel, None], rho_sel, noise_mw)[:, 0]
             trace.append((p[sel], sinr_sel, r[sel]))
-    r = _rate_indices(sinr_in_all(p[:, None], rho, noise_mw)[:, 0], thr)
+    r = rate_indices(sinr_in_all(p[:, None], rho, noise_mw)[:, 0], thr)
     return [DprcState(p=p[j], r=r[j]) for j in range(m)]
 
 
@@ -240,13 +219,13 @@ def run_dprc(
     flags = [trace] * m if np.ndim(trace) == 0 else _per_member(trace, m, "trace")
     traced = np.flatnonzero(flags)
     rows: list | None = [] if traced.size else None
-    thr = [t.thresholds_linear for t in tables]
-    p1 = stage1(topos, params, rngs, trace=rows, thresholds_linear=thr, traced=traced)
-    states = stage2(p1, topos, thr, params, trace=rows, traced=traced)
+    p1 = stage1(topos, tables, params, rngs, trace=rows, traced=traced)
+    states = stage2(p1, topos, tables, params, trace=rows, traced=traced)
     if rows:
         p, sinr, r = (np.stack(column, axis=1) for column in zip(*rows))
         for i, j in enumerate(traced):
             states[j].history = (p[i], sinr[i], r[i])
     # step 3: stage2's closing rate indices are the table lookup at the
     # final powers, so the rates are read off them
-    return states, np.array([t.rates_by_index[s.r].sum() for s, t in zip(states, tables)])
+    rates = stack_tables(tables)[1]
+    return states, rates[np.arange(m)[:, None], [s.r for s in states]].sum(axis=-1)

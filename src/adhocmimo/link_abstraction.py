@@ -343,8 +343,9 @@ class RateEntry:
 
 @dataclass(eq=False)
 class RateTable:
-    """Modes that meet the BER target, ordered by ascending threshold with
-    strictly ascending rates (dominated modes removed). Treat as immutable."""
+    """Modes that meet the BER target, in strictly ascending order of both
+    threshold and rate (dominated modes removed; construction checks the
+    order). Treat as immutable."""
 
     n_rx: int
     impaired: bool
@@ -353,24 +354,20 @@ class RateTable:
     flags_label: str = ""
     build_info: dict | None = None
 
+    def __post_init__(self):
+        for column in ("threshold_db", "rate_bps"):
+            values = [getattr(e, column) for e in self.entries]
+            if not all(a < b for a, b in zip(values, values[1:])):
+                raise ValueError(f"rate table entries must strictly ascend in {column}")
+
     @cached_property
     def thresholds_linear(self) -> np.ndarray:
         return db_to_linear(np.array([e.threshold_db for e in self.entries]))
 
     @cached_property
-    def rates_bps(self) -> np.ndarray:
-        return np.array([e.rate_bps for e in self.entries])
-
-    @cached_property
     def rates_by_index(self) -> np.ndarray:
         """Rate (bps) of each rate index; index 0, below every threshold, is 0."""
-        return np.concatenate([[0.0], self.rates_bps])
-
-    def rate_for_sinr(self, sinr_in) -> np.ndarray:
-        """Best achievable rate (bps) at each input SINR; 0 below the lowest
-        threshold. Thresholds are inclusive lower bounds."""
-        idx = np.searchsorted(self.thresholds_linear, np.asarray(sinr_in), side="right")
-        return self.rates_by_index[idx]
+        return np.array([0.0] + [e.rate_bps for e in self.entries])
 
     def to_dict(self) -> dict:
         doc = {

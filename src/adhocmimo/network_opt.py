@@ -1,5 +1,6 @@
-"""Network-level SINR and the centralized maximization of sum throughput
-with a real-coded genetic algorithm.
+"""Network-level SINR, the rate lookup shared by the GA and DPRC, and the
+centralized maximization of sum throughput with a real-coded genetic
+algorithm.
 
 Power allocations are plain float arrays (mW, one entry per pair). The
 objective is piecewise constant: each pair's rate is a table lookup on its
@@ -19,7 +20,9 @@ from .rng import substream
 
 __all__ = [
     "stack_gains",
+    "stack_tables",
     "sinr_in_all",
+    "rate_indices",
     "maximize_sum_throughput",
 ]
 
@@ -33,6 +36,33 @@ def stack_gains(topos: Sequence[Topology]) -> np.ndarray:
     if any(t.k != topos[0].k for t in topos):
         raise ValueError("batch members must share the pair count K")
     return np.stack([t.rho for t in topos])
+
+
+def stack_tables(tables: Sequence[RateTable]) -> tuple[np.ndarray, np.ndarray]:
+    """The rate ladders of a batch's M tables: (M, T) linear thresholds,
+    padded with +inf, which no SINR clears, and the (M, T + 1) rates of
+    each rate index (each table's rates_by_index; padding is never read)."""
+    tables = list(tables)
+    width = max(len(t.entries) for t in tables)
+    thresholds = np.full((len(tables), width), np.inf)
+    rates = np.zeros((len(tables), width + 1))
+    for j, t in enumerate(tables):
+        thresholds[j, : len(t.entries)] = t.thresholds_linear
+        rates[j, : len(t.entries) + 1] = t.rates_by_index
+    return thresholds, rates
+
+
+def rate_indices(sinr: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Rate index of each SINR of an (M, ..., K) array against the members'
+    (M, T) thresholds from stack_tables: how many of its member's thresholds
+    are at or below it, so 0 means none. Thresholds are inclusive lower
+    bounds."""
+    column_shape = (-1,) + (1,) * (sinr.ndim - 1)
+    idx = np.zeros(sinr.shape, dtype=np.intp)
+    # one comparison per column: a (M, ..., K, T) broadcast is slower
+    for column in thresholds.T:
+        idx += column.reshape(column_shape) <= sinr
+    return idx
 
 
 def sinr_in_all(p, rho: np.ndarray, noise_mw: float) -> np.ndarray:
@@ -104,18 +134,12 @@ def maximize_sum_throughput(
     pop_size = max(POPULATION_PER_PAIR * k, baseline.shape[1] + ELITISM)
     n_pairs = pop_size // 2
 
-    # members grouped by table, so each generation does one rate lookup per
-    # distinct table
-    groups: dict[int, tuple[RateTable, list[int]]] = {}
-    for i, tab in enumerate(tables):
-        groups.setdefault(id(tab), (tab, []))[1].append(i)
+    thresholds, rates = stack_tables(tables)
+    rows = np.arange(m)[:, None]
 
     def fitness(pop: np.ndarray) -> np.ndarray:
-        sinr = sinr_in_all(pop, rho, noise_mw)
-        fit = np.empty(pop.shape[:2])
-        for tab, idx in groups.values():
-            fit[idx] = tab.rate_for_sinr(sinr[idx]).sum(axis=-1)
-        return fit
+        idx = rate_indices(sinr_in_all(pop, rho, noise_mw), thresholds)
+        return rates[rows[..., None], idx].sum(axis=-1)
 
     # one generator per distinct seed; members sharing a seed share its draws
     slot = {s: j for j, s in enumerate(dict.fromkeys(seeds))}
@@ -141,8 +165,7 @@ def maximize_sum_throughput(
         # tournament selection, two random entrants per parent slot
         entrants = (tour * pop_size).astype(np.intp).reshape(m, 2, pop_size)
         a, b = entrants[:, 0], entrants[:, 1]
-        wins = np.take_along_axis(fit, a, 1) >= np.take_along_axis(fit, b, 1)
-        parents = np.take_along_axis(genes, np.where(wins, a, b)[..., None], 1)
+        parents = genes[rows, np.where(fit[rows, a] >= fit[rows, b], a, b)]
 
         # blend crossover on consecutive parent pairs
         children = parents.copy()
@@ -167,7 +190,7 @@ def maximize_sum_throughput(
 
         # elitism: best of the current generation survive unchanged
         elite = np.argsort(fit, axis=1, kind="stable")[:, -ELITISM:]
-        children[:, :ELITISM] = np.take_along_axis(genes, elite[..., None], 1)
+        children[:, :ELITISM] = genes[rows, elite]
 
         genes = children
         fit = fitness(genes)

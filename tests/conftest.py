@@ -9,6 +9,7 @@ rewritten.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -19,6 +20,7 @@ from adhocmimo.link_abstraction import (
     build_rate_table,
     table_build_key,
 )
+from adhocmimo.network_opt import rate_indices, stack_tables
 
 settings.register_profile("suite", deadline=None, max_examples=25, derandomize=True)
 settings.load_profile("suite")
@@ -34,6 +36,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def table_rates(table: RateTable, sinr) -> np.ndarray:
+    """Rate (bps) of each SINR of an array on one table, read through the
+    network layer's rate lookup."""
+    thresholds, rates = stack_tables([table])
+    return rates[0, rate_indices(np.asarray(sinr, dtype=float)[None], thresholds)[0]]
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,8 @@ from adhocmimo.network_opt import maximize_sum_throughput, sinr_in_all
 from adhocmimo.radio_env import Topology, path_gain, sample_topology, total_noise_power
 from adhocmimo.rng import substream
 
+from conftest import table_rates
+
 
 def topo_from_d(d, params: SystemParams) -> Topology:
     d = np.asarray(d, dtype=float)
@@ -133,10 +135,10 @@ def test_best_response_exact_below_the_grid_resolution():
 # stage 1
 
 
-def test_stage1_single_pair_settles_in_one_round(params):
+def test_stage1_single_pair_settles_in_one_round(params, table_cache):
     topo = topo_from_d([[10.0]], params)
     rows = []
-    stage1([topo], params, [substream(0, "s1")], trace=rows)
+    stage1([topo], [table_cache(4, "ideal")], params, [substream(0, "s1")], trace=rows)
     powers = [row[0][0, 0] for row in rows]
     assert len(powers) == dprc.ROUNDS
     # without interference the response never changes after the first round
@@ -144,19 +146,20 @@ def test_stage1_single_pair_settles_in_one_round(params):
     assert powers[0] > 0.0
 
 
-def test_stage1_mutual_outage_shuts_both_off(params):
+def test_stage1_mutual_outage_shuts_both_off(params, table_cache):
     # each receiver sits 1 m from the other transmitter and 300 m from its
     # own; any plausible start price both pairs out of the game
     topo = topo_from_d([[300.0, 1.0], [1.0, 300.0]], params)
     rows = []
-    stage1([topo], params, [substream(3, "s1")], trace=rows)
+    stage1([topo], [table_cache(4, "ideal")], params, [substream(3, "s1")], trace=rows)
     np.testing.assert_array_equal(rows[0][0], [[0.0, 0.0]])
 
 
-def test_stage1_deterministic(params):
+def test_stage1_deterministic(params, table_cache):
     topo = sample_topology(5, params, substream(4, "topo"))
-    a = stage1([topo], params, [substream(7, "s1")])
-    b = stage1([topo], params, [substream(7, "s1")])
+    table = table_cache(4, "ideal")
+    a = stage1([topo], [table], params, [substream(7, "s1")])
+    b = stage1([topo], [table], params, [substream(7, "s1")])
     np.testing.assert_array_equal(a, b)
 
 
@@ -172,7 +175,7 @@ def test_stage2_one_round_lands_on_threshold(params, table_cache):
     noise = total_noise_power(params)
     p0 = np.array([[thr[2] * noise / own * 1.0000001]])
     rows = []
-    stage2(p0, [topo], [thr], params, trace=rows)
+    stage2(p0, [topo], [table], params, trace=rows)
     assert rows[0][1][0, 0] == pytest.approx(thr[2], rel=1e-12)
 
 
@@ -182,7 +185,7 @@ def test_stage2_parks_on_some_threshold(params, table_cache):
     topo = topo_from_d([[10.0]], params)
     noise = total_noise_power(params)
     p0 = np.array([[thr[5] * noise / topo.rho[0, 0] * 3.7]])
-    (state,) = stage2(p0, [topo], [thr], params)
+    (state,) = stage2(p0, [topo], [table], params)
     sinr = sinr_of(state.p, topo, params)[0]
     assert min(abs(sinr / t - 1.0) for t in thr) < 1e-9
     assert state.r[0] > 0
@@ -190,11 +193,11 @@ def test_stage2_parks_on_some_threshold(params, table_cache):
 
 
 def test_stage2_leaves_infeasible_pair_untouched(params, table_cache):
-    thr = table_cache(4, "ideal").thresholds_linear
+    table = table_cache(4, "ideal")
     topo = topo_from_d([[10.0]], params)
     noise = total_noise_power(params)
-    p0 = np.array([[0.5 * thr[0] * noise / topo.rho[0, 0]]])
-    (state,) = stage2(p0, [topo], [thr], params)
+    p0 = np.array([[0.5 * table.thresholds_linear[0] * noise / topo.rho[0, 0]]])
+    (state,) = stage2(p0, [topo], [table], params)
     np.testing.assert_array_equal(state.p, p0[0])
     assert state.r[0] == 0
 
@@ -202,22 +205,17 @@ def test_stage2_leaves_infeasible_pair_untouched(params, table_cache):
 def test_stage2_keeps_rate_started_just_above_each_threshold(params, table_cache):
     # rescaling onto a threshold must not round the SINR below it, or the
     # next round reads the pair one mode lower
-    thr = table_cache(4, "ideal").thresholds_linear
+    table = table_cache(4, "ideal")
+    thr = table.thresholds_linear
     topo = topo_from_d([[10.0]], params)
     noise = total_noise_power(params)
     for j in range(thr.size):
         p0 = np.array([[thr[j] * noise / topo.rho[0, 0] * (1.0 + 1e-9)]])
         rows = []
-        (state,) = stage2(p0, [topo], [thr], params, trace=rows)
+        (state,) = stage2(p0, [topo], [table], params, trace=rows)
         assert len(rows) == dprc.ROUNDS
         assert [int(row[2][0, 0]) for row in rows] == [j + 1] * dprc.ROUNDS
         assert state.r[0] == j + 1
-
-
-def test_stage2_rejects_unsorted_thresholds(params):
-    topo = topo_from_d([[10.0]], params)
-    with pytest.raises(ValueError):
-        stage2(np.array([[1.0]]), [topo], [np.array([2.0, 2.0])], params)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +239,11 @@ def test_run_dprc_single_strong_pair(params, table_cache):
     # the first ROUNDS rows are stage 1's
     np.testing.assert_allclose(sinr_h[: dprc.ROUNDS, 0], sinr_opt, rtol=1e-9)
     # stage-1 rows report the mode that SINR clears, not rate 0
-    assert np.all(table.rates_bps[r_h[: dprc.ROUNDS, 0] - 1] == 64e6)
+    assert np.all(table.rates_by_index[r_h[: dprc.ROUNDS, 0]] == 64e6)
     assert 10.0 * math.log10(sinr_opt) == pytest.approx(16.11, abs=0.005)
     # the tracker parks on the threshold of the mode that SINR clears
     # (12.9 dB) and keeps that rate
-    assert total == table.rate_for_sinr(sinr_opt) == 64e6
+    assert total == table_rates(table, sinr_opt) == 64e6
     assert state.r[0] > 0
     sinr = sinr_of(state.p, topo, params)[0]
     assert sinr >= table.thresholds_linear[state.r[0] - 1]
@@ -303,7 +301,7 @@ def _assert_same_state(a, b):
 def test_dprc_batch_members_match_batches_of_one(params, table_cache):
     # a member's result is bit-identical alone and in any batch order,
     # whether or not it or the other members keep a history
-    tables = [table_cache(4, "ideal"), table_cache(4, "imp")]
+    tables = [table_cache(4, name) for name in ("ideal", "imp", "pn", "ce")]
     for k in (3, 6):
         topos = [sample_topology(k, params, substream(s, "dprc-batch", k))
                  for s in (21, 22)]
@@ -314,7 +312,7 @@ def test_dprc_batch_members_match_batches_of_one(params, table_cache):
         def rngs(seeds):
             return [substream(s, "dprc-batch-rng", i) for s, i in seeds]
 
-        for trace in (False, True, [True, False, False, True]):
+        for trace in (False, True, [True, False, False, True] * 2):
             flags = list(np.broadcast_to(trace, (len(members),)))
             states, sums = run_dprc(topo_b, table_b, params, rngs(seed_b),
                                     trace=trace)

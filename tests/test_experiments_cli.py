@@ -146,23 +146,34 @@ def test_stale_table_cache_is_reported(tmp_path, capsys):
     assert "built with different settings" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", ["{not json", '{"version": 2}'],
-                         ids=["not-json", "unknown-version"])
-def test_unreadable_table_cache_is_reported(tmp_path, capsys, content):
-    # a corrupt or unknown-version cache file is a cache problem (exit 2),
-    # not a crash
-    out = tmp_path / "out"
-    seed_tables(out)
-    path = out / "tables" / table_filename(1, "ideal")
-    path.write_text(content)
-    code = main(
-        ["mst-sweep", "--k", "2", "--nrx", "1", "--trials", "1",
-         "--out", str(out)]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("simcli: cannot read cached table")
-    assert str(path) in err and "--build-tables" in err
+def _swap_two_thresholds(doc: dict) -> str:
+    first, second = doc["entries"][:2]
+    first["threshold_db"], second["threshold_db"] = (
+        second["threshold_db"], first["threshold_db"])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda doc: "{not json", lambda doc: '{"version": 2}', _swap_two_thresholds],
+    ids=["not-json", "unknown-version", "unsorted"])
+def test_unreadable_table_cache_is_reported(tmp_path, capsys, corrupt):
+    # a corrupt, unknown-version or out-of-order cache file is a cache
+    # problem (exit 2), not a crash or a silently wrong lookup, for the GA
+    # and the DPRC sweeps alike
+    for scenario in ("mst-sweep", "dprc-sweep"):
+        out = tmp_path / scenario
+        seed_tables(out)
+        path = out / "tables" / table_filename(1, "ideal")
+        path.write_text(corrupt(json.loads(path.read_text())))
+        code = main(
+            [scenario, "--k", "2", "--nrx", "1", "--trials", "1",
+             "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("simcli: cannot read cached table")
+        assert str(path) in err and "--build-tables" in err
 
 
 def test_tables_built_for_other_params_are_stale(tmp_path, capsys):

@@ -2,6 +2,7 @@
 and rate-table construction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from adhocmimo.link_abstraction import (
     training_length,
 )
 from adhocmimo.mc_oracle import simulate_conditional_ber
+from adhocmimo.network_opt import rate_indices, stack_tables
 from adhocmimo.rng import complex_normal, substream
 
 
@@ -279,14 +281,40 @@ def _toy_table() -> RateTable:
     )
 
 
-def test_rate_for_sinr_step_edges():
-    table = _toy_table()
-    assert table.rate_for_sinr(db_to_linear(-5.0)) == 0.0
-    assert table.rate_for_sinr(db_to_linear(0.0)) == 8e6      # closed lower bound
-    assert table.rate_for_sinr(db_to_linear(9.9)) == 8e6
-    assert table.rate_for_sinr(db_to_linear(10.0)) == 16e6
-    got = table.rate_for_sinr(db_to_linear(np.array([-5.0, 0.0, 40.0])))
-    np.testing.assert_array_equal(got, [0.0, 8e6, 16e6])
+def test_rate_indices_step_edges(table_cache):
+    toy = _toy_table()
+    thr, rates = stack_tables([toy])
+    idx = rate_indices(db_to_linear(np.array([[-5.0, 0.0, 9.9, 10.0, 40.0]])), thr)
+    np.testing.assert_array_equal(idx, [[0, 1, 1, 2, 2]])    # closed lower bounds
+    np.testing.assert_array_equal(rates[0, idx[0]], [0.0, 8e6, 8e6, 16e6, 16e6])
+    assert rate_indices(np.array([[1e18]]), thr)[0, 0] == 2
+
+    # batched with the 9-mode N4 ce table, the toy row is padded with +inf
+    # thresholds and never indexes past its top mode; every row counts as a
+    # per-table searchsorted, also on SINRs exactly at a threshold
+    ce = table_cache(4, "ce")
+    thr, rates = stack_tables([toy, ce])
+    assert thr.shape == (2, 9) and rates.shape == (2, 10)
+    np.testing.assert_array_equal(thr[0, 2:], np.inf)
+    np.testing.assert_array_equal(rates[1], ce.rates_by_index)
+    sinr = db_to_linear(np.random.default_rng(0).uniform(-10.0, 45.0, (2, 50, 9)))
+    sinr[:, 0] = 1e18
+    sinr[:, 1] = ce.thresholds_linear
+    idx = rate_indices(sinr, thr)
+    assert idx[0].max() == 2 and idx[1].max() == 9
+    for row, table in enumerate((toy, ce)):
+        np.testing.assert_array_equal(
+            idx[row], np.searchsorted(table.thresholds_linear, sinr[row], side="right"))
+
+
+def test_rate_table_rejects_unsorted_modes():
+    # every rate lookup assumes entries strictly ascend in both columns
+    low, high = _toy_table().entries
+    for entries in ((low, replace(high, threshold_db=low.threshold_db)),
+                    (low, replace(high, rate_bps=low.rate_bps)),
+                    (high, low)):
+        with pytest.raises(ValueError):
+            RateTable(n_rx=2, impaired=False, grid_step_db=0.1, entries=entries)
 
 
 def test_select_mode_edges():

@@ -15,6 +15,8 @@ from adhocmimo.radio_env import (
 )
 from adhocmimo.rng import substream
 
+from conftest import table_rates
+
 
 def topo_from_d(d, params: SystemParams) -> Topology:
     d = np.asarray(d, dtype=float)
@@ -25,7 +27,7 @@ def sum_rate(p, topo: Topology, table, params: SystemParams) -> float:
     """Network sum rate with every pair on its best table mode at the SINR
     that allocation p produces."""
     sinr = sinr_in_all(np.asarray(p)[None], topo.rho, total_noise_power(params))
-    return table.rate_for_sinr(sinr).sum()
+    return table_rates(table, sinr).sum()
 
 
 def ga_one(topo: Topology, table, params: SystemParams, seed: int, extra=None):
@@ -157,7 +159,7 @@ def test_ga_never_below_corner_baselines(params, table_cache):
         corners[0] = params.p_t_mw
         corners[2:] = params.p_t_mw * np.eye(4)
         best_corner = max(
-            table.rate_for_sinr(sinr_in_all(corners, topo.rho, noise)).sum(axis=-1))
+            table_rates(table, sinr_in_all(corners, topo.rho, noise)).sum(axis=-1))
         assert fit >= best_corner
 
 
@@ -169,8 +171,7 @@ def test_ga_silences_hopeless_pair(params, table_cache):
     p, fit = ga_one(topo, table, params, seed=0)
     assert fit == 192e6
     sinr = sinr_in_all(p[None], topo.rho, total_noise_power(params))
-    rates = np.asarray(table.rate_for_sinr(sinr))
-    assert (rates > 0).sum() == 1
+    assert (table_rates(table, sinr) > 0).sum() == 1
 
 
 def test_ga_matches_brute_force_grid(params, table_cache):
@@ -182,7 +183,7 @@ def test_ga_matches_brute_force_grid(params, table_cache):
     grid = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), axis=-1)
     grid = grid.reshape(-1, 3)
     sinr = sinr_in_all(grid, topo.rho, total_noise_power(params))
-    brute = float(np.asarray(table.rate_for_sinr(sinr)).sum(axis=-1).max())
+    brute = float(table_rates(table, sinr).sum(axis=-1).max())
     # one table step of slack covers grid quantization
     assert fit >= brute - 8e6
 
@@ -212,7 +213,7 @@ def test_ga_warm_start_seeds_are_kept(params, table_cache):
 
 def test_ga_batch_members_match_batches_of_one(params, table_cache):
     # a member's result is bit-identical alone and in any batch order
-    tables = [table_cache(4, "ideal"), table_cache(4, "imp")]
+    tables = [table_cache(4, name) for name in ("ideal", "imp", "pn", "ce")]
     topos = [sample_topology(4, params, substream(s, "batch")) for s in (11, 12)]
     members = [(t, tab, s) for s, t in enumerate(topos) for tab in tables]
     warm = [np.full(4, 2.0 + i) for i in range(len(members))]
@@ -220,7 +221,7 @@ def test_ga_batch_members_match_batches_of_one(params, table_cache):
         topo_b, table_b, seed_b = map(list, zip(*members))
         p_b, fit_b = maximize_sum_throughput(topo_b, table_b, params,
                                              seeds=seed_b, extra_seeds=extra)
-        assert p_b.shape == (4, 4) and fit_b.shape == (4,)
+        assert p_b.shape == (len(members), 4) and fit_b.shape == (len(members),)
         for i, (t, tab, seed) in enumerate(members):
             p, fit = maximize_sum_throughput(
                 [t], [tab], params, seeds=[seed],
