@@ -10,6 +10,15 @@ when enabled, over the residual-frequency-offset distribution with
 Gauss-Hermite quadrature. A rate table is the set of (streams, bits/symbol)
 modes that meet the BER target, each with the smallest SINR grid point at
 which it does.
+
+Each distinct decision statistic is integrated once. For square Gray QAM and
+any complex gain s, Im(s z) = Re(s (-i z)), Re(s (-z)) = -Re(s z) and the
+decision edges are symmetric, so the 2P (label, axis) statistics of a scheme
+reduce to P/2 representative means Re(s z_r), whose region probabilities,
+read forward or mirrored, serve four uses each (Cho & Yoon, IEEE TCOM 2002):
+one Q evaluation per (representative, edge). The offset SINR is even in the
+offset and numpy's Gauss-Hermite nodes are symmetric, so the quadrature runs
+over the non-negative nodes with mirrored weights added.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ __all__ = [
     "FLAG_SETS",
     "training_length",
     "mmse_weights",
-    "conditional_ber",
     "ber_end_to_end",
     "RateEntry",
     "RateTable",
@@ -179,43 +187,46 @@ def mmse_weights(h_hat: np.ndarray, sinr_rfo) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# conditional BER given one channel draw
+# conditional BER given the detection statistics
+
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
-def _axis_errors_exact(mean, sig, level_idx, levels, gray, half_step):
-    """Expected bit flips on one axis: Gaussian probability of every decision
-    region, weighted by the Gray distance from the transmitted level."""
-    bounds = levels[:-1] + half_step                    # region edges
-    tail = _q((bounds - mean[..., None]) / sig[..., None])   # P(stat > edge)
-    ones = np.ones(mean.shape + (1,))
-    zeros = np.zeros(mean.shape + (1,))
-    upper = np.concatenate([ones, tail], axis=-1)
-    lower = np.concatenate([tail, zeros], axis=-1)
-    region_p = upper - lower                            # (..., L)
-    flips = np.bitwise_xor(gray[level_idx], gray)
-    flips = _POPCOUNT[flips].astype(float)
-    return region_p @ flips
+@lru_cache(maxsize=None)
+def _orbit(u: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit kernel's P/2 representative points and their (P/2, L)
+    weights: the Gray flips, summed over the four (label, axis) uses the
+    representative serves, of landing in each of its L decision regions.
+    For z_r on level i, Re(s z_r) serves z_r's real axis and i z_r's
+    imaginary axis forward; mirrored (level i <-> L-1-i) it serves -z_r's
+    real axis and -i z_r's imaginary axis. The representatives sit on the
+    negative real levels: with s near the positive real axis, most of their
+    error regions then lie above the mean, where the Q tails are small and
+    their differences keep full relative precision."""
+    mod = make_mod_scheme(u)
+    reps = mod.re_index < len(mod.re_levels) // 2
+    level = mod.re_index[reps]
+    axes = (mod.re_gray, mod.im_gray) if mod.has_im_axis else (mod.re_gray,)
+    weights = 0
+    for gray in axes:
+        flips = _POPCOUNT[np.bitwise_xor.outer(gray, gray)]
+        weights = weights + flips[level] + flips[::-1, ::-1][level]
+    return mod.points[reps], weights.astype(float)
 
 
 def _ber_given_stats(s_diag, sigma2, mod: ModScheme):
     """Average BER over streams given the post-detection diagonal gains
-    (..., M) and total interference-plus-noise variances (..., M)."""
-    sig = np.sqrt(np.maximum(sigma2, 0.0) / 2.0)
-    sig = np.maximum(sig, 1e-300)
-    acc = np.zeros(s_diag.shape, dtype=float)
-    for label, z in enumerate(mod.points):
-        mean = s_diag * z
-        ir = int(mod.re_index[label])
-        acc += _axis_errors_exact(
-            mean.real, sig, ir, mod.re_levels, mod.re_gray, mod.half_step
-        )
-        if mod.has_im_axis:
-            ii = int(mod.im_index[label])
-            acc += _axis_errors_exact(
-                mean.imag, sig, ii, mod.im_levels, mod.im_gray, mod.half_step
-            )
-    per_stream = acc / (len(mod.points) * mod.u)
-    return per_stream.mean(axis=-1)
+    (..., M) and total interference-plus-noise variances (..., M): the
+    Gaussian probability of each decision region, one Q evaluation per
+    (representative, edge), weighted by the summed Gray flips."""
+    reps, weights = _orbit(mod.u)
+    sig = np.maximum(np.sqrt(np.maximum(sigma2, 0.0) / 2.0), 1e-300)
+    mean = (s_diag[..., None] * reps).real                      # (..., M, P/2)
+    edges = mod.re_levels[:-1] + mod.half_step
+    tail = _q((edges - mean[..., None]) / sig[..., None, None])  # P(stat > edge)
+    region_p = -np.diff(tail, axis=-1, prepend=1.0, append=0.0)  # (..., M, P/2, L)
+    errors = region_p.reshape(region_p.shape[:-2] + (-1,)) @ weights.ravel()
+    return (errors / (len(mod.points) * mod.u)).mean(axis=-1)
 
 
 def _detection_stats(h, h_hat, sinr_rfo):
@@ -238,25 +249,8 @@ def _detection_stats(h, h_hat, sinr_rfo):
     return s_diag, sigma2
 
 
-def conditional_ber(
-    h: np.ndarray, h_hat: np.ndarray, sinr_rfo: float, mod: ModScheme
-) -> float:
-    """BER of one channel draw under the Gaussian decision-statistic model,
-    integrating every decision region of each axis."""
-    if sinr_rfo <= 0:
-        raise ValueError("sinr_rfo must be positive")
-    h = np.asarray(h)
-    h_hat = np.asarray(h_hat)
-    if h.shape != h_hat.shape:
-        raise ValueError("h and h_hat must have the same shape")
-    out = _ber_given_stats(*_detection_stats(h[None], h_hat[None], sinr_rfo), mod)
-    return float(out[0])
-
-
 # ---------------------------------------------------------------------------
 # channel-averaged BER
-
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
 def _draw_channel_set(m, n, n_draws, rng):
@@ -266,8 +260,14 @@ def _draw_channel_set(m, n, n_draws, rng):
 
 
 def _gh_nodes(quad_order: int):
+    """The non-negative Gauss-Hermite nodes, each with its mirror's weight
+    added: the integrand is even in the offset, and numpy's nodes and
+    weights are exactly symmetric."""
     nodes, weights = np.polynomial.hermite.hermgauss(quad_order)
-    return nodes, weights / math.sqrt(math.pi)
+    half = quad_order // 2
+    folded = weights[half:].copy()
+    folded[quad_order % 2:] += weights[:half][::-1]
+    return nodes[half:], folded / math.sqrt(math.pi)
 
 
 def _ber_per_draw(sinr_in, h, e_raw, mod, flags: ImpairmentFlags,

@@ -2,10 +2,12 @@
 
 Random symbol vectors are pushed through the power-normalized channel with
 additive Gaussian noise, detected with the same MMSE weights the analytic
-chain uses, and demapped by minimum distance. Nothing here reuses the
-Gaussian decision-statistic approximation, the per-axis error expressions,
-or the quadrature averaging, so agreement between the two paths validates
-those approximations rather than echoing them.
+chain uses, and demapped to the nearest point by slicing each axis against
+its decision edges; a point exactly on an edge keeps an argmin's tie rule
+(the lower label). Nothing here reuses the Gaussian decision-statistic
+approximation, the per-axis error expressions, or the quadrature averaging,
+so agreement between the two paths validates those approximations rather
+than echoing them.
 """
 
 from __future__ import annotations
@@ -24,22 +26,34 @@ __all__ = [
     "OracleResult",
     "demap",
     "simulate_link_ber",
-    "simulate_conditional_ber",
 ]
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(64)], dtype=np.int64)
 
 
-def demap(y_hat, mod: ModScheme):
-    """Label of the constellation point nearest to y_hat (hard decision).
+def _slice(x, levels, gray, half_step):
+    """Level index of each coordinate on one axis: the number of decision
+    edges below it. An edge whose upper neighbour has the smaller Gray code
+    counts as below a coordinate exactly on it, so that neighbour wins."""
+    idx = np.zeros(np.shape(x), dtype=np.intp)
+    for edge, upper_wins in zip(levels[:-1] + half_step, gray[1:] < gray[:-1]):
+        idx += (x >= edge) if upper_wins else (x > edge)
+    return idx
 
-    Accepts scalars or arrays; distances tie toward the lower label because
-    argmin keeps the first minimum.
+
+def demap(y_hat, mod: ModScheme):
+    """Label of the constellation point nearest to y_hat (hard decision),
+    sliced per axis against the decision edges.
+
+    Accepts scalars or arrays. A point on an edge goes to the neighbour with
+    the smaller Gray code, which is the lower label: the tie rule of an
+    argmin over all points, which keeps the first minimum.
     """
     y = np.asarray(y_hat, dtype=complex)
-    d2 = np.abs(y[..., None] - mod.points) ** 2
-    idx = np.argmin(d2, axis=-1)
-    return int(idx) if idx.ndim == 0 else idx
+    ir = _slice(y.real, mod.re_levels, mod.re_gray, mod.half_step)
+    ii = _slice(y.imag, mod.im_levels, mod.im_gray, mod.half_step)
+    labels = (mod.re_gray[ir] << (mod.u // 2)) | mod.im_gray[ii]
+    return int(labels) if labels.ndim == 0 else labels
 
 
 @dataclass(frozen=True)
@@ -144,43 +158,3 @@ def simulate_link_ber(cfg: OracleConfig) -> OracleResult:
         moments.add(errs / (cfg.m * cfg.u))
         done += b
     return moments.result(cfg.m * cfg.u)
-
-
-def simulate_conditional_ber(
-    h: np.ndarray,
-    h_hat: np.ndarray,
-    sinr_rfo: float,
-    mod: ModScheme,
-    n_symbols: int,
-    rng: np.random.Generator,
-    *,
-    batch_size: int = 20_000,
-) -> OracleResult:
-    """BER for one frozen channel/estimate pair; the detector is fixed and
-    only symbols and noise are redrawn."""
-    if sinr_rfo <= 0:
-        raise ValueError("sinr_rfo must be positive")
-    if n_symbols < 2:
-        raise ValueError("n_symbols must be at least 2")
-    h = np.asarray(h, dtype=complex)
-    h_hat = np.asarray(h_hat, dtype=complex)
-    if h.shape != h_hat.shape:
-        raise ValueError("h and h_hat must have the same shape")
-    n, m = h.shape
-    scale = 1.0 / math.sqrt(m)
-    w = mmse_weights(h_hat * scale, sinr_rfo)    # (m, n)
-    g = h * scale
-    noise_std = 1.0 / math.sqrt(sinr_rfo)
-    moments = _RunningMoments()
-    done = 0
-    while done < n_symbols:
-        b = min(batch_size, n_symbols - done)
-        labels = rng.integers(0, len(mod.points), size=(b, m))
-        x = mod.points[labels]
-        y = x @ g.T + complex_normal(rng, (b, n)) * noise_std
-        y_det = y @ w.T
-        labels_hat = demap(y_det, mod)
-        errs = _POPCOUNT[np.bitwise_xor(labels_hat, labels)].sum(axis=-1)
-        moments.add(errs / (m * mod.u))
-        done += b
-    return moments.result(m * mod.u)

@@ -41,9 +41,10 @@ def stack_gains(topos: Sequence[Topology]) -> np.ndarray:
 def stack_tables(tables: Sequence[RateTable]) -> tuple[np.ndarray, np.ndarray]:
     """The rate ladders of a batch's M tables: (M, T) linear thresholds,
     padded with +inf, which no SINR clears, and the (M, T + 1) rates of
-    each rate index (each table's rates_by_index; padding is never read)."""
+    each rate index (each table's rates_by_index; padding is never read).
+    T is at least 1, so a table with no modes reads rate 0 everywhere."""
     tables = list(tables)
-    width = max(len(t.entries) for t in tables)
+    width = max([1] + [len(t.entries) for t in tables])
     thresholds = np.full((len(tables), width), np.inf)
     rates = np.zeros((len(tables), width + 1))
     for j, t in enumerate(tables):

@@ -1,4 +1,7 @@
-"""Shared fixtures: system parameters and the shipped rate-table cache.
+"""Shared fixtures: system parameters and the shipped rate-table cache, plus
+the single-channel BER helpers the link and oracle tests compare: the
+analytic conditional BER and its symbol-level simulation on one frozen
+channel.
 
 Rate tables are expensive to build, so prebuilt copies live as JSON under
 tests/data/tables, built at the default table build key (seed 0, 2000
@@ -7,6 +10,7 @@ rebuilt into a session temporary directory; the shipped fixtures are never
 rewritten.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +20,17 @@ from hypothesis import settings
 from adhocmimo.config import SystemParams
 from adhocmimo.link_abstraction import (
     FLAG_SETS,
+    ModScheme,
     RateTable,
+    _ber_given_stats,
+    _detection_stats,
     build_rate_table,
+    mmse_weights,
     table_build_key,
 )
+from adhocmimo.mc_oracle import _POPCOUNT, OracleResult, _RunningMoments, demap
 from adhocmimo.network_opt import rate_indices, stack_tables
+from adhocmimo.rng import complex_normal
 
 settings.register_profile("suite", deadline=None, max_examples=25, derandomize=True)
 settings.load_profile("suite")
@@ -43,6 +53,61 @@ def table_rates(table: RateTable, sinr) -> np.ndarray:
     network layer's rate lookup."""
     thresholds, rates = stack_tables([table])
     return rates[0, rate_indices(np.asarray(sinr, dtype=float)[None], thresholds)[0]]
+
+
+def conditional_ber(
+    h: np.ndarray, h_hat: np.ndarray, sinr_rfo: float, mod: ModScheme
+) -> float:
+    """Analytic BER of one channel draw under the Gaussian decision-statistic
+    model, integrating every decision region of each axis."""
+    if sinr_rfo <= 0:
+        raise ValueError("sinr_rfo must be positive")
+    h = np.asarray(h)
+    h_hat = np.asarray(h_hat)
+    if h.shape != h_hat.shape:
+        raise ValueError("h and h_hat must have the same shape")
+    out = _ber_given_stats(*_detection_stats(h[None], h_hat[None], sinr_rfo), mod)
+    return float(out[0])
+
+
+def simulate_conditional_ber(
+    h: np.ndarray,
+    h_hat: np.ndarray,
+    sinr_rfo: float,
+    mod: ModScheme,
+    n_symbols: int,
+    rng: np.random.Generator,
+    *,
+    batch_size: int = 20_000,
+) -> OracleResult:
+    """Symbol-level BER for one frozen channel/estimate pair; the detector
+    is fixed and only symbols and noise are redrawn."""
+    if sinr_rfo <= 0:
+        raise ValueError("sinr_rfo must be positive")
+    if n_symbols < 2:
+        raise ValueError("n_symbols must be at least 2")
+    h = np.asarray(h, dtype=complex)
+    h_hat = np.asarray(h_hat, dtype=complex)
+    if h.shape != h_hat.shape:
+        raise ValueError("h and h_hat must have the same shape")
+    n, m = h.shape
+    scale = 1.0 / math.sqrt(m)
+    w = mmse_weights(h_hat * scale, sinr_rfo)    # (m, n)
+    g = h * scale
+    noise_std = 1.0 / math.sqrt(sinr_rfo)
+    moments = _RunningMoments()
+    done = 0
+    while done < n_symbols:
+        b = min(batch_size, n_symbols - done)
+        labels = rng.integers(0, len(mod.points), size=(b, m))
+        x = mod.points[labels]
+        y = x @ g.T + complex_normal(rng, (b, n)) * noise_std
+        y_det = y @ w.T
+        labels_hat = demap(y_det, mod)
+        errs = _POPCOUNT[np.bitwise_xor(labels_hat, labels)].sum(axis=-1)
+        moments.add(errs / (m * mod.u))
+        done += b
+    return moments.result(m * mod.u)
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from adhocmimo.dprc import (
     stage1,
     stage2,
 )
+from adhocmimo.link_abstraction import RateTable
 from adhocmimo.network_opt import maximize_sum_throughput, sinr_in_all
 from adhocmimo.radio_env import Topology, path_gain, sample_topology, total_noise_power
 from adhocmimo.rng import substream
@@ -330,6 +331,28 @@ def test_dprc_batch_members_match_batches_of_one(params, table_cache):
             np.testing.assert_array_equal(rev_sums[::-1], sums)
             for a, b in zip(rev_states[::-1], states):
                 _assert_same_state(a, b)
+
+
+def test_empty_rate_table_reads_zero(params, table_cache):
+    # a table in which no mode met the BER target puts every pair in outage,
+    # alone or batched, and leaves a shipped table's member unchanged
+    empty = RateTable(n_rx=4, impaired=False, grid_step_db=0.1, entries=())
+    shipped = table_cache(4, "ideal")
+    topo = sample_topology(3, params, substream(0, "empty-table"))
+
+    def rngs(n):
+        return [substream(0, "empty-table-rng", i) for i in range(n)]
+
+    _, dprc_alone = run_dprc([topo], [empty], params, rngs(1))
+    _, mst_alone = maximize_sum_throughput([topo], [empty], params, seeds=[0])
+    assert dprc_alone[0] == 0.0 and mst_alone[0] == 0.0
+    states, dprc_sums = run_dprc([topo, topo], [empty, shipped], params, rngs(2))
+    (ref,), ref_sum = run_dprc([topo], [shipped], params, rngs(2)[1:])
+    _assert_same_state(states[1], ref)
+    assert dprc_sums[0] == 0.0 and dprc_sums[1] == ref_sum[0] > 0.0
+    _, mst = maximize_sum_throughput([topo, topo], [empty, shipped], params, seeds=[0, 1])
+    _, mst_ref = maximize_sum_throughput([topo], [shipped], params, seeds=[1])
+    assert mst[0] == 0.0 and mst[1] == mst_ref[0] > 0.0
 
 
 def test_dprc_batch_input_validation(params, table_cache):

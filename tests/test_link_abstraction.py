@@ -10,23 +10,27 @@ from hypothesis import given, strategies as st
 from scipy.special import erfc
 
 from adhocmimo.config import SystemParams, db_to_linear
+from adhocmimo.impairment_model import RFO_EPS_LIMIT, rfo_std, sinr_after_rfo
 from adhocmimo.link_abstraction import (
     FLAG_SETS,
     ImpairmentFlags,
     RateEntry,
     RateTable,
+    _ber_given_stats,
+    _ber_per_draw,
+    _detection_stats,
     ber_end_to_end,
     build_rate_table,
-    conditional_ber,
     make_mod_scheme,
     mmse_weights,
     select_mode,
     table_build_key,
     training_length,
 )
-from adhocmimo.mc_oracle import simulate_conditional_ber
 from adhocmimo.network_opt import rate_indices, stack_tables
 from adhocmimo.rng import complex_normal, substream
+
+from conftest import CACHE_DIR, conditional_ber, simulate_conditional_ber
 
 
 def q_func(x: float) -> float:
@@ -154,6 +158,82 @@ def test_conditional_ber_matches_oracle():
     oracle = simulate_conditional_ber(h, h_hat, s, mod, 200_000, rng)
     ber = conditional_ber(h, h_hat, s, mod)
     assert abs(ber - oracle.ber) <= 0.03 * oracle.ber
+
+
+def _ber_given_stats_by_label(s_diag, sigma2, mod):
+    """Brute-force reference for the orbit kernel: every (label, axis) pair
+    integrates its own decision regions, one Q evaluation per edge."""
+    sig = np.maximum(np.sqrt(np.maximum(sigma2, 0.0) / 2.0), 1e-300)
+    edges = mod.re_levels[:-1] + mod.half_step
+    axes = [(np.real, mod.re_index, mod.re_gray)]
+    if mod.has_im_axis:
+        axes.append((np.imag, mod.im_index, mod.im_gray))
+    acc = np.zeros(s_diag.shape)
+    for label, z in enumerate(mod.points):
+        for part, level_index, gray in axes:
+            tail = q_func((edges - part(s_diag * z)[..., None]) / sig[..., None])
+            upper = np.concatenate([np.ones(acc.shape + (1,)), tail], axis=-1)
+            lower = np.concatenate([tail, np.zeros(acc.shape + (1,))], axis=-1)
+            flips = [bin(int(g) ^ int(gray[level_index[label]])).count("1") for g in gray]
+            acc += (upper - lower) @ np.array(flips, dtype=float)
+    return (acc / (len(mod.points) * mod.u)).mean(axis=-1)
+
+
+# SINR per bits/symbol at which every draw's BER sits well above the
+# round-off of a region probability, so rtol=1e-12 compares the kernels
+_KERNEL_SINR_DB = {1: -3.0, 2: 0.0, 4: 6.0, 6: 12.0}
+
+
+@pytest.mark.parametrize("u", [1, 2, 4, 6])
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("estimated", [False, True], ids=["hermitian", "complex"])
+def test_orbit_kernel_matches_per_label_reference(u, m, estimated):
+    # h_hat = h gives a real (Hermitian) diagonal gain; an estimate error
+    # makes it complex, which exercises the Im(s z) = Re(s (-i z)) identity
+    mod = make_mod_scheme(u)
+    s = db_to_linear(_KERNEL_SINR_DB[u])
+    rng = substream(u, "orbit-kernel", m)
+    h = complex_normal(rng, (200, 4, m))
+    h_hat = h + 0.3 * complex_normal(rng, h.shape) if estimated else h
+    s_diag, sigma2 = _detection_stats(h, h_hat, s)
+    assert (np.abs(s_diag.imag).max() > 1e-3) == estimated
+    np.testing.assert_allclose(
+        _ber_given_stats(s_diag, sigma2, mod),
+        _ber_given_stats_by_label(s_diag, sigma2, mod), rtol=1e-12)
+
+
+def test_orbit_kernel_keeps_bpsk_tail_precision():
+    # with a real gain the BPSK BER is Q(s / sigma); the representative's
+    # error region lies above its mean, so even a 1e-25 BER keeps full
+    # relative precision (a region probability formed as 1 - Q near 1
+    # would round to a multiple of 1e-16)
+    mod = make_mod_scheme(1)
+    s_diag = np.array([[0.9 + 0.0j], [0.99 + 0.0j]])
+    sigma2 = np.array([[0.02], [0.0002]])
+    want = q_func(s_diag.real / np.sqrt(sigma2 / 2.0))[:, 0]
+    assert want.min() < 1e-20
+    np.testing.assert_allclose(_ber_given_stats(s_diag, sigma2, mod), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("quad_order", [15, 16])
+def test_folded_quadrature_matches_full_node_sum(params, quad_order):
+    # the offset integrand is even, so the non-negative nodes with mirrored
+    # weights give the sum over every node
+    mod = make_mod_scheme(4)
+    flags = ImpairmentFlags(phase_noise=False, rfo=True, channel_est=True)
+    rng = substream(8, "fold")
+    h = complex_normal(rng, (300, 2, 2))
+    e_raw = complex_normal(rng, h.shape)
+    sinr = db_to_linear(12.0)
+    nodes, weights = np.polynomial.hermite.hermgauss(quad_order)
+    eps = np.clip(math.sqrt(2.0) * rfo_std(sinr, params.ns) * nodes,
+                  -RFO_EPS_LIMIT, RFO_EPS_LIMIT)
+    full = np.zeros(h.shape[0])
+    for w_node, s_node in zip(weights / math.sqrt(math.pi), sinr_after_rfo(sinr, eps)):
+        h_hat = h + math.sqrt(2 / (training_length(2) * s_node)) * e_raw
+        full += w_node * _ber_given_stats(*_detection_stats(h, h_hat, s_node), mod)
+    folded = _ber_per_draw(sinr, h, e_raw, mod, flags, params, quad_order)
+    np.testing.assert_allclose(folded, full, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +486,16 @@ def test_build_rate_table_impairments_shift_thresholds_up(params):
     assert shared
     for e in shared:
         assert e.threshold_db >= ideal_by_mode[(e.m, e.u)]
+
+
+@pytest.mark.parametrize("name", ["N1_ideal", "N1_imp", "N2_imp"])
+def test_rebuilt_fixture_tables_are_byte_identical(params, tmp_path, name):
+    # the BER kernel and the quadrature reproduce the shipped tables
+    n_rx, flags = name.split("_")
+    table = build_rate_table(int(n_rx[1:]), FLAG_SETS[flags], params)
+    path = tmp_path / f"rates_{name}.json"
+    table.save(path)
+    assert path.read_bytes() == (CACHE_DIR / path.name).read_bytes()
 
 
 def test_cached_tables_structure(table_cache):

@@ -8,14 +8,11 @@ import pytest
 from scipy.special import erfc
 
 from adhocmimo.config import db_to_linear
-from adhocmimo.link_abstraction import conditional_ber, make_mod_scheme
-from adhocmimo.mc_oracle import (
-    OracleConfig,
-    demap,
-    simulate_conditional_ber,
-    simulate_link_ber,
-)
+from adhocmimo.link_abstraction import make_mod_scheme
+from adhocmimo.mc_oracle import OracleConfig, demap, simulate_link_ber
 from adhocmimo.rng import complex_normal, substream
+
+from conftest import conditional_ber, simulate_conditional_ber
 
 
 def test_oracle_config_validation():
@@ -48,6 +45,17 @@ def test_demap_matches_brute_force_scan():
     got = demap(y, mod)
     for yi, gi in zip(y, got):
         assert gi == int(np.argmin(np.abs(yi - mod.points) ** 2))
+
+
+@pytest.mark.parametrize("u", [1, 2, 4, 6])
+def test_demap_slicer_matches_argmin(u):
+    # per-axis slicing picks the nearest point that an argmin over all
+    # points picks, from deep inside the grid to far outside it
+    mod = make_mod_scheme(u)
+    y = complex_normal(substream(u, "demap-slicer"), (100_000,)) * 1.5
+    want = np.argmin(np.abs(y[:, None] - mod.points) ** 2, axis=-1)
+    np.testing.assert_array_equal(demap(y, mod), want)
+    np.testing.assert_array_equal(demap(y.reshape(250, 400), mod), want.reshape(250, 400))
 
 
 def test_conditional_oracle_bpsk_awgn():
