@@ -19,6 +19,12 @@ read forward or mirrored, serve four uses each (Cho & Yoon, IEEE TCOM 2002):
 one Q evaluation per (representative, edge). The offset SINR is even in the
 offset and numpy's Gauss-Hermite nodes are symmetric, so the quadrature runs
 over the non-negative nodes with mirrored weights added.
+
+The MMSE rows take the push-through form (H^H H + I/sinr)^-1 H^H, an M x M
+system, never larger than the N x N one of H^H (H H^H + I/sinr)^-1. They are
+found by Gauss-Jordan elimination without pivoting (the matrix is Hermitian
+positive definite), with the batch of channels on the last axis, so each
+elimination step is one vectorized pass instead of one LAPACK call per draw.
 """
 
 from __future__ import annotations
@@ -173,17 +179,31 @@ def training_length(m: int) -> int:
 
 
 def mmse_weights(h_hat: np.ndarray, sinr_rfo) -> np.ndarray:
-    """Linear MMSE detector rows for the channel estimate:
-    W = H^H (H H^H + (1/sinr) I)^-1. Supports stacked (..., N, M) inputs and
-    a per-batch sinr array."""
+    """Linear MMSE detector rows for the channel estimate,
+    W = (H^H H + (1/sinr) I)^-1 H^H: Gauss-Jordan elimination of
+    [H^H H + I/sinr | H^H] with the stack on the last axis. Supports stacked
+    (..., N, M) inputs and a per-batch sinr array; returns (..., M, N)."""
     h_hat = np.asarray(h_hat)
-    n = h_hat.shape[-2]
-    nu = 1.0 / np.asarray(sinr_rfo, dtype=float)
-    gram = h_hat @ np.swapaxes(h_hat.conj(), -1, -2)
-    idx = np.arange(n)
-    gram[..., idx, idx] += nu[..., None] if nu.ndim else nu
-    solved = np.linalg.solve(gram, h_hat)       # (..., N, M) = A^-1 H
-    return np.swapaxes(solved.conj(), -1, -2)   # (..., M, N)
+    *batch, n, m = h_hat.shape
+    nu = np.broadcast_to(1.0 / np.asarray(sinr_rfo, dtype=float), batch).reshape(-1)
+    aug = np.empty((m, m + n, nu.size), dtype=complex)
+    h_herm = aug[:, m:]                                        # (M, N, B)
+    h_last = np.moveaxis(h_hat.reshape(-1, n, m), 0, -1)      # (N, M, B)
+    np.conjugate(h_last.swapaxes(0, 1), out=h_herm)
+    h_cols = h_herm.conj()
+    for i in range(m):
+        for j in range(i, m):
+            aug[i, j] = (h_herm[i] * h_cols[j]).sum(axis=0)
+            aug[j, i] = aug[i, j].conj()
+        aug[i, i] += nu
+    for k in range(m):
+        # columns left of k are already eliminated; the pivot column is not read again
+        row = aug[k, k + 1:]
+        row /= aug[k, k].real
+        for i in range(m):
+            if i != k:
+                aug[i, k + 1:] -= aug[i, k] * row
+    return np.moveaxis(h_herm, -1, 0).reshape(*batch, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +290,12 @@ def _gh_nodes(quad_order: int):
     return nodes[half:], folded / math.sqrt(math.pi)
 
 
+def _check_sizes(n_draws, quad_order) -> None:
+    for name, value in (("n_draws", n_draws), ("quad_order", quad_order)):
+        if not value >= 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _ber_per_draw(sinr_in, h, e_raw, mod, flags: ImpairmentFlags,
                   params: SystemParams, quad_order: int):
     """The impairment chain at a positive input SINR, one BER per channel
@@ -320,6 +346,7 @@ def ber_end_to_end(
         raise ValueError("sinr_in must be non-negative")
     if m > n:
         raise ValueError("stream count cannot exceed receive antennas")
+    _check_sizes(n_draws, quad_order)
     if sinr_in == 0:
         return 0.5, 0.0
     rng = rng if rng is not None else substream(0, "ber-end-to-end")
@@ -487,6 +514,7 @@ def build_rate_table(
     Modes that fail the target everywhere on the grid are omitted.
     """
     build = table_build_key(params, **settings)
+    _check_sizes(build["n_draws"], build["quad_order"])
     lo_db, step_db = build["sinr_lo_db"], build["grid_step_db"]
     n_grid = int(round((build["sinr_hi_db"] - lo_db) / step_db)) + 1
     grid_db = np.round(lo_db + step_db * np.arange(n_grid), 9)

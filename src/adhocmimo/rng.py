@@ -33,7 +33,10 @@ def derive_seed(master_seed: int, purpose: str, index: int = 0) -> int:
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly symmetric complex Gaussian draws with unit variance per entry."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / math.sqrt(2.0)
+    """Circularly symmetric complex Gaussian draws with unit variance per entry,
+    assembled in place: every real part is drawn before any imaginary part."""
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z /= math.sqrt(2.0)
+    return z

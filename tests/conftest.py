@@ -1,7 +1,8 @@
 """Shared fixtures: system parameters and the shipped rate-table cache, plus
 the single-channel BER helpers the link and oracle tests compare: the
 analytic conditional BER and its symbol-level simulation on one frozen
-channel.
+channel. The LAPACK form of the MMSE detector is kept here as the
+reference for the elimination kernel.
 
 Rate tables are expensive to build, so prebuilt copies live as JSON under
 tests/data/tables, built at the default table build key (seed 0, 2000
@@ -53,6 +54,19 @@ def table_rates(table: RateTable, sinr) -> np.ndarray:
     network layer's rate lookup."""
     thresholds, rates = stack_tables([table])
     return rates[0, rate_indices(np.asarray(sinr, dtype=float)[None], thresholds)[0]]
+
+
+def mmse_weights_reference(h_hat: np.ndarray, sinr_rfo) -> np.ndarray:
+    """The MMSE detector rows as W = H^H (H H^H + (1/sinr) I)^-1, one LAPACK
+    solve per stacked (N, N) system."""
+    h_hat = np.asarray(h_hat)
+    n = h_hat.shape[-2]
+    nu = 1.0 / np.asarray(sinr_rfo, dtype=float)
+    gram = h_hat @ np.swapaxes(h_hat.conj(), -1, -2)
+    idx = np.arange(n)
+    gram[..., idx, idx] += nu[..., None] if nu.ndim else nu
+    solved = np.linalg.solve(gram, h_hat)       # (..., N, M) = A^-1 H
+    return np.swapaxes(solved.conj(), -1, -2)   # (..., M, N)
 
 
 def conditional_ber(

@@ -30,7 +30,12 @@ from adhocmimo.link_abstraction import (
 from adhocmimo.network_opt import rate_indices, stack_tables
 from adhocmimo.rng import complex_normal, substream
 
-from conftest import CACHE_DIR, conditional_ber, simulate_conditional_ber
+from conftest import (
+    CACHE_DIR,
+    conditional_ber,
+    mmse_weights_reference,
+    simulate_conditional_ber,
+)
 
 
 def q_func(x: float) -> float:
@@ -102,6 +107,29 @@ def test_mmse_weights_batched_matches_loop():
     batched = mmse_weights(h, s)
     for i in range(5):
         np.testing.assert_allclose(batched[i], mmse_weights(h[i], s[i]), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, n + 1)])
+def test_mmse_weights_match_lapack_reference(n, m):
+    # Both forms are exact up to round-off scaled by the condition number of
+    # the system each solves; kappa = 1 + sinr |H|_F^2 bounds both the
+    # (N, N) and the (M, M) one. Measured differences stay below 2.1 eps kappa
+    # of the largest weight, for every (n, m) here, with SINR up to 1e5.
+    rng = substream(0, "mmse-reference", 10 * n + m)
+    sinr = np.logspace(-2, 5, 15)
+    cases = [((), 1e-2), ((), 1e5), ((15,), sinr), ((4, 15), sinr), ((4, 15), 30.0)]
+    for shape, s in cases:
+        h = complex_normal(rng, shape + (n, m))
+        got, want = mmse_weights(h, s), mmse_weights_reference(h, s)
+        assert got.shape == want.shape == shape + (m, n)
+        kappa = 1.0 + np.asarray(s) * np.sum(np.abs(h) ** 2, axis=(-1, -2))
+        scale = np.max(np.abs(want), axis=(-1, -2))
+        diff = np.max(np.abs(got - want), axis=(-1, -2))
+        assert np.all(diff <= 16 * np.finfo(float).eps * kappa * scale)
+    empty = np.zeros((0, n, m), dtype=complex)
+    for s in (2.0, np.ones(0)):
+        assert mmse_weights(empty, s).shape == (0, m, n)
+        assert mmse_weights_reference(empty, s).shape == (0, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +322,16 @@ def test_ber_end_to_end_rejects_bad_sinr(params):
         with pytest.raises(ValueError):
             ber_end_to_end(bad, 1, 1, make_mod_scheme(1), ImpairmentFlags.all(),
                            params)
+
+
+@pytest.mark.parametrize("name", ["n_draws", "quad_order"])
+def test_bad_sizes_rejected_at_the_library_boundary(params, name):
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=name):
+            ber_end_to_end(10.0, 1, 1, make_mod_scheme(2), ImpairmentFlags.all(),
+                           params, **{name: bad})
+        with pytest.raises(ValueError, match=name):
+            build_rate_table(1, ImpairmentFlags.all(), params, **{name: bad})
 
 
 def test_ber_end_to_end_zero_sinr_is_coin_flip(params):

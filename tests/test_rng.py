@@ -1,6 +1,8 @@
 """Named-substream determinism, independence, and complex Gaussian
 statistics."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -61,3 +63,16 @@ def test_complex_normal_shape():
     rng = substream(0, "shape")
     assert complex_normal(rng, (3, 4)).shape == (3, 4)
     assert complex_normal(rng, ()).shape == ()
+
+
+@pytest.mark.parametrize(
+    "shape", [(20000, 1, 1), (2000, 4, 4), (20000, 1), (7,), 5, ()])
+def test_complex_normal_keeps_the_draws_of_the_out_of_place_formula(shape):
+    got_rng, want_rng = substream(4, "draws"), substream(4, "draws")
+    got = complex_normal(got_rng, shape)
+    re = want_rng.standard_normal(shape)
+    im = want_rng.standard_normal(shape)
+    want = np.asarray((re + 1j * im) / math.sqrt(2.0))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
