@@ -16,7 +16,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -193,6 +192,9 @@ def _map_tasks(fn, tasks: list, jobs: int) -> list:
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(t) for t in tasks]
+    # imported here, so that a serial run never loads the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 

@@ -36,7 +36,6 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc
 
 from .config import SystemParams, db_to_linear
 from .impairment_model import RFO_EPS_LIMIT, rfo_std, sinr_after_rfo, sinr_baseband
@@ -61,8 +60,17 @@ __all__ = [
 _D_BY_U = {1: 1, 2: 2, 4: 10, 6: 42}
 
 
+def erfc(x):
+    """scipy's complementary error function, imported at the first call so
+    that the network scenarios, which compute no BER, never load scipy."""
+    from scipy.special import erfc as scipy_erfc
+
+    return scipy_erfc(x)
+
+
 def _q(x):
-    """Gaussian tail probability."""
+    """Gaussian tail probability. erfc is looked up at call time, so a
+    wrapper bound to this module's name sees every call."""
     return 0.5 * erfc(x / math.sqrt(2.0))
 
 

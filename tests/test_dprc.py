@@ -101,6 +101,19 @@ def test_best_response_matches_brute_force():
         assert abs(best - brute) <= step + 1e-9
 
 
+def test_sigmoid_utility_matches_scipy_expit():
+    from scipy.special import expit
+
+    sinr = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 100_000 - 1)])
+    got = sigmoid_utility(sinr, 0.0)
+    want = expit(dprc.SIGMOID_A * (sinr - dprc.BETA))
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+    assert sigmoid_utility(dprc.BETA, 0.0) == 0.5
+    # far below beta exp(-x) overflows; the sigmoid reads 0 without a warning
+    with np.errstate(all="raise"):
+        assert sigmoid_utility(-1e4, 0.0) == 0.0
+
+
 def utility_gain(p_from, p_to, ieff):
     """U(p_to) - U(p_from) for SINR p / ieff, written so that it does not
     subtract two utilities near 1: the sigmoid difference uses

@@ -2,6 +2,7 @@
 layout, and reproducibility of the written artifacts."""
 
 import ast
+import concurrent.futures
 import hashlib
 import json
 import shutil
@@ -475,7 +476,8 @@ def test_process_fan_out_is_capped(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # _map_tasks imports the pool class only when it fans out
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     assert cli._map_tasks(abs, [-1, -2, -3], 10_000) == [1, 2, 3]
     assert cli._map_tasks(abs, list(range(-20, 0)), 10_000) == list(range(20, 0, -1))
@@ -521,13 +523,31 @@ def test_run_experiment_returns_written_paths(tmp_path):
 # package surface
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # the quadrature module (with scipy.optimize, sparse and spatial behind
-    # it) costs start-up time and nothing on the CLI path needs it
-    code = "import sys, adhocmimo.experiments_cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+def test_network_scenarios_load_no_scipy_and_no_process_pool(tmp_path):
+    # scipy is needed only where a BER is computed, and the process pool only
+    # at --jobs > 1; the import and the network scenarios on cached tables
+    # must load neither (scipy.special alone is most of the start-up time)
+    out = tmp_path / "out"
+    seed_tables(out)
+    code = f"""
+import sys
+from adhocmimo import experiments_cli as cli
+
+def heavy():
+    return sorted(m for m in sys.modules
+                  if m.startswith("scipy") or m == "concurrent.futures.process")
+
+print("loaded", heavy())
+for scenario in ("mst-sweep", "loss-ratio", "dprc-sweep"):
+    status = cli.main([scenario, "--k", "2", "--trials", "2", "--jobs", "1",
+                       "--out", {str(out)!r}])
+    print("loaded", scenario, status, heavy())
+"""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    loaded = [line for line in run.stdout.splitlines() if line.startswith("loaded ")]
+    assert loaded == ["loaded []", "loaded mst-sweep 0 []", "loaded loss-ratio 0 []",
+                      "loaded dprc-sweep 0 []"]
 
 
 def readme_quick_start() -> str:

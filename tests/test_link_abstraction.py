@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import erfc
 
+from adhocmimo import link_abstraction
 from adhocmimo.config import SystemParams, db_to_linear
 from adhocmimo.impairment_model import RFO_EPS_LIMIT, rfo_std, sinr_after_rfo
 from adhocmimo.link_abstraction import (
@@ -305,6 +306,29 @@ def test_ber_end_to_end_rfo_point_mass_limit():
     without, _ = ber_end_to_end(s, 2, 2, mod, ImpairmentFlags.none(), huge,
                                 n_draws=300, rng=substream(4, "limit"))
     assert with_rfo == pytest.approx(without, rel=1e-9)
+
+
+def test_erfc_is_scipys_and_every_q_call_goes_through_the_module_name(params, monkeypatch):
+    # the benchmark's tracer counts BER work by wrapping link_abstraction.erfc
+    x = substream(7, "erfc").normal(0.0, 3.0, size=(40, 25))
+    np.testing.assert_array_equal(link_abstraction.erfc(x), erfc(x))
+
+    seen = {"q": [0, 0], "erfc": [0, 0]}
+
+    def counting(key, fn):
+        def wrapped(arg):
+            seen[key][0] += 1
+            seen[key][1] += np.size(arg)
+            return fn(arg)
+        return wrapped
+
+    monkeypatch.setattr(link_abstraction, "_q", counting("q", link_abstraction._q))
+    monkeypatch.setattr(link_abstraction, "erfc", counting("erfc", link_abstraction.erfc))
+    flags = ImpairmentFlags(phase_noise=True, rfo=True, channel_est=True)
+    ber_end_to_end(db_to_linear(15.0), 2, 2, make_mod_scheme(4), flags, params,
+                   n_draws=50, rng=substream(7, "hook"))
+    assert seen["q"][0] > 0
+    assert seen["erfc"] == seen["q"]
 
 
 def test_ber_end_to_end_quadrature_order_stable(params):
