@@ -110,19 +110,7 @@ class SystemParams:
 
     def to_config_dict(self) -> dict:
         """External-unit view of the parameters, round-trips via from_mapping."""
-        return {
-            "d0_m": self.d0_m,
-            "lp_d0_db": self.lp_d0_db,
-            "alpha": self.alpha,
-            "eta_n_dbm_hz": self.eta_n_dbm_hz,
-            "ws_hz": self.ws_hz,
-            "ns": self.ns,
-            "f_n_db": self.f_n_db,
-            "f_ici_dbc": self.f_ici_dbc,
-            "gamma_ber": self.gamma_ber,
-            "r_base_bps": self.r_base_bps,
-            "p_t_dbm": self.p_t_dbm,
-        }
+        return {key: getattr(self, key) for key in _CONFIG_KEYS}
 
 
 # external key -> (internal target, converter from file value)

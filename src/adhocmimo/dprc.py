@@ -10,7 +10,9 @@ its power so its SINR lands on the threshold of the best rate it currently
 clears. Step 3 reads the final rates off the table.
 
 The stages and run_dprc take a batch of members with the same pair count
-and run them as one (M, K) array; a single run is a batch of one.
+and run them as one (M, K) array; a single run is a batch of one. Each
+stage returns its per-round history, so a run's trace is a slice of the
+batch's arrays.
 """
 
 from __future__ import annotations
@@ -49,14 +51,15 @@ BETA = GAMMA_SIG - math.log(SIGMOID_A * GAMMA_SIG - 1.0) / SIGMOID_A
 
 @dataclass
 class DprcState:
-    """Final powers and selected rate indices (0 = silent). A traced
-    member's history holds its (powers, sinr, rate index) after every round
-    of stage 1 and then stage 2, each of shape (2 * ROUNDS, K); it is None
-    for untraced members."""
+    """A batch's final (M, K) powers and selected rate indices (0 = silent),
+    and its history: (powers, sinr, rate index) after every round of stage 1
+    and then stage 2, each of shape (M, 2 * ROUNDS, K). A stage-1 row's rate
+    index is the one its SINR clears; a stage-2 row's is the one its round
+    aimed at, which the previous row's SINR clears."""
 
     p: np.ndarray
     r: np.ndarray
-    history: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    history: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def sigmoid_utility(sinr, p):
@@ -106,14 +109,6 @@ def best_response_power(ieff, p_t: float):
     return float(p[0]) if x.ndim == 0 else p.reshape(x.shape)
 
 
-def _per_member(values, m: int, name: str) -> list:
-    """The sequence values as a list, which must hold one entry per member."""
-    values = list(values)
-    if len(values) != m:
-        raise ValueError(f"{name} must have one entry per topology")
-    return values
-
-
 def _effective_interference(p: np.ndarray, rho: np.ndarray, noise_mw: float):
     """Per-pair (interference + noise) / own gain, the ieff of the game, for
     (M, K) powers against (M, K, K) gains."""
@@ -124,39 +119,23 @@ def _effective_interference(p: np.ndarray, rho: np.ndarray, noise_mw: float):
 
 
 def stage1(
-    topos: Sequence[Topology],
-    tables: Sequence[RateTable],
-    params: SystemParams,
-    rngs: Sequence[np.random.Generator],
-    *,
-    trace: list | None = None,
-    traced=None,
-) -> np.ndarray:
-    """Synchronous best-response power game over a batch: equal-length
-    sequences of topologies (one K), tables and generators play M games as
-    one (M, K) array. Each member starts from p_i(0) = u_i * P_T drawn from
-    its own generator; every round, all pairs play the closed-form best
-    response to the interference of the previous round. Returns the (M, K)
-    powers after ROUNDS rounds.
-
-    With a trace list, every round appends (powers, sinr, rate index) of
-    the members indexed by traced (default all), each (traced, K); the
-    tables only give those rate indices."""
-    rho = stack_gains(topos)
-    m, k = rho.shape[:2]
-    rngs = _per_member(rngs, m, "rngs")
-    sel = np.arange(m) if traced is None else np.asarray(traced, dtype=np.intp)
-    rho_sel = rho[sel]
-    thr_sel = stack_tables(_per_member(tables, m, "tables"))[0][sel]
+    rho: np.ndarray, params: SystemParams, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Synchronous best-response power game over a batch: (M, K, K) stacked
+    gains and M generators play M games as one (M, K) array. Each member
+    starts from p_i(0) = u_i * P_T drawn from its own generator; every
+    round, all pairs play the closed-form best response to the interference
+    of the previous round. Returns the powers and SINRs after each of the
+    ROUNDS rounds, each (M, ROUNDS, K)."""
     p_t = params.p_t_mw
     noise_mw = total_noise_power(params)
-    p = np.stack([g.uniform(0.0, 1.0, size=k) for g in rngs]) * p_t
+    p = np.stack([g.uniform(0.0, 1.0, size=rho.shape[-1]) for g in rngs]) * p_t
+    powers, sinrs = [], []
     for _ in range(ROUNDS):
         p = best_response_power(_effective_interference(p, rho, noise_mw), p_t)
-        if trace is not None:
-            sinr = sinr_in_all(p[sel, None], rho_sel, noise_mw)[:, 0]
-            trace.append((p[sel], sinr, rate_indices(sinr, thr_sel)))
-    return p
+        powers.append(p)
+        sinrs.append(sinr_in_all(p[:, None], rho, noise_mw)[:, 0])
+    return np.stack(powers, axis=1), np.stack(sinrs, axis=1)
 
 
 # stage 2 lands a pair this hair above its threshold: the SINR recomputed at
@@ -166,32 +145,22 @@ _LANDING_MARGIN = 1.0 + 1e-13
 
 
 def stage2(
-    p0: np.ndarray,
-    topos: Sequence[Topology],
-    tables: Sequence[RateTable],
-    params: SystemParams,
-    *,
-    trace: list | None = None,
-    traced=None,
-) -> list[DprcState]:
-    """Threshold tracking over a batch: (M, K) starting powers, and
-    equal-length sequences of topologies (one K) and tables. In each of
+    p0: np.ndarray, rho: np.ndarray, thr: np.ndarray, params: SystemParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Threshold tracking over a batch: (M, K) starting powers, (M, K, K)
+    stacked gains and the (M, T) thresholds of stack_tables. In each of
     ROUNDS rounds, every pair picks the best rate its SINR clears and
     rescales power to sit just above that rate's threshold. Pairs clearing
     no threshold keep their power untouched; powers stay in [0, P_T].
-    Returns one state per member, without history.
-
-    A trace list receives (powers, sinr, rate index) rows as in stage1."""
-    rho = stack_gains(topos)
-    m = rho.shape[0]
-    thr = stack_tables(_per_member(tables, m, "tables"))[0]
-    rows = np.arange(m)[:, None]
-    sel = np.arange(m) if traced is None else np.asarray(traced, dtype=np.intp)
-    rho_sel = rho[sel]
+    Returns the powers and SINRs after each round and the rate index each
+    round aimed at, each (M, ROUNDS, K). A round aims at the rate index of
+    the SINR it starts from, which is the previous round's."""
+    rows = np.arange(rho.shape[0])[:, None]
     noise_mw = total_noise_power(params)
     p = np.array(p0, dtype=float)
+    sinr = sinr_in_all(p[:, None], rho, noise_mw)[:, 0]
+    powers, sinrs, aims = [], [], []
     for _ in range(ROUNDS):
-        sinr = sinr_in_all(p[:, None], rho, noise_mw)[:, 0]
         r = rate_indices(sinr, thr)
         active = (r > 0) & (p > 0)
         landing = thr[rows, np.maximum(r - 1, 0)]
@@ -199,11 +168,11 @@ def stage2(
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(active, target / np.maximum(sinr, 1e-300), 1.0)
         p = np.clip(p * ratio, 0.0, params.p_t_mw)
-        if trace is not None:
-            sinr_sel = sinr_in_all(p[sel, None], rho_sel, noise_mw)[:, 0]
-            trace.append((p[sel], sinr_sel, r[sel]))
-    r = rate_indices(sinr_in_all(p[:, None], rho, noise_mw)[:, 0], thr)
-    return [DprcState(p=p[j], r=r[j]) for j in range(m)]
+        sinr = sinr_in_all(p[:, None], rho, noise_mw)[:, 0]
+        powers.append(p)
+        sinrs.append(sinr)
+        aims.append(r)
+    return np.stack(powers, axis=1), np.stack(sinrs, axis=1), np.stack(aims, axis=1)
 
 
 def run_dprc(
@@ -211,30 +180,29 @@ def run_dprc(
     tables: Sequence[RateTable],
     params: SystemParams,
     rngs: Sequence[np.random.Generator],
-    *,
-    trace: bool | Sequence[bool] = False,
-) -> tuple[list[DprcState], np.ndarray]:
+) -> tuple[DprcState, np.ndarray]:
     """Full algorithm over a batch: equal-length sequences of topologies
     (all with the same K), tables and generators run M members through the
     power game, threshold tracking against each member's table, and the
-    final per-pair mode pick, as one (M, K) array. Returns the M final
-    states and the (M,) sum throughputs (bits/s). trace is one bool or one
-    per member; only traced members keep a history. Each member draws only
-    from its own generator, so its result is bit-identical in any batch.
+    final per-pair mode pick, as one (M, K) array. Returns the batch's final
+    state, history included, and the (M,) sum throughputs (bits/s). Each
+    member draws only from its own generator, so its result is
+    bit-identical in any batch.
     """
-    topos = list(topos)
-    m = len(topos)
-    tables = _per_member(tables, m, "tables")
-    flags = [trace] * m if np.ndim(trace) == 0 else _per_member(trace, m, "trace")
-    traced = np.flatnonzero(flags)
-    rows: list | None = [] if traced.size else None
-    p1 = stage1(topos, tables, params, rngs, trace=rows, traced=traced)
-    states = stage2(p1, topos, tables, params, trace=rows, traced=traced)
-    if rows:
-        p, sinr, r = (np.stack(column, axis=1) for column in zip(*rows))
-        for i, j in enumerate(traced):
-            states[j].history = (p[i], sinr[i], r[i])
-    # step 3: stage2's closing rate indices are the table lookup at the
-    # final powers, so the rates are read off them
-    rates = stack_tables(tables)[1]
-    return states, rates[np.arange(m)[:, None], [s.r for s in states]].sum(axis=-1)
+    tables, rngs = list(tables), list(rngs)
+    rho = stack_gains(topos)
+    m = rho.shape[0]
+    if not m == len(tables) == len(rngs):
+        raise ValueError("topos, tables and rngs must have one length")
+    thr, rates = stack_tables(tables)
+    p1, sinr1 = stage1(rho, params, rngs)
+    p2, sinr2, r2 = stage2(p1[:, -1], rho, thr, params)
+    # step 3: the rates are read off the table at the final powers
+    r = rate_indices(sinr2[:, -1], thr)
+    history = (
+        np.concatenate([p1, p2], axis=1),
+        np.concatenate([sinr1, sinr2], axis=1),
+        np.concatenate([rate_indices(sinr1, thr), r2], axis=1),
+    )
+    state = DprcState(p=p2[:, -1], r=r, history=history)
+    return state, rates[np.arange(m)[:, None], r].sum(axis=-1)

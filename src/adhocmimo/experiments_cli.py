@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, SystemParams, linear_to_db, db_to_linear, mw_to_dbm
-from .dprc import DprcState, run_dprc
+from .dprc import run_dprc
 from .impairment_model import sinr_baseband
 from .link_abstraction import (
     FLAG_SETS,
@@ -209,10 +209,9 @@ class _Chunk(NamedTuple):
     trials: range
 
 
-def _trace_rows(state: DprcState, table: RateTable) -> list[list]:
-    """A traced member's trace CSV rows, one per (round, pair), converted to
-    dBm and dB as whole (rounds, K) history arrays."""
-    p, sinr, r = state.history
+def _trace_rows(p, sinr, r, table: RateTable) -> list[list]:
+    """One member's trace CSV rows, one per (round, pair), from its
+    (rounds, K) history arrays, converted to dBm and dB as whole arrays."""
     with np.errstate(divide="ignore"):
         power_dbm = np.where(p > 0, mw_to_dbm(p), -np.inf).tolist()
         sinr_db = np.where(sinr > 0, linear_to_db(sinr), -np.inf).tolist()
@@ -231,7 +230,8 @@ def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, list[list]]]:
     Every (trial, table) member of the chunk runs in one batched call per
     algorithm. For dprc-sweep, run_dprc comes first and its allocations
     warm-start the GA, so elitism guarantees distributed <= centralized;
-    members of the first trace_trials trials keep their per-round history.
+    members of the first trace_trials trials write their slice of the
+    batch's per-round history.
     Flag sets share the GA seed of their (trial, K, n_rx), so loss shares
     compare the same search.
     """
@@ -245,21 +245,21 @@ def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, list[list]]]:
         for trial, topo in zip(trials, topos)
         for (n_rx, name), table in tables
     ]
-    trial_m, topo_m, _, _, table_m = zip(*members)
+    _, topo_m, _, _, table_m = zip(*members)
     sums, traces, warm = [], {}, None
     if spec.scenario == "dprc-sweep":
         rngs = [
             substream(derive_seed(spec.seed, f"dprc-k{k}-n{n_rx}-{name}"), "dprc", trial)
             for trial, _, n_rx, name, _ in members
         ]
-        traced = [trial < spec.trace_trials for trial in trial_m]
-        states, dprc_bps = run_dprc(topo_m, table_m, spec.params, rngs, trace=traced)
-        warm = [state.p for state in states]
+        state, dprc_bps = run_dprc(topo_m, table_m, spec.params, rngs)
+        warm = state.p
         sums.append(dprc_bps.tolist())
         traces = {
-            f"dprc_trace_k{k}_n{n_rx}_{name}_t{trial}.csv": _trace_rows(state, table)
-            for (trial, _, n_rx, name, table), state in zip(members, states)
-            if state.history is not None
+            f"dprc_trace_k{k}_n{n_rx}_{name}_t{trial}.csv":
+                _trace_rows(*(h[j] for h in state.history), table)
+            for j, (trial, _, n_rx, name, table) in enumerate(members)
+            if trial < spec.trace_trials
         }
     seeds = [derive_seed(spec.seed, f"ga-k{k}-n{n_rx}", trial)
              for trial, _, n_rx, _, _ in members]

@@ -48,7 +48,7 @@ def sinr_baseband(sinr_in, f_ici: float):
 def rfo_std(sinr_b: float, n_sub: int) -> float:
     """Standard deviation of the residual carrier offset (in subcarrier
     spacings) after two-training-symbol estimation: 1/(2*pi*sqrt(n_sub*sinr))."""
-    if sinr_b <= 0:
+    if not sinr_b > 0:
         raise ValueError("sinr_b must be positive")
     if n_sub < 1:
         raise ValueError("n_sub must be at least 1")

@@ -28,6 +28,9 @@ __all__ = [
     "simulate_link_ber",
 ]
 
+# symbol vectors simulated per batch
+BATCH_VECTORS = 20_000
+
 _POPCOUNT = np.array([bin(i).count("1") for i in range(64)], dtype=np.int64)
 
 
@@ -71,17 +74,14 @@ class OracleConfig:
     n_symbols: int = 100_000
     seed: int = 0
     n_sub: int = 64
-    batch_size: int = 20_000
 
     def __post_init__(self):
         if self.m < 1 or self.n < self.m:
             raise ValueError("need 1 <= m <= n")
-        if self.sinr_b <= 0:
+        if not self.sinr_b > 0:
             raise ValueError("sinr_b must be positive")
         if self.n_symbols < 2:
             raise ValueError("n_symbols must be at least 2")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def simulate_link_ber(cfg: OracleConfig) -> OracleResult:
     moments = _RunningMoments()
     done = 0
     while done < cfg.n_symbols:
-        b = min(cfg.batch_size, cfg.n_symbols - done)
+        b = min(BATCH_VECTORS, cfg.n_symbols - done)
         h = complex_normal(rng, (b, cfg.n, cfg.m))
         s_eff = np.full(b, float(cfg.sinr_b))
         if cfg.rfo:

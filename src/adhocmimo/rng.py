@@ -8,6 +8,15 @@ import zlib
 import numpy as np
 
 
+def _seed_sequence(master_seed: int, purpose: str, index: int) -> np.random.SeedSequence:
+    """The SeedSequence of a (master, purpose, index) triple; the purpose
+    enters as the crc32 of its UTF-8 bytes."""
+    if master_seed < 0 or index < 0:
+        raise ValueError("master_seed and index must be non-negative")
+    tag = zlib.crc32(purpose.encode("utf-8"))
+    return np.random.SeedSequence([int(master_seed), tag, int(index)])
+
+
 def substream(master_seed: int, purpose: str, index: int = 0) -> np.random.Generator:
     """Return an independent generator for one purpose (e.g. "topology").
 
@@ -15,20 +24,13 @@ def substream(master_seed: int, purpose: str, index: int = 0) -> np.random.Gener
     the same triple always reproduces the same sequence, so per-trial workers
     can be seeded order-independently.
     """
-    if master_seed < 0 or index < 0:
-        raise ValueError("master_seed and index must be non-negative")
-    tag = zlib.crc32(purpose.encode("utf-8"))
-    seq = np.random.SeedSequence([int(master_seed), tag, int(index)])
-    return np.random.default_rng(seq)
+    return np.random.default_rng(_seed_sequence(master_seed, purpose, index))
 
 
 def derive_seed(master_seed: int, purpose: str, index: int = 0) -> int:
     """Collapse a (master, purpose, index) triple to one integer seed, for
     components that take a seed rather than a generator."""
-    if master_seed < 0 or index < 0:
-        raise ValueError("master_seed and index must be non-negative")
-    tag = zlib.crc32(purpose.encode("utf-8"))
-    seq = np.random.SeedSequence([int(master_seed), tag, int(index)])
+    seq = _seed_sequence(master_seed, purpose, index)
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 

@@ -300,11 +300,12 @@ def test_primary_09_distributed_control(params, table_cache, tmp_path):
     for k in (2, 6, 10):
         for i in range(5):
             topo = sample_topology(k, params, substream(i, f"acc9-k{k}"))
-            (state,), _ = run_dprc([topo], [table], params,
-                                   [substream(i, f"acc9-run-k{k}")])
-            sinr = sinr_in_all(state.p[None], topo.rho, noise)[0]
+            state, _ = run_dprc([topo], [table], params,
+                                [substream(i, f"acc9-run-k{k}")])
+            p, r = state.p[0], state.r[0]
+            sinr = sinr_in_all(p[None], topo.rho, noise)[0]
             for j in range(k):
-                if state.r[j] > 0 and sinr[j] < thr[state.r[j] - 1] * slack:
+                if r[j] > 0 and sinr[j] < thr[r[j] - 1] * slack:
                     feas_ok = False
     ok = bound_ok and k_ok and imp_ok and feas_ok
     record(

@@ -9,6 +9,7 @@ import pytest
 from adhocmimo import dprc
 from adhocmimo.config import SystemParams
 from adhocmimo.dprc import (
+    DprcState,
     best_response_power,
     run_dprc,
     sigmoid_utility,
@@ -16,7 +17,12 @@ from adhocmimo.dprc import (
     stage2,
 )
 from adhocmimo.link_abstraction import RateTable
-from adhocmimo.network_opt import maximize_sum_throughput, sinr_in_all
+from adhocmimo.network_opt import (
+    maximize_sum_throughput,
+    rate_indices,
+    sinr_in_all,
+    stack_tables,
+)
 from adhocmimo.radio_env import Topology, path_gain, sample_topology, total_noise_power
 from adhocmimo.rng import substream
 
@@ -28,10 +34,25 @@ def topo_from_d(d, params: SystemParams) -> Topology:
     return Topology(k=d.shape[0], d=d, rho=path_gain(d, params))
 
 
-def dprc_one(topo: Topology, table, params: SystemParams, rng, trace=False):
+def member(state: DprcState, j: int) -> DprcState:
+    """Member j of a batch's state: (K,) powers and rate indices and a
+    (2 * ROUNDS, K) history."""
+    return DprcState(p=state.p[j], r=state.r[j],
+                     history=tuple(h[j] for h in state.history))
+
+
+def dprc_one(topo: Topology, table, params: SystemParams, rng):
     """run_dprc on a batch of one: the member's state and float sum."""
-    states, totals = run_dprc([topo], [table], params, [rng], trace=trace)
-    return states[0], float(totals[0])
+    state, totals = run_dprc([topo], [table], params, [rng])
+    return member(state, 0), float(totals[0])
+
+
+def stage2_one(p0, topo: Topology, table, params: SystemParams):
+    """stage2 on a batch of one (K,) start: the member's (ROUNDS, K) powers,
+    SINRs and aimed-at rate indices, and its final rate indices."""
+    thr = stack_tables([table])[0]
+    p, sinr, r = stage2(np.array([p0]), topo.rho[None], thr, params)
+    return p[0], sinr[0], r[0], rate_indices(sinr[:, -1], thr)[0]
 
 
 def sinr_of(p, topo: Topology, params: SystemParams) -> np.ndarray:
@@ -149,32 +170,32 @@ def test_best_response_exact_below_the_grid_resolution():
 # stage 1
 
 
-def test_stage1_single_pair_settles_in_one_round(params, table_cache):
+def test_stage1_single_pair_settles_in_one_round(params):
     topo = topo_from_d([[10.0]], params)
-    rows = []
-    stage1([topo], [table_cache(4, "ideal")], params, [substream(0, "s1")], trace=rows)
-    powers = [row[0][0, 0] for row in rows]
-    assert len(powers) == dprc.ROUNDS
+    p_h, sinr_h = stage1(topo.rho[None], params, [substream(0, "s1")])
+    assert p_h.shape == sinr_h.shape == (1, dprc.ROUNDS, 1)
+    powers = p_h[0, :, 0]
     # without interference the response never changes after the first round
-    assert all(p == powers[0] for p in powers[1:])
+    assert np.all(powers == powers[0])
     assert powers[0] > 0.0
+    np.testing.assert_array_equal(sinr_h[0], sinr_in_all(
+        p_h[0], topo.rho, total_noise_power(params)))
 
 
-def test_stage1_mutual_outage_shuts_both_off(params, table_cache):
+def test_stage1_mutual_outage_shuts_both_off(params):
     # each receiver sits 1 m from the other transmitter and 300 m from its
     # own; any plausible start price both pairs out of the game
     topo = topo_from_d([[300.0, 1.0], [1.0, 300.0]], params)
-    rows = []
-    stage1([topo], [table_cache(4, "ideal")], params, [substream(3, "s1")], trace=rows)
-    np.testing.assert_array_equal(rows[0][0], [[0.0, 0.0]])
+    p_h, _ = stage1(topo.rho[None], params, [substream(3, "s1")])
+    np.testing.assert_array_equal(p_h[0, 0], [0.0, 0.0])
 
 
-def test_stage1_deterministic(params, table_cache):
-    topo = sample_topology(5, params, substream(4, "topo"))
-    table = table_cache(4, "ideal")
-    a = stage1([topo], [table], params, [substream(7, "s1")])
-    b = stage1([topo], [table], params, [substream(7, "s1")])
-    np.testing.assert_array_equal(a, b)
+def test_stage1_deterministic(params):
+    rho = sample_topology(5, params, substream(4, "topo")).rho[None]
+    a = stage1(rho, params, [substream(7, "s1")])
+    b = stage1(rho, params, [substream(7, "s1")])
+    for x, y in zip(a, b, strict=True):
+        np.testing.assert_array_equal(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +206,10 @@ def test_stage2_one_round_lands_on_threshold(params, table_cache):
     table = table_cache(4, "ideal")
     thr = table.thresholds_linear
     topo = topo_from_d([[10.0]], params)
-    own = topo.rho[0, 0]
     noise = total_noise_power(params)
-    p0 = np.array([[thr[2] * noise / own * 1.0000001]])
-    rows = []
-    stage2(p0, [topo], [table], params, trace=rows)
-    assert rows[0][1][0, 0] == pytest.approx(thr[2], rel=1e-12)
+    p0 = [thr[2] * noise / topo.rho[0, 0] * 1.0000001]
+    _, sinr_h, _, _ = stage2_one(p0, topo, table, params)
+    assert sinr_h[0, 0] == pytest.approx(thr[2], rel=1e-12)
 
 
 def test_stage2_parks_on_some_threshold(params, table_cache):
@@ -198,22 +217,22 @@ def test_stage2_parks_on_some_threshold(params, table_cache):
     thr = table.thresholds_linear
     topo = topo_from_d([[10.0]], params)
     noise = total_noise_power(params)
-    p0 = np.array([[thr[5] * noise / topo.rho[0, 0] * 3.7]])
-    (state,) = stage2(p0, [topo], [table], params)
-    sinr = sinr_of(state.p, topo, params)[0]
+    p0 = [thr[5] * noise / topo.rho[0, 0] * 3.7]
+    p_h, _, _, r = stage2_one(p0, topo, table, params)
+    sinr = sinr_of(p_h[-1], topo, params)[0]
     assert min(abs(sinr / t - 1.0) for t in thr) < 1e-9
-    assert state.r[0] > 0
-    assert state.p[0] <= p0[0, 0]
+    assert r[0] > 0
+    assert p_h[-1, 0] <= p0[0]
 
 
 def test_stage2_leaves_infeasible_pair_untouched(params, table_cache):
     table = table_cache(4, "ideal")
     topo = topo_from_d([[10.0]], params)
     noise = total_noise_power(params)
-    p0 = np.array([[0.5 * table.thresholds_linear[0] * noise / topo.rho[0, 0]]])
-    (state,) = stage2(p0, [topo], [table], params)
-    np.testing.assert_array_equal(state.p, p0[0])
-    assert state.r[0] == 0
+    p0 = [0.5 * table.thresholds_linear[0] * noise / topo.rho[0, 0]]
+    p_h, _, r_h, r = stage2_one(p0, topo, table, params)
+    np.testing.assert_array_equal(p_h, np.broadcast_to(p0, p_h.shape))
+    assert not r_h.any() and r[0] == 0
 
 
 def test_stage2_keeps_rate_started_just_above_each_threshold(params, table_cache):
@@ -224,12 +243,10 @@ def test_stage2_keeps_rate_started_just_above_each_threshold(params, table_cache
     topo = topo_from_d([[10.0]], params)
     noise = total_noise_power(params)
     for j in range(thr.size):
-        p0 = np.array([[thr[j] * noise / topo.rho[0, 0] * (1.0 + 1e-9)]])
-        rows = []
-        (state,) = stage2(p0, [topo], [table], params, trace=rows)
-        assert len(rows) == dprc.ROUNDS
-        assert [int(row[2][0, 0]) for row in rows] == [j + 1] * dprc.ROUNDS
-        assert state.r[0] == j + 1
+        p0 = [thr[j] * noise / topo.rho[0, 0] * (1.0 + 1e-9)]
+        _, _, r_h, r = stage2_one(p0, topo, table, params)
+        assert r_h[:, 0].tolist() == [j + 1] * dprc.ROUNDS
+        assert r[0] == j + 1
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +256,7 @@ def test_stage2_keeps_rate_started_just_above_each_threshold(params, table_cache
 def test_run_dprc_single_strong_pair(params, table_cache):
     table = table_cache(4, "ideal")
     topo = topo_from_d([[10.0]], params)
-    state, total = dprc_one(topo, table, params, substream(0, "dprc"),
-                            trace=True)
+    state, total = dprc_one(topo, table, params, substream(0, "dprc"))
     # alone, the pair's stage-1 SINR is the closed-form optimum
     # beta + ln(sg / (1 - sg)) / a at ieff = noise / own gain
     ieff = total_noise_power(params) / topo.rho[0, 0]
@@ -274,7 +290,7 @@ def test_run_dprc_mutual_outage_is_silent(params, table_cache):
 def test_run_dprc_powers_stay_in_budget(params, table_cache):
     table = table_cache(4, "imp")
     topo = sample_topology(3, params, substream(9, "topo"))
-    state, _ = dprc_one(topo, table, params, substream(9, "dprc"), trace=True)
+    state, _ = dprc_one(topo, table, params, substream(9, "dprc"))
     p_h = state.history[0]
     # one row per round of stage 1 and of stage 2
     assert p_h.shape == (2 * dprc.ROUNDS, 3)
@@ -305,16 +321,13 @@ def test_run_dprc_never_beats_warm_started_optimum(params, table_cache):
 
 
 def _assert_same_state(a, b):
-    np.testing.assert_array_equal(a.p, b.p)
-    np.testing.assert_array_equal(a.r, b.r)
-    assert (a.history is None) == (b.history is None)
-    for x, y in zip(a.history or (), b.history or ()):
+    for x, y in zip((a.p, a.r, *a.history), (b.p, b.r, *b.history), strict=True):
         np.testing.assert_array_equal(x, y)
 
 
 def test_dprc_batch_members_match_batches_of_one(params, table_cache):
-    # a member's result is bit-identical alone and in any batch order,
-    # whether or not it or the other members keep a history
+    # a member's result, history included, is bit-identical alone and in
+    # any batch order
     tables = [table_cache(4, name) for name in ("ideal", "imp", "pn", "ce")]
     for k in (3, 6):
         topos = [sample_topology(k, params, substream(s, "dprc-batch", k))
@@ -322,28 +335,46 @@ def test_dprc_batch_members_match_batches_of_one(params, table_cache):
         members = [(t, tab, (s, i)) for s, t in enumerate(topos)
                    for i, tab in enumerate(tables)]
         topo_b, table_b, seed_b = map(list, zip(*members))
+        n = len(members)
 
         def rngs(seeds):
             return [substream(s, "dprc-batch-rng", i) for s, i in seeds]
 
-        for trace in (False, True, [True, False, False, True] * 2):
-            flags = list(np.broadcast_to(trace, (len(members),)))
-            states, sums = run_dprc(topo_b, table_b, params, rngs(seed_b),
-                                    trace=trace)
-            assert len(states) == len(members) and sums.shape == (len(members),)
-            for (t, tab, s), flag, state, total in zip(members, flags, states, sums):
-                alone, alone_total = run_dprc([t], [tab], params, rngs([s]),
-                                              trace=bool(flag))
-                assert len(alone) == 1 and alone_total.shape == (1,)
-                assert alone_total[0] == total
-                _assert_same_state(state, alone[0])
-                assert (state.history is not None) == flag
-            rev_states, rev_sums = run_dprc(
-                topo_b[::-1], table_b[::-1], params, rngs(seed_b[::-1]),
-                trace=flags[::-1])
-            np.testing.assert_array_equal(rev_sums[::-1], sums)
-            for a, b in zip(rev_states[::-1], states):
-                _assert_same_state(a, b)
+        state, sums = run_dprc(topo_b, table_b, params, rngs(seed_b))
+        assert state.p.shape == state.r.shape == (n, k) and sums.shape == (n,)
+        assert all(h.shape == (n, 2 * dprc.ROUNDS, k) for h in state.history)
+        for j, (t, tab, s) in enumerate(members):
+            alone, alone_total = run_dprc([t], [tab], params, rngs([s]))
+            assert alone_total.shape == (1,) and alone_total[0] == sums[j]
+            _assert_same_state(member(state, j), member(alone, 0))
+        rev, rev_sums = run_dprc(topo_b[::-1], table_b[::-1], params,
+                                 rngs(seed_b[::-1]))
+        np.testing.assert_array_equal(rev_sums[::-1], sums)
+        for j in range(n):
+            _assert_same_state(member(rev, n - 1 - j), member(state, j))
+
+
+def test_history_rate_indices_follow_the_sinr_rows(params, table_cache):
+    # a stage-1 row reports the rate index its own SINR clears; a stage-2
+    # row the index it aimed at, which the previous row's SINR clears; the
+    # final rates are read off the last row's SINR
+    tables = [table_cache(4, name) for name in ("ideal", "imp")]
+    topos = [sample_topology(6, params, substream(s, "dprc-hist")) for s in range(3)]
+    members = [(t, tab) for t in topos for tab in tables]
+    rngs = [substream(0, "dprc-hist-rng", i) for i in range(len(members))]
+    state, _ = run_dprc(*map(list, zip(*members)), params, rngs)
+    _, sinr_h, r_h = state.history
+    rounds = dprc.ROUNDS
+    shifted = 0
+    for j, (_, tab) in enumerate(members):
+        idx = np.searchsorted(tab.thresholds_linear, sinr_h[j], side="right")
+        np.testing.assert_array_equal(r_h[j, :rounds], idx[:rounds])
+        np.testing.assert_array_equal(r_h[j, rounds:], idx[rounds - 1:-1])
+        np.testing.assert_array_equal(state.r[j], idx[-1])
+        shifted += np.count_nonzero(r_h[j, rounds:] != idx[rounds:])
+    # some stage-2 row's own SINR clears another index than the one it aimed
+    # at, so the one-row shift is not vacuous
+    assert shifted > 0
 
 
 def test_empty_rate_table_reads_zero(params, table_cache):
@@ -359,9 +390,9 @@ def test_empty_rate_table_reads_zero(params, table_cache):
     _, dprc_alone = run_dprc([topo], [empty], params, rngs(1))
     _, mst_alone = maximize_sum_throughput([topo], [empty], params, seeds=[0])
     assert dprc_alone[0] == 0.0 and mst_alone[0] == 0.0
-    states, dprc_sums = run_dprc([topo, topo], [empty, shipped], params, rngs(2))
-    (ref,), ref_sum = run_dprc([topo], [shipped], params, rngs(2)[1:])
-    _assert_same_state(states[1], ref)
+    state, dprc_sums = run_dprc([topo, topo], [empty, shipped], params, rngs(2))
+    ref, ref_sum = run_dprc([topo], [shipped], params, rngs(2)[1:])
+    _assert_same_state(member(state, 1), member(ref, 0))
     assert dprc_sums[0] == 0.0 and dprc_sums[1] == ref_sum[0] > 0.0
     _, mst = maximize_sum_throughput([topo, topo], [empty, shipped], params, seeds=[0, 1])
     _, mst_ref = maximize_sum_throughput([topo], [shipped], params, seeds=[1])
@@ -382,5 +413,3 @@ def test_dprc_batch_input_validation(params, table_cache):
         run_dprc([t2, t2], [table], params, rngs(2))
     with pytest.raises(ValueError):
         run_dprc([t2, t2], [table, table], params, rngs(1))
-    with pytest.raises(ValueError):
-        run_dprc([t2, t2], [table, table], params, rngs(2), trace=[True])

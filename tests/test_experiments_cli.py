@@ -333,8 +333,8 @@ def test_dprc_sweep_outputs_and_traces(tmp_path):
 
 
 def test_dprc_tracing_does_not_change_results(tmp_path):
-    # traced and untraced members share one batched run_dprc call; keeping
-    # a member's history must not change any member's result or trace
+    # traced and untraced members share one batched run_dprc call; writing
+    # a member's trace must not change any member's result or trace
     outs = {}
     for trace_trials in (None, "0", "1", "2"):
         out = tmp_path / f"out{trace_trials}"
@@ -576,9 +576,9 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     exec(compile(readme_quick_start(), str(README), "exec"), namespace)
     assert RateTable.load(tmp_path / "rates_N4_imp.json").to_dict() == shipped.to_dict()
     assert namespace["powers"].shape == (4, 6) and namespace["totals"].shape == (4,)
-    histories = [state.history for state in namespace["states"]]
-    assert all(h.shape == (2 * dprc.ROUNDS, 6) for h in histories[0])
-    assert histories[1:] == [None] * 3
+    state = namespace["state"]
+    assert state.p.shape == state.r.shape == (4, 6)
+    assert all(h.shape == (4, 2 * dprc.ROUNDS, 6) for h in state.history)
     assert capsys.readouterr().out
 
 

@@ -45,6 +45,8 @@ def test_rfo_std_domain():
     with pytest.raises(ValueError):
         rfo_std(0.0, 64)
     with pytest.raises(ValueError):
+        rfo_std(math.nan, 64)
+    with pytest.raises(ValueError):
         rfo_std(1.0, 0)
 
 

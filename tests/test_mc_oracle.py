@@ -23,7 +23,7 @@ def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(m=2, n=2, u=2, sinr_b=10.0, n_symbols=1)
     with pytest.raises(ValueError):
-        OracleConfig(m=2, n=2, u=2, sinr_b=10.0, batch_size=0)
+        OracleConfig(m=1, n=1, u=1, sinr_b=math.nan)
 
 
 @pytest.mark.parametrize("u", [1, 2, 4, 6])
