@@ -109,32 +109,35 @@ def best_response_power(ieff, p_t: float):
     return float(p[0]) if x.ndim == 0 else p.reshape(x.shape)
 
 
-def _effective_interference(p: np.ndarray, rho: np.ndarray, noise_mw: float):
+def _effective_interference(
+    p: np.ndarray, gains: tuple[np.ndarray, np.ndarray], noise_mw: float
+) -> np.ndarray:
     """Per-pair (interference + noise) / own gain, the ieff of the game, for
-    (M, K) powers against (M, K, K) gains."""
-    received = (rho @ p[..., None])[..., 0]
-    own = np.diagonal(rho, axis1=1, axis2=2)
-    interference = received - p * own
+    (M, K) powers against the (M, K) own and (M, K, K) cross gains of
+    stack_gains."""
+    own, cross = gains
+    interference = (cross @ p[..., None])[..., 0]
     return (interference + noise_mw) / own
 
 
 def stage1(
-    rho: np.ndarray, params: SystemParams, rngs: Sequence[np.random.Generator]
+    gains: tuple[np.ndarray, np.ndarray], params: SystemParams,
+    rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Synchronous best-response power game over a batch: (M, K, K) stacked
-    gains and M generators play M games as one (M, K) array. Each member
-    starts from p_i(0) = u_i * P_T drawn from its own generator; every
-    round, all pairs play the closed-form best response to the interference
-    of the previous round. Returns the powers and SINRs after each of the
+    """Synchronous best-response power game over a batch: the stacked gains
+    of stack_gains and M generators play M games as one (M, K) array. Each
+    member starts from p_i(0) = u_i * P_T drawn from its own generator;
+    every round, all pairs play the closed-form best response to the
+    interference of the previous round. Returns the powers and SINRs after each of the
     ROUNDS rounds, each (M, ROUNDS, K)."""
     p_t = params.p_t_mw
     noise_mw = total_noise_power(params)
-    p = np.stack([g.uniform(0.0, 1.0, size=rho.shape[-1]) for g in rngs]) * p_t
+    p = np.stack([g.uniform(0.0, 1.0, size=gains[0].shape[-1]) for g in rngs]) * p_t
     powers, sinrs = [], []
     for _ in range(ROUNDS):
-        p = best_response_power(_effective_interference(p, rho, noise_mw), p_t)
+        p = best_response_power(_effective_interference(p, gains, noise_mw), p_t)
         powers.append(p)
-        sinrs.append(sinr_in_all(p[:, None], rho, noise_mw)[:, 0])
+        sinrs.append(sinr_in_all(p[:, None], gains, noise_mw)[:, 0])
     return np.stack(powers, axis=1), np.stack(sinrs, axis=1)
 
 
@@ -145,20 +148,21 @@ _LANDING_MARGIN = 1.0 + 1e-13
 
 
 def stage2(
-    p0: np.ndarray, rho: np.ndarray, thr: np.ndarray, params: SystemParams
+    p0: np.ndarray, gains: tuple[np.ndarray, np.ndarray], thr: np.ndarray,
+    params: SystemParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Threshold tracking over a batch: (M, K) starting powers, (M, K, K)
-    stacked gains and the (M, T) thresholds of stack_tables. In each of
+    """Threshold tracking over a batch: (M, K) starting powers, the stacked
+    gains of stack_gains and the (M, T) thresholds of stack_tables. In each of
     ROUNDS rounds, every pair picks the best rate its SINR clears and
     rescales power to sit just above that rate's threshold. Pairs clearing
     no threshold keep their power untouched; powers stay in [0, P_T].
     Returns the powers and SINRs after each round and the rate index each
     round aimed at, each (M, ROUNDS, K). A round aims at the rate index of
     the SINR it starts from, which is the previous round's."""
-    rows = np.arange(rho.shape[0])[:, None]
+    rows = np.arange(thr.shape[0])[:, None]
     noise_mw = total_noise_power(params)
     p = np.array(p0, dtype=float)
-    sinr = sinr_in_all(p[:, None], rho, noise_mw)[:, 0]
+    sinr = sinr_in_all(p[:, None], gains, noise_mw)[:, 0]
     powers, sinrs, aims = [], [], []
     for _ in range(ROUNDS):
         r = rate_indices(sinr, thr)
@@ -168,7 +172,7 @@ def stage2(
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(active, target / np.maximum(sinr, 1e-300), 1.0)
         p = np.clip(p * ratio, 0.0, params.p_t_mw)
-        sinr = sinr_in_all(p[:, None], rho, noise_mw)[:, 0]
+        sinr = sinr_in_all(p[:, None], gains, noise_mw)[:, 0]
         powers.append(p)
         sinrs.append(sinr)
         aims.append(r)
@@ -190,13 +194,13 @@ def run_dprc(
     bit-identical in any batch.
     """
     tables, rngs = list(tables), list(rngs)
-    rho = stack_gains(topos)
-    m = rho.shape[0]
+    gains = stack_gains(topos)
+    m = gains[0].shape[0]
     if not m == len(tables) == len(rngs):
         raise ValueError("topos, tables and rngs must have one length")
     thr, rates = stack_tables(tables)
-    p1, sinr1 = stage1(rho, params, rngs)
-    p2, sinr2, r2 = stage2(p1[:, -1], rho, thr, params)
+    p1, sinr1 = stage1(gains, params, rngs)
+    p2, sinr2, r2 = stage2(p1[:, -1], gains, thr, params)
     # step 3: the rates are read off the table at the final powers
     r = rate_indices(sinr2[:, -1], thr)
     history = (

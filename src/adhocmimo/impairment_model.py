@@ -68,7 +68,10 @@ def sinr_after_rfo(sinr_b, eps):
         raise ValueError("sinr_b must be non-negative")
     if np.any(np.abs(eps) >= 0.5):
         raise ValueError("residual offset must satisfy |eps| < 0.5")
-    att = np.sinc(eps) ** 2
-    den = 1.0 + RFO_ICI_COEFF * sinr_b * np.sin(np.pi * eps) ** 2
+    # np.sinc's own arithmetic, sharing its sine with the ICI term
+    y = np.pi * np.where(eps == 0, 1.0e-20, eps)
+    sin_y = np.sin(y)
+    att = (sin_y / y) ** 2
+    den = 1.0 + RFO_ICI_COEFF * sinr_b * np.where(eps == 0, 0.0, sin_y) ** 2
     out = sinr_b * att / den
     return float(out) if out.ndim == 0 else out

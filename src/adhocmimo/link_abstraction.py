@@ -15,10 +15,14 @@ Each distinct decision statistic is integrated once. For square Gray QAM and
 any complex gain s, Im(s z) = Re(s (-i z)), Re(s (-z)) = -Re(s z) and the
 decision edges are symmetric, so the 2P (label, axis) statistics of a scheme
 reduce to P/2 representative means Re(s z_r), whose region probabilities,
-read forward or mirrored, serve four uses each (Cho & Yoon, IEEE TCOM 2002):
-one Q evaluation per (representative, edge). The offset SINR is even in the
-offset and numpy's Gauss-Hermite nodes are symmetric, so the quadrature runs
-over the non-negative nodes with mirrored weights added.
+read forward or mirrored, serve four uses each (Cho & Yoon, IEEE TCOM 2002).
+The BER is a split-tail sum: each (representative, edge) pair takes the
+Gaussian tail on the far side of the edge from the representative's level,
+all in one erfc call, contracted with constant coefficients (the signed
+steps of the summed Gray flips), so no region probability is a difference
+of two tails near 1. The offset SINR is even in the offset and numpy's
+Gauss-Hermite nodes are symmetric, so the quadrature runs over the
+non-negative nodes with mirrored weights added.
 
 The MMSE rows take the push-through form (H^H H + I/sinr)^-1 H^H, an M x M
 system, never larger than the N x N one of H^H (H H^H + I/sinr)^-1. They are
@@ -66,12 +70,6 @@ def erfc(x):
     from scipy.special import erfc as scipy_erfc
 
     return scipy_erfc(x)
-
-
-def _q(x):
-    """Gaussian tail probability. erfc is looked up at call time, so a
-    wrapper bound to this module's name sees every call."""
-    return 0.5 * erfc(x / math.sqrt(2.0))
 
 
 def _gray(i: int) -> int:
@@ -198,12 +196,13 @@ def mmse_weights(h_hat: np.ndarray, sinr_rfo) -> np.ndarray:
     h_herm = aug[:, m:]                                        # (M, N, B)
     h_last = np.moveaxis(h_hat.reshape(-1, n, m), 0, -1)      # (N, M, B)
     np.conjugate(h_last.swapaxes(0, 1), out=h_herm)
+    # a contiguous copy: products against a strided view of h_hat are slower
     h_cols = h_herm.conj()
     for i in range(m):
-        for j in range(i, m):
+        aug[i, i] = (h_herm[i] * h_cols[i]).sum(axis=0) + nu
+        for j in range(i + 1, m):
             aug[i, j] = (h_herm[i] * h_cols[j]).sum(axis=0)
             aug[j, i] = aug[i, j].conj()
-        aug[i, i] += nu
     for k in range(m):
         # columns left of k are already eliminated; the pivot column is not read again
         row = aug[k, k + 1:]
@@ -221,16 +220,19 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
-def _orbit(u: int) -> tuple[np.ndarray, np.ndarray]:
-    """The orbit kernel's P/2 representative points and their (P/2, L)
-    weights: the Gray flips, summed over the four (label, axis) uses the
-    representative serves, of landing in each of its L decision regions.
+def _orbit(u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orbit kernel's P/2 representative points, the (P/2, L-1) sign of
+    the tail each takes at each decision edge, and the tails' coefficients.
+    The weights W are the Gray flips, summed over the four (label, axis) uses
+    a representative serves, of landing in each of its L decision regions.
     For z_r on level i, Re(s z_r) serves z_r's real axis and i z_r's
     imaginary axis forward; mirrored (level i <-> L-1-i) it serves -z_r's
-    real axis and -i z_r's imaginary axis. The representatives sit on the
-    negative real levels: with s near the positive real axis, most of their
-    error regions then lie above the mean, where the Q tails are small and
-    their differences keep full relative precision."""
+    real axis and -i z_r's imaginary axis. With upper tails Q_k at the edges
+    the flips sum to W_0 + sum_k (W_{k+1} - W_k) Q_k, and W is 0 at the
+    representative's own level, so taking the lower tail 1 - Q_k at the
+    edges below that level (sign -1) leaves
+    sum_k sign_k (W_{k+1} - W_k) Q(sign_k (edge_k - mean) / sigma): each tail
+    is the small side of its edge and keeps full relative precision."""
     mod = make_mod_scheme(u)
     reps = mod.re_index < len(mod.re_levels) // 2
     level = mod.re_index[reps]
@@ -239,21 +241,27 @@ def _orbit(u: int) -> tuple[np.ndarray, np.ndarray]:
     for gray in axes:
         flips = _POPCOUNT[np.bitwise_xor.outer(gray, gray)]
         weights = weights + flips[level] + flips[::-1, ::-1][level]
-    return mod.points[reps], weights.astype(float)
+    edge = np.arange(len(mod.re_levels) - 1)
+    sign = np.where(edge < level[:, None], -1.0, 1.0)
+    # Q(x) = erfc(x / sqrt(2)) / 2: the 1/2 goes here, the sqrt(2) into the scale
+    coef = 0.5 * sign * np.diff(weights, axis=-1)
+    return mod.points[reps], sign, coef
 
 
 def _ber_given_stats(s_diag, sigma2, mod: ModScheme):
     """Average BER over streams given the post-detection diagonal gains
-    (..., M) and total interference-plus-noise variances (..., M): the
-    Gaussian probability of each decision region, one Q evaluation per
-    (representative, edge), weighted by the summed Gray flips."""
-    reps, weights = _orbit(mod.u)
-    sig = np.maximum(np.sqrt(np.maximum(sigma2, 0.0) / 2.0), 1e-300)
+    (..., M) and total interference-plus-noise variances (..., M): one erfc
+    per (representative, edge), each on the small side of its edge,
+    contracted with the signed steps of the summed Gray flips."""
+    reps, sign, coef = _orbit(mod.u)
+    scale = np.maximum(np.sqrt(np.maximum(sigma2, 0.0)), 1e-300)   # sqrt(2) sigma
     mean = (s_diag[..., None] * reps).real                      # (..., M, P/2)
     edges = mod.re_levels[:-1] + mod.half_step
-    tail = _q((edges - mean[..., None]) / sig[..., None, None])  # P(stat > edge)
-    region_p = -np.diff(tail, axis=-1, prepend=1.0, append=0.0)  # (..., M, P/2, L)
-    errors = region_p.reshape(region_p.shape[:-2] + (-1,)) @ weights.ravel()
+    x = edges - mean[..., None]                                  # (..., M, P/2, L-1)
+    x *= sign
+    x /= scale[..., None, None]
+    tails = erfc(x)   # looked up at call time: a wrapper on the module name sees it
+    errors = tails.reshape(tails.shape[:-2] + (-1,)) @ coef.ravel()
     return (errors / (len(mod.points) * mod.u)).mean(axis=-1)
 
 

@@ -19,6 +19,7 @@ from .radio_env import Topology, total_noise_power
 from .rng import substream
 
 __all__ = [
+    "split_gains",
     "stack_gains",
     "stack_tables",
     "sinr_in_all",
@@ -27,15 +28,27 @@ __all__ = [
 ]
 
 
-def stack_gains(topos: Sequence[Topology]) -> np.ndarray:
-    """The (M, K, K) stack of a batch's gains; the M >= 1 topologies must
+def split_gains(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gains (..., K, K), where rho[..., j, i] is the gain from transmitter
+    i to receiver j, split for the SINR: own (..., K), each pair's own link,
+    and cross (..., K, K), the gains with the diagonal zeroed. Interference
+    summed against cross adds up the other transmitters directly; total
+    received power minus the signal would cancel at high SINR."""
+    rho = np.asarray(rho, dtype=float)
+    diagonal = np.eye(rho.shape[-1], dtype=bool)
+    return rho[..., diagonal], np.where(diagonal, 0.0, rho)
+
+
+def stack_gains(topos: Sequence[Topology]) -> tuple[np.ndarray, np.ndarray]:
+    """The (M, K) own and (M, K, K) cross gains of a batch (split_gains),
+    split once for all its SINR evaluations; the M >= 1 topologies must
     share the pair count K."""
     topos = list(topos)
     if not topos:
         raise ValueError("a batch needs at least one topology")
     if any(t.k != topos[0].k for t in topos):
         raise ValueError("batch members must share the pair count K")
-    return np.stack([t.rho for t in topos])
+    return split_gains(np.stack([t.rho for t in topos]))
 
 
 def stack_tables(tables: Sequence[RateTable]) -> tuple[np.ndarray, np.ndarray]:
@@ -66,16 +79,16 @@ def rate_indices(sinr: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return idx
 
 
-def sinr_in_all(p, rho: np.ndarray, noise_mw: float) -> np.ndarray:
+def sinr_in_all(p, gains: tuple[np.ndarray, np.ndarray], noise_mw: float) -> np.ndarray:
     """Input SINR of every pair for allocation rows p of shape (..., B, K)
-    against stacked gains rho of shape (..., K, K), where rho[..., j, i] is
-    the gain from transmitter i to receiver j; the result has p's shape.
-    noise_mw is the total receiver noise power over all subcarriers."""
+    against the (own, cross) gains of split_gains, of shapes (..., K) and
+    (..., K, K); the result has p's shape. noise_mw is the total receiver
+    noise power over all subcarriers."""
+    own, cross = gains
     p = np.asarray(p, dtype=float)
-    own = np.diagonal(rho, axis1=-2, axis2=-1)[..., None, :]
-    signal = p * own
-    # received[..., b, j] = sum_i p[..., b, i] * rho[..., j, i]
-    return signal / (p @ np.swapaxes(rho, -1, -2) - signal + noise_mw)
+    # interference[..., b, j] = sum_{i != j} p[..., b, i] * rho[..., j, i]
+    interference = p @ np.swapaxes(cross, -1, -2)
+    return p * own[..., None, :] / (interference + noise_mw)
 
 
 # GA settings (the README's constants table lists them)
@@ -119,8 +132,8 @@ def maximize_sum_throughput(
     result is bit-identical in any batch.
     """
     tables, seeds = list(tables), list(seeds)
-    rho = stack_gains(topos)
-    m, k = rho.shape[:2]
+    gains = stack_gains(topos)
+    m, k = gains[0].shape
     if not m == len(tables) == len(seeds):
         raise ValueError("topos, tables and seeds must have one length")
 
@@ -139,7 +152,7 @@ def maximize_sum_throughput(
     rows = np.arange(m)[:, None]
 
     def fitness(pop: np.ndarray) -> np.ndarray:
-        idx = rate_indices(sinr_in_all(pop, rho, noise_mw), thresholds)
+        idx = rate_indices(sinr_in_all(pop, gains, noise_mw), thresholds)
         return rates[rows[..., None], idx].sum(axis=-1)
 
     # one generator per distinct seed; members sharing a seed share its draws

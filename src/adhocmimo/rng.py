@@ -7,6 +7,10 @@ import zlib
 
 import numpy as np
 
+# complex division by sqrt(2) multiplies by this reciprocal, so scaling by it
+# keeps the draws of (re + 1j * im) / sqrt(2) bit for bit
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
 
 def _seed_sequence(master_seed: int, purpose: str, index: int) -> np.random.SeedSequence:
     """The SeedSequence of a (master, purpose, index) triple; the purpose
@@ -35,10 +39,12 @@ def derive_seed(master_seed: int, purpose: str, index: int = 0) -> int:
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly symmetric complex Gaussian draws with unit variance per entry,
-    assembled in place: every real part is drawn before any imaginary part."""
-    z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
-    z /= math.sqrt(2.0)
-    return z
+    """Circularly symmetric complex Gaussian draws with unit variance per entry:
+    every real part is drawn before any imaginary part, and each is scaled by
+    1/sqrt(2) straight into its half of the result."""
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    # a complex view of a 0-d array fails, so the float pairs are (..., 2)
+    pairs = np.empty(shape + (2,))
+    np.multiply(rng.standard_normal(shape), _INV_SQRT2, out=pairs[..., 0])
+    np.multiply(rng.standard_normal(shape), _INV_SQRT2, out=pairs[..., 1])
+    return pairs.view(complex).reshape(shape)

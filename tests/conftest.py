@@ -2,7 +2,8 @@
 the single-channel BER helpers the link and oracle tests compare: the
 analytic conditional BER and its symbol-level simulation on one frozen
 channel. The LAPACK form of the MMSE detector is kept here as the
-reference for the elimination kernel.
+reference for the elimination kernel, and the kernel's first form as the
+reference it must match bit for bit.
 
 Rate tables are expensive to build, so prebuilt copies live as JSON under
 tests/data/tables, built at the default table build key (seed 0, 2000
@@ -56,6 +57,20 @@ def table_rates(table: RateTable, sinr) -> np.ndarray:
     return rates[0, rate_indices(np.asarray(sinr, dtype=float)[None], thresholds)[0]]
 
 
+# own links 1 m long, interferers hundreds of meters away: 28-85 dB input
+# SINRs, where total received power minus the signal would cancel about 7
+# digits of the interference
+HIGH_SINR_D = [[1.0, 300.0, 900.0], [250.0, 1.0, 700.0], [600.0, 400.0, 1.0]]
+HIGH_SINR_P = np.array([[100.0, 37.0, 80.0], [5.0, 100.0, 1e-3]])
+
+
+def interference_by_hand(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_{i != j} p[i] * rho[j, i] for each (K,) row of p, exactly rounded."""
+    k = rho.shape[-1]
+    return np.array([[math.fsum(row[i] * rho[j, i] for i in range(k) if i != j)
+                      for j in range(k)] for row in p])
+
+
 def mmse_weights_reference(h_hat: np.ndarray, sinr_rfo) -> np.ndarray:
     """The MMSE detector rows as W = H^H (H H^H + (1/sinr) I)^-1, one LAPACK
     solve per stacked (N, N) system."""
@@ -67,6 +82,32 @@ def mmse_weights_reference(h_hat: np.ndarray, sinr_rfo) -> np.ndarray:
     gram[..., idx, idx] += nu[..., None] if nu.ndim else nu
     solved = np.linalg.solve(gram, h_hat)       # (..., N, M) = A^-1 H
     return np.swapaxes(solved.conj(), -1, -2)   # (..., M, N)
+
+
+def mmse_weights_elimination_reference(h_hat: np.ndarray, sinr_rfo) -> np.ndarray:
+    """The elimination kernel as it first shipped: the Gram matrix filled
+    entry by entry, each diagonal entry conjugated onto itself. The
+    shipped kernel must match it bit for bit."""
+    h_hat = np.asarray(h_hat)
+    *batch, n, m = h_hat.shape
+    nu = np.broadcast_to(1.0 / np.asarray(sinr_rfo, dtype=float), batch).reshape(-1)
+    aug = np.empty((m, m + n, nu.size), dtype=complex)
+    h_herm = aug[:, m:]
+    h_last = np.moveaxis(h_hat.reshape(-1, n, m), 0, -1)
+    np.conjugate(h_last.swapaxes(0, 1), out=h_herm)
+    h_cols = h_herm.conj()
+    for i in range(m):
+        for j in range(i, m):
+            aug[i, j] = (h_herm[i] * h_cols[j]).sum(axis=0)
+            aug[j, i] = aug[i, j].conj()
+        aug[i, i] += nu
+    for k in range(m):
+        row = aug[k, k + 1:]
+        row /= aug[k, k].real
+        for i in range(m):
+            if i != k:
+                aug[i, k + 1:] -= aug[i, k] * row
+    return np.moveaxis(h_herm, -1, 0).reshape(*batch, m, n)
 
 
 def conditional_ber(

@@ -22,7 +22,7 @@ from adhocmimo.link_abstraction import (
     make_mod_scheme,
 )
 from adhocmimo.mc_oracle import OracleConfig, simulate_link_ber
-from adhocmimo.network_opt import maximize_sum_throughput, sinr_in_all
+from adhocmimo.network_opt import maximize_sum_throughput, sinr_in_all, split_gains
 from adhocmimo.radio_env import sample_topology, total_noise_power
 from adhocmimo.rng import derive_seed, substream
 
@@ -258,7 +258,7 @@ def test_primary_08_ga_against_brute_force(params, table_cache):
         _, fit = maximize_sum_throughput([topo], [table], params, seeds=[i])
         grids = np.meshgrid(*([levels] * k), indexing="ij")
         alloc = np.stack(grids, axis=-1).reshape(-1, k)
-        sinr = sinr_in_all(alloc, topo.rho, noise)
+        sinr = sinr_in_all(alloc, split_gains(topo.rho), noise)
         brute = float(conftest.table_rates(table, sinr).sum(axis=-1).max())
         if fit[0] >= brute - 8e6:
             hits += 1
@@ -303,7 +303,7 @@ def test_primary_09_distributed_control(params, table_cache, tmp_path):
             state, _ = run_dprc([topo], [table], params,
                                 [substream(i, f"acc9-run-k{k}")])
             p, r = state.p[0], state.r[0]
-            sinr = sinr_in_all(p[None], topo.rho, noise)[0]
+            sinr = sinr_in_all(p[None], split_gains(topo.rho), noise)[0]
             for j in range(k):
                 if r[j] > 0 and sinr[j] < thr[r[j] - 1] * slack:
                     feas_ok = False

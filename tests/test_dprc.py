@@ -21,12 +21,14 @@ from adhocmimo.network_opt import (
     maximize_sum_throughput,
     rate_indices,
     sinr_in_all,
+    split_gains,
+    stack_gains,
     stack_tables,
 )
 from adhocmimo.radio_env import Topology, path_gain, sample_topology, total_noise_power
 from adhocmimo.rng import substream
 
-from conftest import table_rates
+from conftest import HIGH_SINR_D, HIGH_SINR_P, interference_by_hand, table_rates
 
 
 def topo_from_d(d, params: SystemParams) -> Topology:
@@ -51,13 +53,13 @@ def stage2_one(p0, topo: Topology, table, params: SystemParams):
     """stage2 on a batch of one (K,) start: the member's (ROUNDS, K) powers,
     SINRs and aimed-at rate indices, and its final rate indices."""
     thr = stack_tables([table])[0]
-    p, sinr, r = stage2(np.array([p0]), topo.rho[None], thr, params)
+    p, sinr, r = stage2(np.array([p0]), stack_gains([topo]), thr, params)
     return p[0], sinr[0], r[0], rate_indices(sinr[:, -1], thr)[0]
 
 
 def sinr_of(p, topo: Topology, params: SystemParams) -> np.ndarray:
     """(K,) input SINR of one (K,) allocation."""
-    return sinr_in_all(p[None], topo.rho, total_noise_power(params))[0]
+    return sinr_in_all(p[None], split_gains(topo.rho), total_noise_power(params))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -170,30 +172,39 @@ def test_best_response_exact_below_the_grid_resolution():
 # stage 1
 
 
+def test_effective_interference_sums_the_interferers_directly(params):
+    rho = path_gain(np.asarray(HIGH_SINR_D), params)
+    noise = total_noise_power(params)
+    want = (interference_by_hand(HIGH_SINR_P, rho) + noise) / np.diagonal(rho)
+    gains = split_gains(np.stack([rho, rho]))
+    got = dprc._effective_interference(HIGH_SINR_P, gains, noise)
+    np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
 def test_stage1_single_pair_settles_in_one_round(params):
     topo = topo_from_d([[10.0]], params)
-    p_h, sinr_h = stage1(topo.rho[None], params, [substream(0, "s1")])
+    p_h, sinr_h = stage1(stack_gains([topo]), params, [substream(0, "s1")])
     assert p_h.shape == sinr_h.shape == (1, dprc.ROUNDS, 1)
     powers = p_h[0, :, 0]
     # without interference the response never changes after the first round
     assert np.all(powers == powers[0])
     assert powers[0] > 0.0
     np.testing.assert_array_equal(sinr_h[0], sinr_in_all(
-        p_h[0], topo.rho, total_noise_power(params)))
+        p_h[0], split_gains(topo.rho), total_noise_power(params)))
 
 
 def test_stage1_mutual_outage_shuts_both_off(params):
     # each receiver sits 1 m from the other transmitter and 300 m from its
     # own; any plausible start price both pairs out of the game
     topo = topo_from_d([[300.0, 1.0], [1.0, 300.0]], params)
-    p_h, _ = stage1(topo.rho[None], params, [substream(3, "s1")])
+    p_h, _ = stage1(stack_gains([topo]), params, [substream(3, "s1")])
     np.testing.assert_array_equal(p_h[0, 0], [0.0, 0.0])
 
 
 def test_stage1_deterministic(params):
-    rho = sample_topology(5, params, substream(4, "topo")).rho[None]
-    a = stage1(rho, params, [substream(7, "s1")])
-    b = stage1(rho, params, [substream(7, "s1")])
+    gains = stack_gains([sample_topology(5, params, substream(4, "topo"))])
+    a = stage1(gains, params, [substream(7, "s1")])
+    b = stage1(gains, params, [substream(7, "s1")])
     for x, y in zip(a, b, strict=True):
         np.testing.assert_array_equal(x, y)
 
@@ -233,6 +244,19 @@ def test_stage2_leaves_infeasible_pair_untouched(params, table_cache):
     p_h, _, r_h, r = stage2_one(p0, topo, table, params)
     np.testing.assert_array_equal(p_h, np.broadcast_to(p0, p_h.shape))
     assert not r_h.any() and r[0] == 0
+
+
+def test_stage2_keeps_the_rate_it_lands_on_from_a_high_sinr(params, table_cache):
+    # pair 0 starts near 76 dB over a faint interferer; were its
+    # interference total received power minus the signal, the rescaled SINR
+    # would land 1e-9 below the top threshold and the next round would read
+    # it one mode lower
+    table = table_cache(4, "ideal")
+    topo = topo_from_d([[10.0, 300.0], [300.0, 10.0]], params)
+    _, sinr_h, r_h, r = stage2_one([100.0, 1e-6], topo, table, params)
+    top = table.thresholds_linear.size
+    assert r_h[:, 0].tolist() == [top] * dprc.ROUNDS
+    assert sinr_h[-1, 0] >= table.thresholds_linear[-1] and r[0] == top
 
 
 def test_stage2_keeps_rate_started_just_above_each_threshold(params, table_cache):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from adhocmimo.impairment_model import (
     RFO_EPS_LIMIT,
+    RFO_ICI_COEFF,
     rfo_std,
     sinr_after_rfo,
     sinr_baseband,
@@ -54,6 +55,23 @@ def test_sinr_after_rfo_identity_even_and_degrading():
     assert sinr_after_rfo(100.0, 0.0) == 100.0
     assert sinr_after_rfo(100.0, 0.05) == sinr_after_rfo(100.0, -0.05)
     assert sinr_after_rfo(100.0, 0.05) < 100.0
+
+
+def test_sinr_after_rfo_keeps_the_bits_of_the_sinc_formula():
+    # one shared sine gives np.sinc's attenuation and the ICI term bit for bit
+    def formula(sinr, eps):
+        ici = RFO_ICI_COEFF * sinr * np.sin(np.pi * eps) ** 2
+        return sinr * np.sinc(eps) ** 2 / (1 + ici)
+
+    eps = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-9, -1e-9, 0.013, -0.21,
+                    RFO_EPS_LIMIT, -RFO_EPS_LIMIT])
+    sinr = np.logspace(-2, 6, eps.size)
+    got, want = sinr_after_rfo(sinr, eps), formula(sinr, eps)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for e in eps:
+        got = sinr_after_rfo(316.0, float(e))
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == formula(316.0, e).tobytes()
 
 
 def test_sinr_after_rfo_monotone_in_offset_magnitude():

@@ -34,6 +34,7 @@ from adhocmimo.rng import complex_normal, substream
 from conftest import (
     CACHE_DIR,
     conditional_ber,
+    mmse_weights_elimination_reference,
     mmse_weights_reference,
     simulate_conditional_ber,
 )
@@ -116,6 +117,8 @@ def test_mmse_weights_match_lapack_reference(n, m):
     # the system each solves; kappa = 1 + sinr |H|_F^2 bounds both the
     # (N, N) and the (M, M) one. Measured differences stay below 2.1 eps kappa
     # of the largest weight, for every (n, m) here, with SINR up to 1e5.
+    # The Gram fill skips the diagonal's self-conjugate write, which leaves
+    # every bit of the elimination's first form.
     rng = substream(0, "mmse-reference", 10 * n + m)
     sinr = np.logspace(-2, 5, 15)
     cases = [((), 1e-2), ((), 1e5), ((15,), sinr), ((4, 15), sinr), ((4, 15), 30.0)]
@@ -123,6 +126,7 @@ def test_mmse_weights_match_lapack_reference(n, m):
         h = complex_normal(rng, shape + (n, m))
         got, want = mmse_weights(h, s), mmse_weights_reference(h, s)
         assert got.shape == want.shape == shape + (m, n)
+        assert got.tobytes() == mmse_weights_elimination_reference(h, s).tobytes()
         kappa = 1.0 + np.asarray(s) * np.sum(np.abs(h) ** 2, axis=(-1, -2))
         scale = np.max(np.abs(want), axis=(-1, -2))
         diff = np.max(np.abs(got - want), axis=(-1, -2))
@@ -244,6 +248,17 @@ def test_orbit_kernel_keeps_bpsk_tail_precision():
     np.testing.assert_allclose(_ber_given_stats(s_diag, sigma2, mod), want, rtol=1e-12)
 
 
+def test_split_kernel_keeps_deep_tail_precision():
+    # 16-QAM with a real gain: the representatives' error regions below
+    # their level are lower tails, which a difference of two upper tails
+    # near 1 loses (the first orbit kernel read 3.81e-24 here, 33% low).
+    # The reference is the same Gaussian model summed over every (label,
+    # axis, region) in 60-digit arithmetic with mpmath.
+    mod = make_mod_scheme(4)
+    got = _ber_given_stats(np.array([[1.0 + 0.0j]]), np.array([[2e-3]]), mod)
+    np.testing.assert_allclose(got, [5.7148897681204005561e-24], rtol=1e-12)
+
+
 @pytest.mark.parametrize("quad_order", [15, 16])
 def test_folded_quadrature_matches_full_node_sum(params, quad_order):
     # the offset integrand is even, so the non-negative nodes with mirrored
@@ -309,26 +324,32 @@ def test_ber_end_to_end_rfo_point_mass_limit():
 
 
 def test_erfc_is_scipys_and_every_q_call_goes_through_the_module_name(params, monkeypatch):
-    # the benchmark's tracer counts BER work by wrapping link_abstraction.erfc
+    # the benchmark's tracer counts BER work by wrapping link_abstraction.erfc:
+    # each kernel call makes one erfc call through that name, one element per
+    # (draw, stream, representative, edge)
     x = substream(7, "erfc").normal(0.0, 3.0, size=(40, 25))
     np.testing.assert_array_equal(link_abstraction.erfc(x), erfc(x))
 
-    seen = {"q": [0, 0], "erfc": [0, 0]}
+    kernel_calls = [0]
+    erfc_sizes = []
 
-    def counting(key, fn):
-        def wrapped(arg):
-            seen[key][0] += 1
-            seen[key][1] += np.size(arg)
-            return fn(arg)
-        return wrapped
+    def counting_kernel(*args):
+        kernel_calls[0] += 1
+        return _ber_given_stats(*args)
 
-    monkeypatch.setattr(link_abstraction, "_q", counting("q", link_abstraction._q))
-    monkeypatch.setattr(link_abstraction, "erfc", counting("erfc", link_abstraction.erfc))
+    def counting_erfc(arg):
+        erfc_sizes.append(np.size(arg))
+        return erfc(arg)
+
+    monkeypatch.setattr(link_abstraction, "_ber_given_stats", counting_kernel)
+    monkeypatch.setattr(link_abstraction, "erfc", counting_erfc)
     flags = ImpairmentFlags(phase_noise=True, rfo=True, channel_est=True)
-    ber_end_to_end(db_to_linear(15.0), 2, 2, make_mod_scheme(4), flags, params,
-                   n_draws=50, rng=substream(7, "hook"))
-    assert seen["q"][0] > 0
-    assert seen["erfc"] == seen["q"]
+    n_draws, m, mod = 50, 2, make_mod_scheme(4)
+    ber_end_to_end(db_to_linear(15.0), m, 2, mod, flags, params,
+                   n_draws=n_draws, rng=substream(7, "hook"))
+    per_call = n_draws * m * (len(mod.points) // 2) * (len(mod.re_levels) - 1)
+    assert kernel_calls[0] > 0
+    assert erfc_sizes == [per_call] * kernel_calls[0]
 
 
 def test_ber_end_to_end_quadrature_order_stable(params):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adhocmimo.config import SystemParams, dbm_to_mw
-from adhocmimo.network_opt import maximize_sum_throughput, sinr_in_all
+from adhocmimo.network_opt import maximize_sum_throughput, sinr_in_all, split_gains
 from adhocmimo.radio_env import (
     Topology,
     noise_variance,
@@ -15,7 +15,7 @@ from adhocmimo.radio_env import (
 )
 from adhocmimo.rng import substream
 
-from conftest import table_rates
+from conftest import HIGH_SINR_D, HIGH_SINR_P, interference_by_hand, table_rates
 
 
 def topo_from_d(d, params: SystemParams) -> Topology:
@@ -26,7 +26,8 @@ def topo_from_d(d, params: SystemParams) -> Topology:
 def sum_rate(p, topo: Topology, table, params: SystemParams) -> float:
     """Network sum rate with every pair on its best table mode at the SINR
     that allocation p produces."""
-    sinr = sinr_in_all(np.asarray(p)[None], topo.rho, total_noise_power(params))
+    sinr = sinr_in_all(np.asarray(p)[None], split_gains(topo.rho),
+                       total_noise_power(params))
     return table_rates(table, sinr).sum()
 
 
@@ -47,7 +48,8 @@ def test_single_pair_sinr_formula(params):
     p = np.array([[params.p_t_mw]])
     want = params.p_t_mw * path_gain(10.0, params) / total_noise_power(params)
     noise = params.ns * noise_variance(params)
-    assert sinr_in_all(p, topo.rho, noise)[0, 0] == pytest.approx(want, rel=1e-12)
+    got = sinr_in_all(p, split_gains(topo.rho), noise)
+    assert got[0, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_two_pair_sinr_by_hand(params):
@@ -58,19 +60,20 @@ def test_two_pair_sinr_by_hand(params):
     g = path_gain(np.asarray(d), params)
     want0 = p[0] * g[0, 0] / (p[1] * g[0, 1] + noise)
     want1 = p[1] * g[1, 1] / (p[0] * g[1, 0] + noise)
-    got = sinr_in_all(p[None], topo.rho, noise)
+    got = sinr_in_all(p[None], split_gains(topo.rho), noise)
     np.testing.assert_allclose(got, [[want0, want1]], rtol=1e-12)
 
 
 def test_symmetric_pairs_see_equal_sinr(params):
     topo = topo_from_d([[30.0, 120.0], [120.0, 30.0]], params)
-    got = sinr_in_all(np.array([[50.0, 50.0]]), topo.rho, total_noise_power(params))
+    got = sinr_in_all(np.array([[50.0, 50.0]]), split_gains(topo.rho),
+                      total_noise_power(params))
     assert got[0, 0] == pytest.approx(got[0, 1], rel=1e-12)
 
 
 def test_zero_power_gives_zero_sinr(params):
     topo = topo_from_d([[10.0, 40.0], [40.0, 10.0]], params)
-    got = sinr_in_all(np.zeros((1, 2)), topo.rho, total_noise_power(params))
+    got = sinr_in_all(np.zeros((1, 2)), split_gains(topo.rho), total_noise_power(params))
     np.testing.assert_array_equal(got, [[0.0, 0.0]])
 
 
@@ -78,11 +81,12 @@ def test_sinr_batch_matches_rows(params):
     topo = sample_topology(3, params, substream(0, "topo"))
     noise = total_noise_power(params)
     batch = np.abs(np.random.default_rng(1).normal(50.0, 20.0, (5, 3)))
-    got = sinr_in_all(batch, topo.rho, noise)
+    got = sinr_in_all(batch, split_gains(topo.rho), noise)
     assert got.shape == (5, 3)
     for b in range(5):
         np.testing.assert_allclose(
-            got[b], sinr_in_all(batch[b: b + 1], topo.rho, noise)[0], rtol=1e-12)
+            got[b], sinr_in_all(batch[b: b + 1], split_gains(topo.rho), noise)[0],
+            rtol=1e-12)
 
     # (M, B, K) rows against (M, K, K) gains, as the GA and DPRC call it:
     # each member equals its own single-matrix result bit for bit
@@ -90,16 +94,27 @@ def test_sinr_batch_matches_rows(params):
         rho = np.stack([sample_topology(k, params, substream(s, "stack", k)).rho
                         for s in range(4)])
         rows = np.abs(np.random.default_rng(k).normal(50.0, 20.0, (4, 6, k)))
-        got = sinr_in_all(rows, rho, noise)
+        got = sinr_in_all(rows, split_gains(rho), noise)
         assert got.shape == (4, 6, k)
         for i in range(4):
-            np.testing.assert_array_equal(got[i], sinr_in_all(rows[i], rho[i], noise))
+            np.testing.assert_array_equal(
+                got[i], sinr_in_all(rows[i], split_gains(rho[i]), noise))
+
+
+def test_sinr_sums_the_interference_directly(params):
+    # received power minus the signal would be 1e-8 off here
+    rho = path_gain(np.asarray(HIGH_SINR_D), params)
+    noise = total_noise_power(params)
+    want = HIGH_SINR_P * np.diagonal(rho) / (
+        interference_by_hand(HIGH_SINR_P, rho) + noise)
+    got = sinr_in_all(HIGH_SINR_P, split_gains(rho), noise)
+    np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
 def test_sinr_in_validates_allocation_shape(params):
     topo = topo_from_d([[10.0]], params)
     with pytest.raises(ValueError):
-        sinr_in_all(np.ones((1, 3)), topo.rho, total_noise_power(params))
+        sinr_in_all(np.ones((1, 3)), split_gains(topo.rho), total_noise_power(params))
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +173,8 @@ def test_ga_never_below_corner_baselines(params, table_cache):
         corners = np.zeros((6, 4))
         corners[0] = params.p_t_mw
         corners[2:] = params.p_t_mw * np.eye(4)
-        best_corner = max(
-            table_rates(table, sinr_in_all(corners, topo.rho, noise)).sum(axis=-1))
+        sinr = sinr_in_all(corners, split_gains(topo.rho), noise)
+        best_corner = max(table_rates(table, sinr).sum(axis=-1))
         assert fit >= best_corner
 
 
@@ -170,7 +185,7 @@ def test_ga_silences_hopeless_pair(params, table_cache):
     topo = topo_from_d([[10.0, 300.0], [1.0, 250.0]], params)
     p, fit = ga_one(topo, table, params, seed=0)
     assert fit == 192e6
-    sinr = sinr_in_all(p[None], topo.rho, total_noise_power(params))
+    sinr = sinr_in_all(p[None], split_gains(topo.rho), total_noise_power(params))
     assert (table_rates(table, sinr) > 0).sum() == 1
 
 
@@ -182,7 +197,7 @@ def test_ga_matches_brute_force_grid(params, table_cache):
     levels = np.concatenate([[0.0], dbm_to_mw(np.arange(-10.0, 20.0 + 1e-9, 1.0))])
     grid = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), axis=-1)
     grid = grid.reshape(-1, 3)
-    sinr = sinr_in_all(grid, topo.rho, total_noise_power(params))
+    sinr = sinr_in_all(grid, split_gains(topo.rho), total_noise_power(params))
     brute = float(table_rates(table, sinr).sum(axis=-1).max())
     # one table step of slack covers grid quantization
     assert fit >= brute - 8e6
