@@ -130,8 +130,12 @@ def table_filename(n_rx: int, flag_name: str) -> str:
     return f"rates_N{n_rx}_{flag_name}.json"
 
 
-def _cached_table(path: Path, want: dict) -> tuple[RateTable | None, str]:
-    """The table cached at path if it is fresh, else None and what is wrong."""
+def _cached_table(
+    path: Path, want: dict, n_rx: int, flag_name: str
+) -> tuple[RateTable | None, str]:
+    """The (n_rx, flag set) table cached at path if it is fresh, else None
+    and what is wrong. Fresh means it parses, its build block equals want,
+    and it holds the antenna count and flag set it is filed under."""
     if not path.exists():
         return None, f"missing rate table cache: {path}"
     try:
@@ -140,14 +144,19 @@ def _cached_table(path: Path, want: dict) -> tuple[RateTable | None, str]:
         return None, f"cannot read cached table {path} ({type(exc).__name__}: {exc})"
     if table.build_info != want:
         return None, f"cached table {path} was built with different settings"
+    label = FLAG_SETS[flag_name].label()
+    if (table.n_rx, table.flags_label) != (n_rx, label):
+        return None, (f"cached table {path} holds the N{table.n_rx} "
+                      f"{table.flags_label} table, not N{n_rx} {label}")
     return table, ""
 
 
 def _load_tables(spec: ExperimentSpec) -> dict[tuple[int, str], RateTable]:
     """Every table on the spec's axes, read once from <out>/tables.
 
-    A cached table is fresh when it parses and its build block equals the
-    table build key of the spec's parameters, table seed and draw count.
+    A cached table is fresh when it parses, its build block equals the
+    table build key of the spec's parameters, table seed and draw count,
+    and its antenna count and flags label match its file name.
     With --build-tables (and always for the rate-table scenario) a table
     that is not fresh is built and saved, and fresh files are left untouched,
     so rebuilds are idempotent and byte-stable; otherwise it is a
@@ -159,7 +168,7 @@ def _load_tables(spec: ExperimentSpec) -> dict[tuple[int, str], RateTable]:
     for n_rx in spec.n_rx_values:
         for name in spec.flag_names:
             path = spec.out_dir / "tables" / table_filename(n_rx, name)
-            table, problem = _cached_table(path, want)
+            table, problem = _cached_table(path, want, n_rx, name)
             if table is None and build:
                 table = build_rate_table(
                     n_rx, FLAG_SETS[name], spec.params,

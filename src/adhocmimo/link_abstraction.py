@@ -63,6 +63,13 @@ __all__ = [
 # supported bits/symbol -> mean-energy normalizer of the square grid
 _D_BY_U = {1: 1, 2: 2, 4: 10, 6: 42}
 
+# the SINR grid a rate table is scanned on (dB) and the Gauss-Hermite order
+# of the residual-offset average; table_build_key records all four
+SINR_LO_DB = -5.0
+SINR_HI_DB = 45.0
+GRID_STEP_DB = 0.1
+QUAD_ORDER = 15
+
 
 def erfc(x):
     """scipy's complementary error function, imported at the first call so
@@ -147,14 +154,6 @@ class ImpairmentFlags:
     rfo: bool = True
     channel_est: bool = True
 
-    @classmethod
-    def none(cls) -> "ImpairmentFlags":
-        return cls(phase_noise=False, rfo=False, channel_est=False)
-
-    @classmethod
-    def all(cls) -> "ImpairmentFlags":
-        return cls(phase_noise=True, rfo=True, channel_est=True)
-
     def label(self) -> str:
         parts = []
         if self.phase_noise:
@@ -168,8 +167,8 @@ class ImpairmentFlags:
 
 # the named impairment sets of the scenarios, tables and test fixtures
 FLAG_SETS = {
-    "ideal": ImpairmentFlags.none(),
-    "imp": ImpairmentFlags.all(),
+    "ideal": ImpairmentFlags(phase_noise=False, rfo=False, channel_est=False),
+    "imp": ImpairmentFlags(),
     "pn": ImpairmentFlags(phase_noise=True, rfo=False, channel_est=False),
     "rfo": ImpairmentFlags(phase_noise=False, rfo=True, channel_est=False),
     "ce": ImpairmentFlags(phase_noise=False, rfo=False, channel_est=True),
@@ -306,23 +305,22 @@ def _gh_nodes(quad_order: int):
     return nodes[half:], folded / math.sqrt(math.pi)
 
 
-def _check_sizes(n_draws, quad_order) -> None:
-    for name, value in (("n_draws", n_draws), ("quad_order", quad_order)):
-        if not value >= 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+def _check_draws(n_draws) -> None:
+    if not n_draws >= 1:
+        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
 
 
 def _ber_per_draw(sinr_in, h, e_raw, mod, flags: ImpairmentFlags,
-                  params: SystemParams, quad_order: int):
+                  params: SystemParams):
     """The impairment chain at a positive input SINR, one BER per channel
     draw, (n_draws,): phase-noise ICI compresses the SINR, the residual
-    offset is averaged over Gauss-Hermite nodes, and the channel estimate
-    degrades with the SINR at each node."""
+    offset is averaged over QUAD_ORDER Gauss-Hermite nodes (read at call
+    time), and the channel estimate degrades with the SINR at each node."""
     sinr_b = sinr_baseband(sinr_in, params.f_ici) if flags.phase_noise else sinr_in
     m = h.shape[-1]
     mt = training_length(m)
     if flags.rfo:
-        nodes, weights = _gh_nodes(quad_order)
+        nodes, weights = _gh_nodes(QUAD_ORDER)
         sigma = rfo_std(sinr_b, params.ns)
         eps = np.clip(math.sqrt(2.0) * sigma * nodes, -RFO_EPS_LIMIT, RFO_EPS_LIMIT)
         sinr_nodes = sinr_after_rfo(np.full_like(eps, sinr_b), eps)
@@ -349,7 +347,6 @@ def ber_end_to_end(
     params: SystemParams,
     n_draws: int = 2000,
     rng: np.random.Generator | None = None,
-    quad_order: int = 15,
 ) -> tuple[float, float]:
     """Full chain from wideband input SINR to BER with the selected
     impairments, averaged over n_draws Rayleigh channel and estimate-error
@@ -362,12 +359,12 @@ def ber_end_to_end(
         raise ValueError("sinr_in must be non-negative")
     if m > n:
         raise ValueError("stream count cannot exceed receive antennas")
-    _check_sizes(n_draws, quad_order)
+    _check_draws(n_draws)
     if sinr_in == 0:
         return 0.5, 0.0
     rng = rng if rng is not None else substream(0, "ber-end-to-end")
     h, e_raw = _draw_channel_set(m, n, n_draws, rng)
-    pb = _ber_per_draw(sinr_in, h, e_raw, mod, flags, params, quad_order)
+    pb = _ber_per_draw(sinr_in, h, e_raw, mod, flags, params)
     se = pb.std(ddof=1) / math.sqrt(n_draws) if n_draws > 1 else 0.0
     return float(pb.mean()), float(se)
 
@@ -391,10 +388,8 @@ class RateTable:
     order). Treat as immutable."""
 
     n_rx: int
-    impaired: bool
-    grid_step_db: float
+    flags_label: str
     entries: tuple[RateEntry, ...]
-    flags_label: str = ""
     build_info: dict | None = None
 
     def __post_init__(self):
@@ -413,12 +408,14 @@ class RateTable:
         return np.array([0.0] + [e.rate_bps for e in self.entries])
 
     def to_dict(self) -> dict:
+        # format v1 also carries "impaired" and "grid_step_db", both derived:
+        # the flags label and the build block hold the facts
         doc = {
             "version": 1,
             "n_rx": self.n_rx,
-            "impaired": self.impaired,
+            "impaired": self.flags_label != "none",
             "flags": self.flags_label,
-            "grid_step_db": self.grid_step_db,
+            "grid_step_db": GRID_STEP_DB,
             "entries": [
                 {
                     "rate_bps": e.rate_bps,
@@ -448,10 +445,8 @@ class RateTable:
         )
         return cls(
             n_rx=int(doc["n_rx"]),
-            impaired=bool(doc["impaired"]),
-            grid_step_db=float(doc["grid_step_db"]),
+            flags_label=doc["flags"],
             entries=entries,
-            flags_label=doc.get("flags", ""),
             build_info=doc.get("build"),
         )
 
@@ -488,27 +483,20 @@ def _pareto_front(cands: list[RateEntry]) -> tuple[RateEntry, ...]:
     return tuple(reversed(front))
 
 
-def table_build_key(
-    params: SystemParams,
-    *,
-    seed: int = 0,
-    n_draws: int = 2000,
-    grid_step_db: float = 0.1,
-    sinr_range_db: tuple[float, float] = (-5.0, 45.0),
-    quad_order: int = 15,
-) -> dict:
+def table_build_key(params: SystemParams, *, seed: int = 0, n_draws: int = 2000) -> dict:
     """Every input that shapes a rate table besides its antenna count and
-    impairment set: the build settings and the SystemParams fields the BER
-    chain and the rates read. build_rate_table records it as the table's
-    build block; a cached table is fresh when its block equals the key."""
-    lo_db, hi_db = sinr_range_db
+    impairment set: the seed and draw count, the grid and quadrature
+    constants, and the SystemParams fields the BER chain and the rates read.
+    build_rate_table records it as the table's build block; a cached table
+    is fresh when its block equals the key, so a table built under other
+    constants reads as stale."""
     return {
         "seed": seed,
         "n_draws": n_draws,
-        "sinr_lo_db": lo_db,
-        "sinr_hi_db": hi_db,
-        "grid_step_db": grid_step_db,
-        "quad_order": quad_order,
+        "sinr_lo_db": SINR_LO_DB,
+        "sinr_hi_db": SINR_HI_DB,
+        "grid_step_db": GRID_STEP_DB,
+        "quad_order": QUAD_ORDER,
         "gamma_ber": params.gamma_ber,
         "f_ici": params.f_ici,
         "ns": params.ns,
@@ -517,29 +505,27 @@ def table_build_key(
 
 
 def build_rate_table(
-    n_rx: int, flags: ImpairmentFlags, params: SystemParams, **settings
+    n_rx: int, flags: ImpairmentFlags, params: SystemParams, *,
+    seed: int = 0, n_draws: int = 2000,
 ) -> RateTable:
-    """Scan every (m <= n_rx, u) mode for the lowest SINR grid point meeting
-    the BER target and keep the Pareto frontier. settings are the keyword
-    arguments of table_build_key (seed, n_draws, grid_step_db,
-    sinr_range_db, quad_order).
+    """Scan every (m <= n_rx, u) mode for the lowest point of the SINR grid
+    (SINR_LO_DB to SINR_HI_DB in GRID_STEP_DB steps) meeting the BER target
+    and keep the Pareto frontier.
 
     One channel/estimate draw set per stream count is reused across the whole
     grid (common random numbers), which makes the averaged BER smooth and
     monotone in SINR so the first passing grid point is found by bisection.
     Modes that fail the target everywhere on the grid are omitted.
     """
-    build = table_build_key(params, **settings)
-    _check_sizes(build["n_draws"], build["quad_order"])
-    lo_db, step_db = build["sinr_lo_db"], build["grid_step_db"]
-    n_grid = int(round((build["sinr_hi_db"] - lo_db) / step_db)) + 1
-    grid_db = np.round(lo_db + step_db * np.arange(n_grid), 9)
+    _check_draws(n_draws)
+    n_grid = int(round((SINR_HI_DB - SINR_LO_DB) / GRID_STEP_DB)) + 1
+    grid_db = np.round(SINR_LO_DB + GRID_STEP_DB * np.arange(n_grid), 9)
     gamma = params.gamma_ber
 
     cands: list[RateEntry] = []
     for m in range(1, n_rx + 1):
-        rng = substream(build["seed"], f"rate-table-n{n_rx}-m{m}-{flags.label()}")
-        h, e_raw = _draw_channel_set(m, n_rx, build["n_draws"], rng)
+        rng = substream(seed, f"rate-table-n{n_rx}-m{m}-{flags.label()}")
+        h, e_raw = _draw_channel_set(m, n_rx, n_draws, rng)
         for u in sorted(_D_BY_U):
             mod = make_mod_scheme(u)
             cache: dict[int, float] = {}
@@ -547,7 +533,7 @@ def build_rate_table(
             def mean_ber(j: int) -> float:
                 if j not in cache:
                     pb = _ber_per_draw(db_to_linear(grid_db[j]), h, e_raw, mod,
-                                       flags, params, build["quad_order"])
+                                       flags, params)
                     cache[j] = float(pb.mean())
                 return cache[j]
 
@@ -575,9 +561,7 @@ def build_rate_table(
 
     return RateTable(
         n_rx=n_rx,
-        impaired=flags != ImpairmentFlags.none(),
-        grid_step_db=step_db,
-        entries=_pareto_front(cands),
         flags_label=flags.label(),
-        build_info=build,
+        entries=_pareto_front(cands),
+        build_info=table_build_key(params, seed=seed, n_draws=n_draws),
     )

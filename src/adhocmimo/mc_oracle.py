@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .impairment_model import RFO_EPS_LIMIT, rfo_std, sinr_after_rfo
-from .link_abstraction import ModScheme, make_mod_scheme, mmse_weights, training_length
+from .link_abstraction import (
+    _POPCOUNT, ModScheme, make_mod_scheme, mmse_weights, training_length,
+)
 from .rng import complex_normal, substream
 
 __all__ = [
@@ -30,8 +32,6 @@ __all__ = [
 
 # symbol vectors simulated per batch
 BATCH_VECTORS = 20_000
-
-_POPCOUNT = np.array([bin(i).count("1") for i in range(64)], dtype=np.int64)
 
 
 def _slice(x, levels, gray, half_step):

@@ -7,9 +7,9 @@ reference it must match bit for bit.
 
 Rate tables are expensive to build, so prebuilt copies live as JSON under
 tests/data/tables, built at the default table build key (seed 0, 2000
-draws, the default grid, default SystemParams). A missing or stale copy is
-rebuilt into a session temporary directory; the shipped fixtures are never
-rewritten.
+draws, default SystemParams). They are read through simcli's own cache
+check, so a missing, stale or mislabeled copy fails the test that asks for
+it, as it would fail a scenario; the shipped fixtures are never rewritten.
 """
 
 import math
@@ -20,13 +20,12 @@ import pytest
 from hypothesis import settings
 
 from adhocmimo.config import SystemParams
+from adhocmimo.experiments_cli import _cached_table, table_filename
 from adhocmimo.link_abstraction import (
-    FLAG_SETS,
     ModScheme,
     RateTable,
     _ber_given_stats,
     _detection_stats,
-    build_rate_table,
     mmse_weights,
     table_build_key,
 )
@@ -171,26 +170,20 @@ def params() -> SystemParams:
 
 
 @pytest.fixture(scope="session")
-def table_cache(params, tmp_path_factory):
-    """Callable (n_rx, flag_name) -> RateTable, backed by the shipped cache;
-    tables missing from it or stale are built into a session temp dir."""
-    build_dir = tmp_path_factory.mktemp("tables")
+def table_cache(params):
+    """Callable (n_rx, flag_name) -> RateTable: the shipped fixture, if
+    simcli would accept it as fresh at the default table build key."""
     want = table_build_key(params)
     loaded: dict[tuple[int, str], RateTable] = {}
 
     def get(n_rx: int, flag_name: str) -> RateTable:
         key = (n_rx, flag_name)
-        if key in loaded:
-            return loaded[key]
-        path = CACHE_DIR / f"rates_N{n_rx}_{flag_name}.json"
-        if path.exists():
-            table = RateTable.load(path)
-            if table.build_info == want:
-                loaded[key] = table
-                return table
-        table = build_rate_table(n_rx, FLAG_SETS[flag_name], params)
-        table.save(build_dir / path.name)
-        loaded[key] = table
-        return table
+        if key not in loaded:
+            path = CACHE_DIR / table_filename(n_rx, flag_name)
+            table, problem = _cached_table(path, want, n_rx, flag_name)
+            if table is None:
+                pytest.fail(problem)
+            loaded[key] = table
+        return loaded[key]
 
     return get

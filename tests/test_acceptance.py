@@ -17,6 +17,7 @@ from adhocmimo.dprc import run_dprc, best_response_power, sigmoid_utility
 from adhocmimo.experiments_cli import ExperimentSpec, run_experiment, table_filename
 from adhocmimo.impairment_model import sinr_baseband
 from adhocmimo.link_abstraction import (
+    FLAG_SETS,
     ImpairmentFlags,
     ber_end_to_end,
     make_mod_scheme,
@@ -35,8 +36,7 @@ def record(num: int, ok: bool, detail: str) -> None:
 
 
 def seed_tables(out_dir, table_cache, combos) -> None:
-    """Stage the suite's rate tables (shipped, or rebuilt when stale) for a
-    scenario output tree."""
+    """Stage the suite's shipped rate tables for a scenario output tree."""
     table_dir = out_dir / "tables"
     table_dir.mkdir(parents=True, exist_ok=True)
     for n_rx, name in combos:
@@ -66,7 +66,7 @@ def shift_at_ber(flags: ImpairmentFlags, params: SystemParams, purpose: str):
     # largest admissible impairment shift
     grid = np.round(np.arange(-5.0, 22.0 + 1e-9, 0.5), 9)
     curves = {}
-    for label, f in (("clean", ImpairmentFlags.none()), ("impaired", flags)):
+    for label, f in (("clean", FLAG_SETS["ideal"]), ("impaired", flags)):
         curves[label] = np.array(
             [
                 ber_end_to_end(

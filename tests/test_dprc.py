@@ -404,7 +404,7 @@ def test_history_rate_indices_follow_the_sinr_rows(params, table_cache):
 def test_empty_rate_table_reads_zero(params, table_cache):
     # a table in which no mode met the BER target puts every pair in outage,
     # alone or batched, and leaves a shipped table's member unchanged
-    empty = RateTable(n_rx=4, impaired=False, grid_step_db=0.1, entries=())
+    empty = RateTable(n_rx=4, flags_label="none", entries=())
     shipped = table_cache(4, "ideal")
     topo = sample_topology(3, params, substream(0, "empty-table"))
 

@@ -14,17 +14,20 @@ import numpy as np
 import pytest
 
 import adhocmimo
-from adhocmimo import dprc, experiments_cli as cli, network_opt, radio_env
+from adhocmimo import (
+    dprc, experiments_cli as cli, link_abstraction, network_opt, radio_env,
+)
 from adhocmimo.config import SystemParams
 from adhocmimo.experiments_cli import (
     ExperimentSpec,
     UsageError,
+    _cached_table,
     main,
     run_experiment,
     spec_from_args,
     table_filename,
 )
-from adhocmimo.link_abstraction import RateTable
+from adhocmimo.link_abstraction import FLAG_SETS, RateTable, table_build_key
 
 from conftest import CACHE_DIR
 
@@ -145,6 +148,47 @@ def test_stale_table_cache_is_reported(tmp_path, capsys):
     )
     assert code == 2
     assert "built with different settings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", [(1, "ideal"), (4, "ideal")],
+                         ids=["N1-ideal", "N4-ideal"])
+def test_mislabeled_table_cache_is_reported_or_rebuilt(
+        tmp_path, capsys, monkeypatch, source):
+    # a fresh table filed under another antenna count or flag set is not the
+    # table the run asks for: without --build-tables the run exits 2 naming
+    # the file, with it the file is rebuilt
+    out = tmp_path / "out"
+    seed_tables(out)
+    wrong = out / "tables" / table_filename(4, "imp")
+    shutil.copy(CACHE_DIR / table_filename(*source), wrong)
+    argv = ["dprc-sweep", "--k", "2", "--trials", "2", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(wrong) in err and "not N4 pn+rfo+ce" in err
+
+    shipped = CACHE_DIR / table_filename(4, "imp")
+    built = []
+
+    def build(n_rx, flags, params, **settings):
+        built.append((n_rx, flags))
+        return RateTable.load(shipped)
+
+    monkeypatch.setattr(cli, "build_rate_table", build)
+    assert main(argv + ["--build-tables"]) == 0
+    assert built == [(4, FLAG_SETS["imp"])]
+    assert wrong.read_bytes() == shipped.read_bytes()
+
+
+@pytest.mark.parametrize("path", sorted(CACHE_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_fixture_is_fresh_and_round_trips(tmp_path, path):
+    # simcli's cache check accepts every fixture at the default build key,
+    # and load -> save reproduces its bytes
+    _, n_rx, name = path.stem.split("_")
+    want = table_build_key(SystemParams())
+    table, problem = _cached_table(path, want, int(n_rx[1:]), name)
+    assert table is not None, problem
+    table.save(tmp_path / path.name)
+    assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
 
 def _swap_two_thresholds(doc: dict) -> str:
@@ -586,11 +630,15 @@ def test_readme_constants_table_matches_the_modules():
     section = README.read_text().split("### Fixed constants", 1)[1].split("\n#", 1)[0]
     rows = [ln.split("|")[1:3] for ln in section.splitlines() if ln.startswith("| `")]
     documented = {name.strip().strip("`"): float(value) for name, value in rows}
+    # the numeric upper-case names each module assigns itself, not imports
     defined = {
-        f"{mod.__name__.rsplit('.', 1)[1]}.{name}": value
-        for mod in (network_opt, dprc, radio_env)
-        for name, value in vars(mod).items()
-        if name.isupper() and not name.startswith("_")
+        f"{mod.__name__.rsplit('.', 1)[1]}.{target.id}": getattr(mod, target.id)
+        for mod in (link_abstraction, network_opt, dprc, radio_env)
+        for node in ast.parse(Path(mod.__file__).read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if target.id.isupper() and not target.id.startswith("_")
+        and isinstance(getattr(mod, target.id), (int, float))
     }
-    assert len(documented) == 15
+    assert len(documented) == 19
     assert documented == defined

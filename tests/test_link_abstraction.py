@@ -14,6 +14,8 @@ from adhocmimo.config import SystemParams, db_to_linear
 from adhocmimo.impairment_model import RFO_EPS_LIMIT, rfo_std, sinr_after_rfo
 from adhocmimo.link_abstraction import (
     FLAG_SETS,
+    GRID_STEP_DB,
+    SINR_LO_DB,
     ImpairmentFlags,
     RateEntry,
     RateTable,
@@ -260,9 +262,10 @@ def test_split_kernel_keeps_deep_tail_precision():
 
 
 @pytest.mark.parametrize("quad_order", [15, 16])
-def test_folded_quadrature_matches_full_node_sum(params, quad_order):
+def test_folded_quadrature_matches_full_node_sum(params, monkeypatch, quad_order):
     # the offset integrand is even, so the non-negative nodes with mirrored
-    # weights give the sum over every node
+    # weights give the sum over every node, for odd and even orders alike
+    monkeypatch.setattr(link_abstraction, "QUAD_ORDER", quad_order)
     mod = make_mod_scheme(4)
     flags = ImpairmentFlags(phase_noise=False, rfo=True, channel_est=True)
     rng = substream(8, "fold")
@@ -276,7 +279,7 @@ def test_folded_quadrature_matches_full_node_sum(params, quad_order):
     for w_node, s_node in zip(weights / math.sqrt(math.pi), sinr_after_rfo(sinr, eps)):
         h_hat = h + math.sqrt(2 / (training_length(2) * s_node)) * e_raw
         full += w_node * _ber_given_stats(*_detection_stats(h, h_hat, s_node), mod)
-    folded = _ber_per_draw(sinr, h, e_raw, mod, flags, params, quad_order)
+    folded = _ber_per_draw(sinr, h, e_raw, mod, flags, params)
     np.testing.assert_allclose(folded, full, rtol=1e-14)
 
 
@@ -296,7 +299,7 @@ def test_ber_end_to_end_single_draw_and_determinism(params):
 def test_ber_end_to_end_monotone_under_crn(params):
     mod = make_mod_scheme(2)
     vals = [
-        ber_end_to_end(db_to_linear(s_db), 2, 2, mod, ImpairmentFlags.none(),
+        ber_end_to_end(db_to_linear(s_db), 2, 2, mod, FLAG_SETS["ideal"],
                        params, 200, substream(0, "crn"))[0]
         for s_db in (2.0, 6.0, 10.0, 14.0)
     ]
@@ -318,7 +321,7 @@ def test_ber_end_to_end_rfo_point_mass_limit():
     s = db_to_linear(10.0)
     with_rfo, _ = ber_end_to_end(s, 2, 2, mod, FLAG_SETS["rfo"], huge,
                                  n_draws=300, rng=substream(4, "limit"))
-    without, _ = ber_end_to_end(s, 2, 2, mod, ImpairmentFlags.none(), huge,
+    without, _ = ber_end_to_end(s, 2, 2, mod, FLAG_SETS["ideal"], huge,
                                 n_draws=300, rng=substream(4, "limit"))
     assert with_rfo == pytest.approx(without, rel=1e-9)
 
@@ -352,46 +355,46 @@ def test_erfc_is_scipys_and_every_q_call_goes_through_the_module_name(params, mo
     assert erfc_sizes == [per_call] * kernel_calls[0]
 
 
-def test_ber_end_to_end_quadrature_order_stable(params):
+def test_ber_end_to_end_quadrature_order_stable(params, monkeypatch):
     mod = make_mod_scheme(2)
     flags = ImpairmentFlags(phase_noise=False, rfo=True, channel_est=True)
-    b7, _ = ber_end_to_end(db_to_linear(20.0), 2, 2, mod, flags, params,
-                           n_draws=300, rng=substream(5, "quad"), quad_order=7)
-    b15, _ = ber_end_to_end(db_to_linear(20.0), 2, 2, mod, flags, params,
-                            n_draws=300, rng=substream(5, "quad"), quad_order=15)
-    assert b7 == pytest.approx(b15, rel=0.02)
+    bers = {}
+    for order in (7, 15):
+        monkeypatch.setattr(link_abstraction, "QUAD_ORDER", order)
+        bers[order], _ = ber_end_to_end(db_to_linear(20.0), 2, 2, mod, flags, params,
+                                        n_draws=300, rng=substream(5, "quad"))
+    assert bers[7] == pytest.approx(bers[15], rel=0.02)
 
 
 def test_ber_end_to_end_rejects_bad_sinr(params):
     for bad in (-1e-9, float("nan")):
         with pytest.raises(ValueError):
-            ber_end_to_end(bad, 1, 1, make_mod_scheme(1), ImpairmentFlags.all(),
+            ber_end_to_end(bad, 1, 1, make_mod_scheme(1), FLAG_SETS["imp"],
                            params)
 
 
-@pytest.mark.parametrize("name", ["n_draws", "quad_order"])
-def test_bad_sizes_rejected_at_the_library_boundary(params, name):
+def test_bad_draw_count_rejected_at_the_library_boundary(params):
     for bad in (0, -3):
-        with pytest.raises(ValueError, match=name):
-            ber_end_to_end(10.0, 1, 1, make_mod_scheme(2), ImpairmentFlags.all(),
-                           params, **{name: bad})
-        with pytest.raises(ValueError, match=name):
-            build_rate_table(1, ImpairmentFlags.all(), params, **{name: bad})
+        with pytest.raises(ValueError, match="n_draws"):
+            ber_end_to_end(10.0, 1, 1, make_mod_scheme(2), FLAG_SETS["imp"],
+                           params, n_draws=bad)
+        with pytest.raises(ValueError, match="n_draws"):
+            build_rate_table(1, FLAG_SETS["imp"], params, n_draws=bad)
 
 
 def test_ber_end_to_end_zero_sinr_is_coin_flip(params):
     ber, se = ber_end_to_end(0.0, 2, 2, make_mod_scheme(2),
-                             ImpairmentFlags.all(), params)
+                             FLAG_SETS["imp"], params)
     assert (ber, se) == (0.5, 0.0)
 
 
 def test_ber_end_to_end_rejects_more_streams_than_antennas(params):
     with pytest.raises(ValueError):
         ber_end_to_end(10.0, 3, 2, make_mod_scheme(2),
-                       ImpairmentFlags.none(), params)
+                       FLAG_SETS["ideal"], params)
     with pytest.raises(ValueError):
         ber_end_to_end(-1.0, 2, 2, make_mod_scheme(2),
-                       ImpairmentFlags.none(), params)
+                       FLAG_SETS["ideal"], params)
 
 
 def test_ber_end_to_end_all_flags_off_is_plain_average(params):
@@ -399,7 +402,7 @@ def test_ber_end_to_end_all_flags_off_is_plain_average(params):
     # (unused) estimate errors
     mod = make_mod_scheme(2)
     s = db_to_linear(8.0)
-    chain, _ = ber_end_to_end(s, 2, 2, mod, ImpairmentFlags.none(), params,
+    chain, _ = ber_end_to_end(s, 2, 2, mod, FLAG_SETS["ideal"], params,
                               n_draws=200, rng=substream(6, "e2e"))
     h = complex_normal(substream(6, "e2e"), (200, 2, 2))
     direct = np.mean([conditional_ber(hi, hi, s, mod) for hi in h])
@@ -415,15 +418,16 @@ def test_ber_end_to_end_phase_noise_floor(params):
     hi2, _ = ber_end_to_end(db_to_linear(60.0), 4, 4, mod, flags, params,
                             n_draws=200, rng=substream(7, "floor"))
     ideal, _ = ber_end_to_end(db_to_linear(60.0), 4, 4, mod,
-                              ImpairmentFlags.none(), params,
+                              FLAG_SETS["ideal"], params,
                               n_draws=200, rng=substream(7, "floor"))
     assert hi2 == pytest.approx(hi1, rel=0.02)
     assert ideal < hi2
 
 
 def test_flag_labels():
-    assert ImpairmentFlags.none().label() == "none"
-    assert ImpairmentFlags.all().label() == "pn+rfo+ce"
+    assert FLAG_SETS["ideal"].label() == "none"
+    assert FLAG_SETS["imp"] == ImpairmentFlags()
+    assert FLAG_SETS["imp"].label() == "pn+rfo+ce"
     assert ImpairmentFlags(phase_noise=False, rfo=True, channel_est=True).label() == "rfo+ce"
 
 
@@ -434,13 +438,11 @@ def test_flag_labels():
 def _toy_table() -> RateTable:
     return RateTable(
         n_rx=2,
-        impaired=False,
-        grid_step_db=0.1,
+        flags_label="none",
         entries=(
             RateEntry(rate_bps=8e6, m=1, u=1, threshold_db=0.0),
             RateEntry(rate_bps=16e6, m=1, u=2, threshold_db=10.0),
         ),
-        flags_label="none",
     )
 
 
@@ -477,7 +479,7 @@ def test_rate_table_rejects_unsorted_modes():
                     (low, replace(high, rate_bps=low.rate_bps)),
                     (high, low)):
         with pytest.raises(ValueError):
-            RateTable(n_rx=2, impaired=False, grid_step_db=0.1, entries=entries)
+            RateTable(n_rx=2, flags_label="none", entries=entries)
 
 
 def test_select_mode_edges():
@@ -498,6 +500,9 @@ def test_rate_table_json_round_trip(tmp_path):
     assert loaded.flags_label == table.flags_label
     loaded.save(tmp_path / "t2.json")
     assert (tmp_path / "t2.json").read_bytes() == path.read_bytes()
+    # format v1 still carries the two derived fields
+    doc = table.to_dict()
+    assert (doc["impaired"], doc["grid_step_db"]) == (False, GRID_STEP_DB)
 
 
 def test_rate_table_version_guard():
@@ -506,11 +511,8 @@ def test_rate_table_version_guard():
 
 
 def test_build_rate_table_small_grid(params):
-    table = build_rate_table(
-        1, ImpairmentFlags.none(), params,
-        grid_step_db=0.5, sinr_range_db=(-5.0, 25.0), n_draws=80, seed=0,
-    )
-    assert table.n_rx == 1 and not table.impaired
+    table = build_rate_table(1, FLAG_SETS["ideal"], params, n_draws=80, seed=0)
+    assert table.n_rx == 1 and table.flags_label == "none"
     assert len(table.entries) >= 2
     thresholds = [e.threshold_db for e in table.entries]
     rates = [e.rate_bps for e in table.entries]
@@ -519,8 +521,7 @@ def test_build_rate_table_small_grid(params):
     for e in table.entries:
         assert e.rate_bps == params.r_base_bps * e.m * e.u
         assert e.m == 1
-    assert table.build_info == table_build_key(
-        params, grid_step_db=0.5, sinr_range_db=(-5.0, 25.0), n_draws=80, seed=0)
+    assert table.build_info == table_build_key(params, n_draws=80, seed=0)
     assert RateTable.from_dict(table.to_dict()).build_info == table.build_info
 
     # bracket contract on the shared draw set: pass at the threshold, fail
@@ -529,13 +530,14 @@ def test_build_rate_table_small_grid(params):
         def mean_ber(sinr_db: float) -> float:
             return ber_end_to_end(
                 db_to_linear(sinr_db), e.m, 1, make_mod_scheme(e.u),
-                ImpairmentFlags.none(), params, 80,
+                FLAG_SETS["ideal"], params, 80,
                 substream(0, "rate-table-n1-m1-none"),
             )[0]
 
         assert mean_ber(e.threshold_db) <= params.gamma_ber
-        if e.threshold_db > -5.0:
-            assert mean_ber(e.threshold_db - 0.5) > params.gamma_ber
+        if e.threshold_db > SINR_LO_DB:
+            below = round(e.threshold_db - GRID_STEP_DB, 9)
+            assert mean_ber(below) > params.gamma_ber
 
 
 def test_table_build_key_tracks_table_shaping_params(params):
@@ -555,15 +557,9 @@ def test_table_build_key_tracks_table_shaping_params(params):
 
 
 def test_build_rate_table_impairments_shift_thresholds_up(params):
-    ideal = build_rate_table(
-        1, ImpairmentFlags.none(), params,
-        grid_step_db=0.5, sinr_range_db=(-5.0, 25.0), n_draws=80, seed=0,
-    )
-    imp = build_rate_table(
-        1, ImpairmentFlags.all(), params,
-        grid_step_db=0.5, sinr_range_db=(-5.0, 25.0), n_draws=80, seed=0,
-    )
-    assert imp.impaired
+    ideal = build_rate_table(1, FLAG_SETS["ideal"], params, n_draws=80, seed=0)
+    imp = build_rate_table(1, FLAG_SETS["imp"], params, n_draws=80, seed=0)
+    assert imp.flags_label == "pn+rfo+ce"
     ideal_by_mode = {(e.m, e.u): e.threshold_db for e in ideal.entries}
     shared = [e for e in imp.entries if (e.m, e.u) in ideal_by_mode]
     assert shared
