@@ -218,23 +218,25 @@ class _Chunk(NamedTuple):
     trials: range
 
 
-def _trace_rows(p, sinr, r, table: RateTable) -> list[list]:
-    """One member's trace CSV rows, one per (round, pair), from its
-    (rounds, K) history arrays, converted to dBm and dB as whole arrays."""
+def _trace_text(p, sinr, r, table: RateTable) -> str:
+    """One member's trace CSV, a line per (round, pair), from its (rounds, K)
+    history arrays, converted to dBm and dB as whole arrays. The lines are
+    what csv.writer gives for these fields: CRLF ends, nothing quoted."""
     with np.errstate(divide="ignore"):
-        power_dbm = np.where(p > 0, mw_to_dbm(p), -np.inf).tolist()
-        sinr_db = np.where(sinr > 0, linear_to_db(sinr), -np.inf).tolist()
+        power_dbm = np.where(p > 0, mw_to_dbm(p), -np.inf).ravel().tolist()
+        sinr_db = np.where(sinr > 0, linear_to_db(sinr), -np.inf).ravel().tolist()
     rate = [str(int(x)) for x in table.rates_by_index]
-    return [
-        [step, pair, _fmt(dbm), _fmt(db), rate[idx]]
-        for step, row in enumerate(zip(power_dbm, sinr_db, r.tolist()))
-        for pair, (dbm, db, idx) in enumerate(zip(*row))
-    ]
+    steps = product(range(p.shape[0]), range(p.shape[1]))
+    fields = zip(steps, power_dbm, sinr_db, r.ravel().tolist())
+    return "iteration,pair,power_dbm,sinr_db,rate_bps\r\n" + "".join([
+        f"{step},{pair},{dbm:.10g},{db:.10g},{rate[idx]}\r\n"
+        for (step, pair), dbm, db, idx in fields
+    ])
 
 
-def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, list[list]]]:
+def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, str]]:
     """A chunk's (trial, K, n_rx, flag name, *sums) rows and its traced
-    members' trace rows, keyed by trace file name.
+    members' trace CSV texts, keyed by trace file name.
 
     Every (trial, table) member of the chunk runs in one batched call per
     algorithm. For dprc-sweep, run_dprc comes first and its allocations
@@ -266,7 +268,7 @@ def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, list[list]]]:
         sums.append(dprc_bps.tolist())
         traces = {
             f"dprc_trace_k{k}_n{n_rx}_{name}_t{trial}.csv":
-                _trace_rows(*(h[j] for h in state.history), table)
+                _trace_text(*(h[j] for h in state.history), table)
             for j, (trial, _, n_rx, name, table) in enumerate(members)
             if trial < spec.trace_trials
         }
@@ -415,12 +417,8 @@ def _run_sweep(spec: ExperimentSpec, *, stem: str, label: str) -> list[str]:
     if spec.scenario == "loss-ratio":
         doc["loss_ratios"] = _loss_ratios(spec, doc["mean_mst"])
     _write_json(spec.out_dir / f"{stem}_aggregate.json", doc)
-    for name, trace in traces.items():
-        _write_csv(
-            spec.out_dir / name,
-            ["iteration", "pair", "power_dbm", "sinr_db", "rate_bps"],
-            trace,
-        )
+    for name, text in traces.items():
+        (spec.out_dir / name).write_text(text, newline="")
     return [f"{stem}_trials.csv", f"{stem}_aggregate.json", *traces]
 
 

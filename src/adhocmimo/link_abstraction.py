@@ -272,8 +272,7 @@ def _detection_stats(h, h_hat, sinr_rfo):
     m = h.shape[-1]
     scale = 1.0 / math.sqrt(m)
     g = h * scale
-    g_hat = h_hat * scale
-    w = mmse_weights(g_hat, sinr_rfo)
+    w = mmse_weights(g if h_hat is h else h_hat * scale, sinr_rfo)
     s = w @ g
     idx = np.arange(m)
     s_diag = s[..., idx, idx]

@@ -119,12 +119,19 @@ class _RunningMoments:
 def _transmit_and_count(h, h_hat, sinr_eff, mod: ModScheme, rng) -> np.ndarray:
     """Bit errors per symbol vector for a batch of channels (b, n, m) with
     per-vector effective SINR (b,)."""
-    b, _, m = h.shape
+    b, n, m = h.shape
     scale = 1.0 / math.sqrt(m)
     labels = rng.integers(0, len(mod.points), size=(b, m))
     x = mod.points[labels]
-    noise = complex_normal(rng, (b, h.shape[1]))
-    y = ((h * scale) @ x[..., None])[..., 0] + noise / np.sqrt(sinr_eff)[:, None]
+    noise = complex_normal(rng, (b, n))
+    y = ((h * scale) @ x[..., None])[..., 0]
+    # numpy divides by a real-valued complex by multiplying both parts by its
+    # reciprocal, so scaling the float view in place keeps the bits
+    noise_parts = noise.view(float)
+    noise_parts *= (1.0 / np.sqrt(sinr_eff))[:, None]
+    y += noise
+    # not reused when h_hat is h: holding the scaled channel through the solve
+    # measured slower in cold ber-validate runs
     w = mmse_weights(h_hat * scale, sinr_eff)
     y_det = (w @ y[..., None])[..., 0]
     labels_hat = demap(y_det, mod)

@@ -139,6 +139,7 @@ def maximize_sum_throughput(
 
     p_t = params.p_t_mw
     mut_rate = MUTATIONS_PER_ALLOCATION / k
+    reset_rate = mut_rate * RESET_FRAC
     mut_sigma = STEP_FRAC * p_t
     noise_mw = total_noise_power(params)
     baseline = np.broadcast_to(_corner_allocations(k, p_t), (m, k + 2, k))
@@ -147,58 +148,66 @@ def maximize_sum_throughput(
         baseline = np.concatenate([baseline, np.clip(extra, 0.0, p_t)], axis=1)
     pop_size = max(POPULATION_PER_PAIR * k, baseline.shape[1] + ELITISM)
     n_pairs = pop_size // 2
+    paired = 2 * n_pairs
 
     thresholds, rates = stack_tables(tables)
     rows = np.arange(m)[:, None]
+    # member j's rate of index i sits at j * (T + 1) + i of the flat rates
+    rate_offsets = (rows * rates.shape[1])[..., None]
+    rates = rates.ravel()
 
     def fitness(pop: np.ndarray) -> np.ndarray:
         idx = rate_indices(sinr_in_all(pop, gains, noise_mw), thresholds)
-        return rates[rows[..., None], idx].sum(axis=-1)
+        return rates[idx + rate_offsets].sum(axis=-1)
 
     # one generator per distinct seed; members sharing a seed share its draws
     slot = {s: j for j, s in enumerate(dict.fromkeys(seeds))}
     member_slot = np.array([slot[s] for s in seeds])
     rngs = [substream(s, "ga") for s in slot]
-    # per generation: tournament entrants, crossover coins, blend weights,
-    # mutation choice, redraw values, then one block of Gaussian steps
-    cuts = np.cumsum([2 * pop_size, n_pairs, 2 * n_pairs * k, pop_size * k])
-    uniform = np.empty((len(rngs), cuts[-1] + pop_size * k))
-    normal = np.empty((len(rngs), pop_size * k))
+    # per generation, one row per generator: the uniform block (tournament
+    # entrants, crossover coins, blend weights, mutation choice, redraw
+    # values), then one block of Gaussian steps
+    cuts = np.cumsum([0, 2 * pop_size, n_pairs, paired * k] + 3 * [pop_size * k])
+    tour, cross, blend, choice, redraw, step = map(slice, cuts[:-1], cuts[1:])
+    draws = np.empty((len(rngs), cuts[-1]))
+    # fill targets made once: a fresh view as out costs about as much as a fill
+    blocks = [(row[: step.start], row[step]) for row in draws]
 
     genes = p_t * np.stack([r.random((pop_size, k)) for r in rngs])[member_slot]
     genes[:, : baseline.shape[1]] = baseline
     fit = fitness(genes)
 
     for _ in range(GENERATIONS):
-        for r, u, z in zip(rngs, uniform, normal):
-            r.random(out=u)
-            r.standard_normal(out=z)
-        tour, cross, blend, choice, redraw = np.split(
-            uniform[member_slot], cuts, axis=1)
+        for r, (uniform, normal) in zip(rngs, blocks):
+            r.random(out=uniform)
+            r.standard_normal(out=normal)
+        d = draws[member_slot]
 
         # tournament selection, two random entrants per parent slot
-        entrants = (tour * pop_size).astype(np.intp).reshape(m, 2, pop_size)
+        entrants = (d[:, tour] * pop_size).astype(np.intp).reshape(m, 2, pop_size)
         a, b = entrants[:, 0], entrants[:, 1]
         parents = genes[rows, np.where(fit[rows, a] >= fit[rows, b], a, b)]
 
-        # blend crossover on consecutive parent pairs
-        children = parents.copy()
-        mates = parents[:, : 2 * n_pairs].reshape(m, n_pairs, 2, k)
-        lo = mates.min(axis=2, keepdims=True)
-        span = mates.max(axis=2, keepdims=True) - lo
-        blended = lo - 0.5 * span + 2.0 * span * blend.reshape(m, n_pairs, 2, k)
-        crossed = (cross < CROSSOVER_RATE)[..., None, None]
-        children[:, : 2 * n_pairs] = np.where(crossed, blended, mates).reshape(
-            m, 2 * n_pairs, k)
+        # blend crossover on consecutive parent pairs; the unpaired last
+        # parent of an odd population passes through
+        mates = parents[:, :paired].reshape(m, n_pairs, 2, k)
+        first, second = mates[:, :, :1], mates[:, :, 1:]
+        lo = np.minimum(first, second)
+        span = np.maximum(first, second) - lo
+        blended = lo - 0.5 * span + 2.0 * span * d[:, blend].reshape(m, n_pairs, 2, k)
+        crossed = (d[:, cross] < CROSSOVER_RATE)[..., None, None]
+        children = np.where(crossed, blended, mates).reshape(m, paired, k)
+        if paired < pop_size:
+            children = np.concatenate([children, parents[:, paired:]], axis=1)
 
         # mutation: a Gaussian step refines, a uniform redraw escapes the
         # collapsed-population basin that small steps cannot leave
-        choice = choice.reshape(m, pop_size, k)
-        stepped = children + mut_sigma * normal[member_slot].reshape(m, pop_size, k)
+        which = d[:, choice].reshape(m, pop_size, k)
+        stepped = children + mut_sigma * d[:, step].reshape(m, pop_size, k)
         children = np.where(
-            choice < mut_rate * RESET_FRAC,
-            p_t * redraw.reshape(m, pop_size, k),
-            np.where(choice < mut_rate, stepped, children),
+            which < reset_rate,
+            p_t * d[:, redraw].reshape(m, pop_size, k),
+            np.where(which < mut_rate, stepped, children),
         )
         np.clip(children, 0.0, p_t, out=children)
 

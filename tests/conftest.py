@@ -3,7 +3,8 @@ the single-channel BER helpers the link and oracle tests compare: the
 analytic conditional BER and its symbol-level simulation on one frozen
 channel. The LAPACK form of the MMSE detector is kept here as the
 reference for the elimination kernel, and the kernel's first form as the
-reference it must match bit for bit.
+reference it must match bit for bit; likewise the GA's generation loop as
+it was before its draws shared one buffer per generation.
 
 Rate tables are expensive to build, so prebuilt copies live as JSON under
 tests/data/tables, built at the default table build key (seed 0, 2000
@@ -30,8 +31,12 @@ from adhocmimo.link_abstraction import (
     table_build_key,
 )
 from adhocmimo.mc_oracle import _POPCOUNT, OracleResult, _RunningMoments, demap
-from adhocmimo.network_opt import rate_indices, stack_tables
-from adhocmimo.rng import complex_normal
+from adhocmimo import network_opt
+from adhocmimo.network_opt import (
+    _corner_allocations, rate_indices, sinr_in_all, stack_gains, stack_tables,
+)
+from adhocmimo.radio_env import total_noise_power
+from adhocmimo.rng import complex_normal, substream
 
 settings.register_profile("suite", deadline=None, max_examples=25, derandomize=True)
 settings.load_profile("suite")
@@ -107,6 +112,85 @@ def mmse_weights_elimination_reference(h_hat: np.ndarray, sinr_rfo) -> np.ndarra
             if i != k:
                 aug[i, k + 1:] -= aug[i, k] * row
     return np.moveaxis(h_herm, -1, 0).reshape(*batch, m, n)
+
+
+def maximize_sum_throughput_reference(
+    topos, tables, params, *, seeds, extra_seeds=None
+):
+    """The batched GA as it first shipped: separate uniform and normal draw
+    buffers split with np.split and gathered apart, crossover bounds as
+    min/max reductions over each mate pair, and the children copied from
+    the parents. The shipped GA must match it bit for bit."""
+    ga = network_opt
+    tables, seeds = list(tables), list(seeds)
+    gains = stack_gains(topos)
+    m, k = gains[0].shape
+    p_t = params.p_t_mw
+    mut_rate = ga.MUTATIONS_PER_ALLOCATION / k
+    mut_sigma = ga.STEP_FRAC * p_t
+    noise_mw = total_noise_power(params)
+    baseline = np.broadcast_to(_corner_allocations(k, p_t), (m, k + 2, k))
+    if extra_seeds is not None:
+        extra = np.asarray(extra_seeds, dtype=float).reshape(m, -1, k)
+        baseline = np.concatenate([baseline, np.clip(extra, 0.0, p_t)], axis=1)
+    pop_size = max(ga.POPULATION_PER_PAIR * k, baseline.shape[1] + ga.ELITISM)
+    n_pairs = pop_size // 2
+
+    thresholds, rates = stack_tables(tables)
+    rows = np.arange(m)[:, None]
+
+    def fitness(pop):
+        idx = rate_indices(sinr_in_all(pop, gains, noise_mw), thresholds)
+        return rates[rows[..., None], idx].sum(axis=-1)
+
+    slot = {s: j for j, s in enumerate(dict.fromkeys(seeds))}
+    member_slot = np.array([slot[s] for s in seeds])
+    rngs = [substream(s, "ga") for s in slot]
+    cuts = np.cumsum([2 * pop_size, n_pairs, 2 * n_pairs * k, pop_size * k])
+    uniform = np.empty((len(rngs), cuts[-1] + pop_size * k))
+    normal = np.empty((len(rngs), pop_size * k))
+
+    genes = p_t * np.stack([r.random((pop_size, k)) for r in rngs])[member_slot]
+    genes[:, : baseline.shape[1]] = baseline
+    fit = fitness(genes)
+
+    for _ in range(ga.GENERATIONS):
+        for r, u, z in zip(rngs, uniform, normal):
+            r.random(out=u)
+            r.standard_normal(out=z)
+        tour, cross, blend, choice, redraw = np.split(
+            uniform[member_slot], cuts, axis=1)
+
+        entrants = (tour * pop_size).astype(np.intp).reshape(m, 2, pop_size)
+        a, b = entrants[:, 0], entrants[:, 1]
+        parents = genes[rows, np.where(fit[rows, a] >= fit[rows, b], a, b)]
+
+        children = parents.copy()
+        mates = parents[:, : 2 * n_pairs].reshape(m, n_pairs, 2, k)
+        lo = mates.min(axis=2, keepdims=True)
+        span = mates.max(axis=2, keepdims=True) - lo
+        blended = lo - 0.5 * span + 2.0 * span * blend.reshape(m, n_pairs, 2, k)
+        crossed = (cross < ga.CROSSOVER_RATE)[..., None, None]
+        children[:, : 2 * n_pairs] = np.where(crossed, blended, mates).reshape(
+            m, 2 * n_pairs, k)
+
+        choice = choice.reshape(m, pop_size, k)
+        stepped = children + mut_sigma * normal[member_slot].reshape(m, pop_size, k)
+        children = np.where(
+            choice < mut_rate * ga.RESET_FRAC,
+            p_t * redraw.reshape(m, pop_size, k),
+            np.where(choice < mut_rate, stepped, children),
+        )
+        np.clip(children, 0.0, p_t, out=children)
+
+        elite = np.argsort(fit, axis=1, kind="stable")[:, -ga.ELITISM:]
+        children[:, :ga.ELITISM] = genes[rows, elite]
+
+        genes = children
+        fit = fitness(genes)
+
+    best = fit.argmax(axis=1)
+    return genes[np.arange(m), best], fit[np.arange(m), best]
 
 
 def conditional_ber(

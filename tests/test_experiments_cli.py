@@ -3,7 +3,9 @@ layout, and reproducibility of the written artifacts."""
 
 import ast
 import concurrent.futures
+import csv
 import hashlib
+import io
 import json
 import shutil
 import subprocess
@@ -17,17 +19,20 @@ import adhocmimo
 from adhocmimo import (
     dprc, experiments_cli as cli, link_abstraction, network_opt, radio_env,
 )
-from adhocmimo.config import SystemParams
+from adhocmimo.config import SystemParams, linear_to_db, mw_to_dbm
 from adhocmimo.experiments_cli import (
     ExperimentSpec,
     UsageError,
     _cached_table,
+    _fmt,
+    _trace_text,
     main,
     run_experiment,
     spec_from_args,
     table_filename,
 )
 from adhocmimo.link_abstraction import FLAG_SETS, RateTable, table_build_key
+from adhocmimo.rng import substream
 
 from conftest import CACHE_DIR
 
@@ -374,6 +379,53 @@ def test_dprc_sweep_outputs_and_traces(tmp_path):
     assert sorted(p.name for p in outs[1].glob("dprc_trace_*.csv")) == traces
     for name in ["dprc_trials.csv", "dprc_aggregate.json", *traces]:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def trace_csv_reference(p, sinr, r, table: RateTable) -> bytes:
+    """A member's trace file as csv.writer wrote it from _fmt rows, before
+    the trace became one formatted string."""
+    with np.errstate(divide="ignore"):
+        power_dbm = np.where(p > 0, mw_to_dbm(p), -np.inf).tolist()
+        sinr_db = np.where(sinr > 0, linear_to_db(sinr), -np.inf).tolist()
+    rate = [str(int(x)) for x in table.rates_by_index]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["iteration", "pair", "power_dbm", "sinr_db", "rate_bps"])
+    writer.writerows(
+        [step, pair, _fmt(dbm), _fmt(db), rate[idx]]
+        for step, row in enumerate(zip(power_dbm, sinr_db, r.tolist()))
+        for pair, (dbm, db, idx) in enumerate(zip(*row))
+    )
+    return buf.getvalue().encode()
+
+
+def test_trace_bytes_match_csv_writer(tmp_path, params, table_cache):
+    # the digest test hashes parsed rows, so line ends and quoting are
+    # checked here, on raw bytes; silent pairs write -inf dBm and dB
+    table = table_cache(4, "ideal")
+    topos = [radio_env.sample_topology(10, params, substream(4, "trace", t))
+             for t in range(3)]
+    rngs = [substream(4, "trace-dprc", t) for t in range(3)]
+    state, _ = dprc.run_dprc(topos, [table] * 3, params, rngs)
+    texts = []
+    for j in range(3):
+        history = [h[j] for h in state.history]
+        texts.append(_trace_text(*history, table).encode())
+        assert texts[-1] == trace_csv_reference(*history, table)
+    assert any(b",-inf,-inf," in text for text in texts)
+
+    out = tmp_path / "out"
+    seed_tables(out)
+    assert main(["dprc-sweep", "--k", "2", "--trials", "3",
+                 "--out", str(out)]) == 0
+    raw = (out / "dprc_trace_k2_n4_ideal_t2.csv").read_bytes()
+    assert b",-inf,-inf," in raw
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(
+        [row[0], row[1], *map(_fmt, map(float, row[2:4])), row[4]] if i else row
+        for i, row in enumerate(csv.reader(io.StringIO(raw.decode(), newline="")))
+    )
+    assert raw == buf.getvalue().encode()
 
 
 def test_dprc_tracing_does_not_change_results(tmp_path):

@@ -15,7 +15,10 @@ from adhocmimo.radio_env import (
 )
 from adhocmimo.rng import substream
 
-from conftest import HIGH_SINR_D, HIGH_SINR_P, interference_by_hand, table_rates
+from conftest import (
+    HIGH_SINR_D, HIGH_SINR_P, interference_by_hand, maximize_sum_throughput_reference,
+    table_rates,
+)
 
 
 def topo_from_d(d, params: SystemParams) -> Topology:
@@ -249,6 +252,22 @@ def test_ga_batch_members_match_batches_of_one(params, table_cache):
             extra_seeds=None if extra is None else extra[::-1])
         np.testing.assert_array_equal(p_r[::-1], p_b)
         np.testing.assert_array_equal(fit_r[::-1], fit_b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 10])
+def test_ga_matches_reference_bit_for_bit(params, table_cache, k):
+    # K=1 has an odd population without extra rows, so one parent is unpaired
+    tables = [table_cache(4, name) for name in ("ideal", "imp", "pn", "ideal")]
+    topos = [sample_topology(k, params, substream(s, "ga-ref")) for s in range(4)]
+    warm = 1.2 * params.p_t_mw * substream(k, "ga-ref-warm").random((4, 3, k))
+    for seeds in ([7, 7, 7, 7], [3, 4, 5, 6]):
+        for extra in (None, warm[:, 0], warm):
+            got = maximize_sum_throughput(topos, tables, params, seeds=seeds,
+                                          extra_seeds=extra)
+            want = maximize_sum_throughput_reference(topos, tables, params,
+                                                     seeds=seeds, extra_seeds=extra)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_ga_batch_input_validation(params, table_cache):
