@@ -37,7 +37,7 @@ from .link_abstraction import (
     make_mod_scheme,
     table_build_key,
 )
-from .mc_oracle import OracleConfig, simulate_link_ber
+from .mc_oracle import simulate_link_ber
 from .network_opt import maximize_sum_throughput
 from .radio_env import PAIR_MIN_M, sample_topology
 from .rng import derive_seed, substream
@@ -287,25 +287,16 @@ def _ber_point(task: tuple) -> tuple[list, list]:
     """The analytic and the oracle CSV row of one ber-validate point, given
     as (spec, index, n, u, sinr_db) on an n x n link."""
     spec, index, n, u, sinr_db = task
-    params = spec.params
+    names = spec.flag_names
     flags = ImpairmentFlags(
-        phase_noise=False,
-        rfo="rfo" in spec.flag_names,
-        channel_est="ce" in spec.flag_names,
+        phase_noise="pn" in names, rfo="rfo" in names, channel_est="ce" in names
     )
-    sinr = db_to_linear(sinr_db)
+    link = (db_to_linear(sinr_db), n, n, make_mod_scheme(u), flags, spec.params)
     rng = substream(spec.seed, f"ber-analytic-{n}-{n}-{u}-{flags.label()}", index)
-    ber, se = ber_end_to_end(
-        sinr, n, n, make_mod_scheme(u), flags, params, n_draws=_BER_DRAWS, rng=rng
-    )
-    # phase noise is off, so the oracle's baseband SINR is the input SINR
+    ber, se = ber_end_to_end(*link, n_draws=_BER_DRAWS, rng=rng)
     oracle = simulate_link_ber(
-        OracleConfig(
-            m=n, n=n, u=u, sinr_b=float(sinr),
-            rfo=flags.rfo, imperfect_ce=flags.channel_est,
-            n_symbols=_ORACLE_SYMBOLS, n_sub=params.ns,
-            seed=derive_seed(spec.seed, f"ber-oracle-{n}-{n}-{u}", index),
-        )
+        *link, n_symbols=_ORACLE_SYMBOLS,
+        seed=derive_seed(spec.seed, f"ber-oracle-{n}-{n}-{u}", index),
     )
     point = [_fmt(sinr_db), n, n, u, flags.label()]
     return (

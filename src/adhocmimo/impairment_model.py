@@ -45,14 +45,14 @@ def sinr_baseband(sinr_in, f_ici: float):
     return float(out) if out.ndim == 0 else out
 
 
-def rfo_std(sinr_b: float, n_sub: int) -> float:
+def rfo_std(sinr_b: float, ns: int) -> float:
     """Standard deviation of the residual carrier offset (in subcarrier
-    spacings) after two-training-symbol estimation: 1/(2*pi*sqrt(n_sub*sinr))."""
+    spacings) after two-training-symbol estimation: 1/(2*pi*sqrt(ns*sinr))."""
     if not sinr_b > 0:
         raise ValueError("sinr_b must be positive")
-    if n_sub < 1:
-        raise ValueError("n_sub must be at least 1")
-    return 1.0 / (2.0 * math.pi * math.sqrt(n_sub * sinr_b))
+    if ns < 1:
+        raise ValueError("ns must be at least 1")
+    return 1.0 / (2.0 * math.pi * math.sqrt(ns * sinr_b))
 
 
 def sinr_after_rfo(sinr_b, eps):

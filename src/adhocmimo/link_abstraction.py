@@ -51,6 +51,7 @@ __all__ = [
     "ImpairmentFlags",
     "FLAG_SETS",
     "training_length",
+    "estimation_error_std",
     "mmse_weights",
     "ber_end_to_end",
     "RateEntry",
@@ -181,6 +182,13 @@ def training_length(m: int) -> int:
     if m < 1:
         raise ValueError("m must be at least 1")
     return 1 << (m - 1).bit_length()
+
+
+def estimation_error_std(m: int, sinr):
+    """Per-entry standard deviation of the training-based channel estimate's
+    error at operating SINR sinr (scalar or array): sqrt(m / (mt * sinr))
+    for mt = training_length(m) training symbols."""
+    return np.sqrt(m / (training_length(m) * sinr))
 
 
 def mmse_weights(h_hat: np.ndarray, sinr_rfo) -> np.ndarray:
@@ -317,7 +325,6 @@ def _ber_per_draw(sinr_in, h, e_raw, mod, flags: ImpairmentFlags,
     time), and the channel estimate degrades with the SINR at each node."""
     sinr_b = sinr_baseband(sinr_in, params.f_ici) if flags.phase_noise else sinr_in
     m = h.shape[-1]
-    mt = training_length(m)
     if flags.rfo:
         nodes, weights = _gh_nodes(QUAD_ORDER)
         sigma = rfo_std(sinr_b, params.ns)
@@ -329,8 +336,7 @@ def _ber_per_draw(sinr_in, h, e_raw, mod, flags: ImpairmentFlags,
     pb = np.zeros(h.shape[0])
     for w_node, s_node in zip(weights, sinr_nodes):
         if flags.channel_est:
-            err_std = math.sqrt(m / (mt * s_node))
-            h_hat = h + err_std * e_raw
+            h_hat = h + estimation_error_std(m, s_node) * e_raw
         else:
             h_hat = h
         pb += w_node * _ber_given_stats(*_detection_stats(h, h_hat, s_node), mod)
@@ -344,8 +350,8 @@ def ber_end_to_end(
     mod: ModScheme,
     flags: ImpairmentFlags,
     params: SystemParams,
-    n_draws: int = 2000,
-    rng: np.random.Generator | None = None,
+    n_draws: int,
+    rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Full chain from wideband input SINR to BER with the selected
     impairments, averaged over n_draws Rayleigh channel and estimate-error
@@ -356,12 +362,11 @@ def ber_end_to_end(
     """
     if not sinr_in >= 0:
         raise ValueError("sinr_in must be non-negative")
-    if m > n:
-        raise ValueError("stream count cannot exceed receive antennas")
+    if not 1 <= m <= n:
+        raise ValueError("need 1 <= m <= n")
     _check_draws(n_draws)
     if sinr_in == 0:
         return 0.5, 0.0
-    rng = rng if rng is not None else substream(0, "ber-end-to-end")
     h, e_raw = _draw_channel_set(m, n, n_draws, rng)
     pb = _ber_per_draw(sinr_in, h, e_raw, mod, flags, params)
     se = pb.std(ddof=1) / math.sqrt(n_draws) if n_draws > 1 else 0.0
@@ -465,20 +470,13 @@ def select_mode(sinr_in: float, table: RateTable) -> RateEntry | None:
 
 
 def _pareto_front(cands: list[RateEntry]) -> tuple[RateEntry, ...]:
-    """Keep, from highest rate down, every mode whose threshold strictly
-    undercuts all higher-rate survivors; result ascends in both columns."""
-    best_thr: dict[float, RateEntry] = {}
-    for e in cands:
-        kept = best_thr.get(e.rate_bps)
-        if kept is None or e.threshold_db < kept.threshold_db:
-            best_thr[e.rate_bps] = e
-    ordered = sorted(best_thr.values(), key=lambda e: e.rate_bps, reverse=True)
+    """Keep, from highest rate down (lowest threshold first within a rate),
+    every mode whose threshold strictly undercuts the last one kept; result
+    ascends in both columns."""
     front: list[RateEntry] = []
-    thr_seen = math.inf
-    for e in ordered:
-        if e.threshold_db < thr_seen:
+    for e in sorted(cands, key=lambda e: (-e.rate_bps, e.threshold_db)):
+        if not front or e.threshold_db < front[-1].threshold_db:
             front.append(e)
-            thr_seen = e.threshold_db
     return tuple(reversed(front))
 
 

@@ -8,6 +8,11 @@ its decision edges; a point exactly on an edge keeps an argmin's tie rule
 approximation, the per-axis error expressions, or the quadrature averaging,
 so agreement between the two paths validates those approximations rather
 than echoing them.
+
+simulate_link_ber takes ber_end_to_end's first six arguments, so both paths
+describe one link: the same flags and SystemParams set the phase-noise
+compression, the offset spread (params.ns) and the estimation error
+(estimation_error_std), drawn afresh per vector where the chain integrates.
 """
 
 from __future__ import annotations
@@ -17,14 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .impairment_model import RFO_EPS_LIMIT, rfo_std, sinr_after_rfo
+from .config import SystemParams
+from .impairment_model import RFO_EPS_LIMIT, rfo_std, sinr_after_rfo, sinr_baseband
 from .link_abstraction import (
-    _POPCOUNT, ModScheme, make_mod_scheme, mmse_weights, training_length,
+    _POPCOUNT, ImpairmentFlags, ModScheme, estimation_error_std, mmse_weights,
 )
 from .rng import complex_normal, substream
 
 __all__ = [
-    "OracleConfig",
     "OracleResult",
     "demap",
     "simulate_link_ber",
@@ -60,31 +65,6 @@ def demap(y_hat, mod: ModScheme):
 
 
 @dataclass(frozen=True)
-class OracleConfig:
-    """One oracle run: a (m x n) link at baseband SINR sinr_b, optionally with
-    residual-offset and channel-estimation impairments. n_symbols counts
-    transmitted symbol vectors (channel uses), each carrying m * u bits."""
-
-    m: int
-    n: int
-    u: int
-    sinr_b: float
-    rfo: bool = False
-    imperfect_ce: bool = False
-    n_symbols: int = 100_000
-    seed: int = 0
-    n_sub: int = 64
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < self.m:
-            raise ValueError("need 1 <= m <= n")
-        if not self.sinr_b > 0:
-            raise ValueError("sinr_b must be positive")
-        if self.n_symbols < 2:
-            raise ValueError("n_symbols must be at least 2")
-
-
-@dataclass(frozen=True)
 class OracleResult:
     ber: float
     stderr: float
@@ -92,28 +72,20 @@ class OracleResult:
     n_vectors: int
 
 
-class _RunningMoments:
-    """Streaming mean/stderr over per-vector BER samples."""
-
-    def __init__(self):
-        self.n = 0
-        self.sum = 0.0
-        self.sum_sq = 0.0
-
-    def add(self, samples: np.ndarray) -> None:
-        self.n += samples.size
-        self.sum += float(samples.sum())
-        self.sum_sq += float((samples * samples).sum())
-
-    def result(self, bits_per_vector: int) -> OracleResult:
-        mean = self.sum / self.n
-        var = max(self.sum_sq - self.n * mean * mean, 0.0) / (self.n - 1)
-        return OracleResult(
-            ber=mean,
-            stderr=math.sqrt(var / self.n),
-            n_bits=self.n * bits_per_vector,
-            n_vectors=self.n,
-        )
+def _oracle_result(errors: np.ndarray, bits_per_vector: int) -> OracleResult:
+    """Mean and standard error of the per-vector BER samples
+    errors / bits_per_vector, from the integer error counts per vector."""
+    n = errors.size
+    total = float(errors.sum()) / bits_per_vector
+    total_sq = float(np.dot(errors, errors)) / bits_per_vector ** 2
+    mean = total / n
+    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    return OracleResult(
+        ber=mean,
+        stderr=math.sqrt(var / n),
+        n_bits=n * bits_per_vector,
+        n_vectors=n,
+    )
 
 
 def _transmit_and_count(h, h_hat, sinr_eff, mod: ModScheme, rng) -> np.ndarray:
@@ -138,30 +110,42 @@ def _transmit_and_count(h, h_hat, sinr_eff, mod: ModScheme, rng) -> np.ndarray:
     return _POPCOUNT[np.bitwise_xor(labels_hat, labels)].sum(axis=-1)
 
 
-def simulate_link_ber(cfg: OracleConfig) -> OracleResult:
-    """Ensemble BER: a fresh Rayleigh channel (and, per flags, a fresh offset
-    draw and estimation error) for every transmitted symbol vector."""
-    mod = make_mod_scheme(cfg.u)
-    rng = substream(cfg.seed, "mc-oracle")
-    mt = training_length(cfg.m)
-    moments = _RunningMoments()
-    done = 0
-    while done < cfg.n_symbols:
-        b = min(BATCH_VECTORS, cfg.n_symbols - done)
-        h = complex_normal(rng, (b, cfg.n, cfg.m))
-        s_eff = np.full(b, float(cfg.sinr_b))
-        if cfg.rfo:
-            sigma = rfo_std(cfg.sinr_b, cfg.n_sub)
-            eps = np.clip(
-                rng.normal(0.0, sigma, size=b), -RFO_EPS_LIMIT, RFO_EPS_LIMIT
-            )
+def simulate_link_ber(
+    sinr_in: float,
+    m: int,
+    n: int,
+    mod: ModScheme,
+    flags: ImpairmentFlags,
+    params: SystemParams,
+    *,
+    n_symbols: int,
+    seed: int,
+) -> OracleResult:
+    """Ensemble BER of the link ber_end_to_end describes, from the same
+    first six arguments: a fresh Rayleigh channel (and, per flags, a fresh
+    offset draw and estimation error) for every one of n_symbols transmitted
+    symbol vectors, each carrying m * u bits."""
+    if not 1 <= m <= n:
+        raise ValueError("need 1 <= m <= n")
+    if not sinr_in > 0:
+        raise ValueError("sinr_in must be positive")
+    if n_symbols < 2:
+        raise ValueError("n_symbols must be at least 2")
+    sinr_b = sinr_baseband(sinr_in, params.f_ici) if flags.phase_noise else sinr_in
+    rng = substream(seed, "mc-oracle")
+    errors = np.empty(n_symbols, dtype=np.int64)
+    for done in range(0, n_symbols, BATCH_VECTORS):
+        b = min(BATCH_VECTORS, n_symbols - done)
+        h = complex_normal(rng, (b, n, m))
+        s_eff = np.full(b, float(sinr_b))
+        if flags.rfo:
+            sigma = rfo_std(sinr_b, params.ns)
+            eps = np.clip(rng.normal(0.0, sigma, size=b), -RFO_EPS_LIMIT, RFO_EPS_LIMIT)
             s_eff = sinr_after_rfo(s_eff, eps)
-        if cfg.imperfect_ce:
-            err_std = np.sqrt(cfg.m / (mt * s_eff))
+        if flags.channel_est:
+            err_std = estimation_error_std(m, s_eff)
             h_hat = h + complex_normal(rng, h.shape) * err_std[:, None, None]
         else:
             h_hat = h
-        errs = _transmit_and_count(h, h_hat, s_eff, mod, rng)
-        moments.add(errs / (cfg.m * cfg.u))
-        done += b
-    return moments.result(cfg.m * cfg.u)
+        errors[done:done + b] = _transmit_and_count(h, h_hat, s_eff, mod, rng)
+    return _oracle_result(errors, m * mod.u)

@@ -30,7 +30,7 @@ from adhocmimo.link_abstraction import (
     mmse_weights,
     table_build_key,
 )
-from adhocmimo.mc_oracle import _POPCOUNT, OracleResult, _RunningMoments, demap
+from adhocmimo.mc_oracle import _POPCOUNT, OracleResult, _oracle_result, demap
 from adhocmimo import network_opt
 from adhocmimo.network_opt import (
     _corner_allocations, rate_indices, sinr_in_all, stack_gains, stack_tables,
@@ -233,19 +233,16 @@ def simulate_conditional_ber(
     w = mmse_weights(h_hat * scale, sinr_rfo)    # (m, n)
     g = h * scale
     noise_std = 1.0 / math.sqrt(sinr_rfo)
-    moments = _RunningMoments()
-    done = 0
-    while done < n_symbols:
+    errors = np.empty(n_symbols, dtype=np.int64)
+    for done in range(0, n_symbols, batch_size):
         b = min(batch_size, n_symbols - done)
         labels = rng.integers(0, len(mod.points), size=(b, m))
         x = mod.points[labels]
         y = x @ g.T + complex_normal(rng, (b, n)) * noise_std
         y_det = y @ w.T
         labels_hat = demap(y_det, mod)
-        errs = _POPCOUNT[np.bitwise_xor(labels_hat, labels)].sum(axis=-1)
-        moments.add(errs / (m * mod.u))
-        done += b
-    return moments.result(m * mod.u)
+        errors[done:done + b] = _POPCOUNT[np.bitwise_xor(labels_hat, labels)].sum(axis=-1)
+    return _oracle_result(errors, m * mod.u)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ Every test measures live behavior against a pinned window and records a
 window is reported with the measured value rather than widened.
 """
 
+import csv
 import json
 import math
 
@@ -14,7 +15,9 @@ import pytest
 import conftest
 from adhocmimo.config import SystemParams, db_to_linear, linear_to_db
 from adhocmimo.dprc import run_dprc, best_response_power, sigmoid_utility
-from adhocmimo.experiments_cli import ExperimentSpec, run_experiment, table_filename
+from adhocmimo.experiments_cli import (
+    ExperimentSpec, run_experiment, spec_from_args, table_filename,
+)
 from adhocmimo.impairment_model import sinr_baseband
 from adhocmimo.link_abstraction import (
     FLAG_SETS,
@@ -22,10 +25,9 @@ from adhocmimo.link_abstraction import (
     ber_end_to_end,
     make_mod_scheme,
 )
-from adhocmimo.mc_oracle import OracleConfig, simulate_link_ber
 from adhocmimo.network_opt import maximize_sum_throughput, sinr_in_all, split_gains
 from adhocmimo.radio_env import sample_topology, total_noise_power
-from adhocmimo.rng import derive_seed, substream
+from adhocmimo.rng import substream
 
 
 def record(num: int, ok: bool, detail: str) -> None:
@@ -97,39 +99,27 @@ def test_primary_01_baseband_icimap(params):
     )
 
 
-def test_primary_02_analytic_ber_tracks_oracle(params):
-    flags = ImpairmentFlags(phase_noise=False, rfo=True, channel_est=True)
-    hits, total, worst = 0, 0, 0.0
-    for m, n in ((1, 1), (2, 2), (4, 4)):
-        for u in (1, 2, 4):
-            mod = make_mod_scheme(u)
-            for s_db in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0):
-                rng = substream(0, f"acc2-{m}-{u}", int(s_db))
-                ber_a, se_a = ber_end_to_end(
-                    db_to_linear(s_db), m, n, mod, flags, params,
-                    n_draws=2000, rng=rng,
-                )
-                oracle = simulate_link_ber(
-                    OracleConfig(
-                        m=m, n=n, u=u, sinr_b=db_to_linear(s_db),
-                        rfo=True, imperfect_ce=True,
-                        n_symbols=100_000, n_sub=params.ns,
-                        seed=derive_seed(0, f"acc2-oracle-{m}-{u}", int(s_db)),
-                    )
-                )
-                # one oracle error count is the resolution floor
-                tol = 3.0 * math.hypot(se_a, oracle.stderr) + 1.0 / oracle.n_bits
-                dev = abs(ber_a - oracle.ber)
-                total += 1
-                if dev <= tol:
-                    hits += 1
-                elif tol > 0:
-                    worst = max(worst, dev / tol)
-    ok = hits >= math.ceil(0.9 * total)
+def test_primary_02_analytic_ber_tracks_oracle(tmp_path):
+    # the shipped ber-validate scenario: n x n links for n = 1, 2, 4, u = 1,
+    # 2, 4, 0-25 dB in 5 dB steps, rfo+ce, 2000 draws against 100k symbols
+    run_experiment(spec_from_args(["ber-validate", "--seed", "0", "--out", str(tmp_path)]))
+    with (tmp_path / "ber_analytic.csv").open() as fa, \
+            (tmp_path / "ber_oracle.csv").open() as fo:
+        pairs = list(zip(csv.DictReader(fa), csv.DictReader(fo)))
+    point = ("sinr_db", "m", "n", "u", "flags")
+    aligned = all([a[c] for c in point] == [o[c] for c in point] for a, o in pairs)
+    hits = 0
+    for a, o in pairs:
+        # one oracle error count is the resolution floor
+        tol = (3.0 * math.hypot(float(a["stderr"]), float(o["stderr"]))
+               + 1.0 / int(o["n_bits"]))
+        hits += abs(float(a["ber"]) - float(o["ber"])) <= tol
+    total = len(pairs)
+    ok = aligned and total == 54 and hits >= math.ceil(0.9 * total)
     record(
         2, ok,
-        f"analytic BER within 3 combined standard errors of the symbol "
-        f"simulation on {hits}/{total} grid points (need 90 percent)",
+        f"ber-validate: analytic BER within 3 combined standard errors of the "
+        f"symbol simulation on {hits}/{total} grid points (need 90 percent)",
     )
 
 

@@ -35,10 +35,10 @@ def test_sinr_baseband_monotone(s):
 
 
 def test_rfo_std_examples():
-    n_sub = 64
-    s = 1.0 / ((2.0 * math.pi) ** 2 * n_sub)
-    assert rfo_std(s, n_sub) == pytest.approx(1.0, rel=1e-12)
-    assert rfo_std(4.0, n_sub) == pytest.approx(rfo_std(1.0, n_sub) / 2.0, rel=1e-12)
+    ns = 64
+    s = 1.0 / ((2.0 * math.pi) ** 2 * ns)
+    assert rfo_std(s, ns) == pytest.approx(1.0, rel=1e-12)
+    assert rfo_std(4.0, ns) == pytest.approx(rfo_std(1.0, ns) / 2.0, rel=1e-12)
     assert rfo_std(100.0, 64) == pytest.approx(1.0 / (2.0 * math.pi * 80.0), rel=1e-12)
 
 

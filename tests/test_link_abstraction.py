@@ -22,6 +22,7 @@ from adhocmimo.link_abstraction import (
     _ber_given_stats,
     _ber_per_draw,
     _detection_stats,
+    _pareto_front,
     ber_end_to_end,
     build_rate_table,
     make_mod_scheme,
@@ -370,31 +371,34 @@ def test_ber_end_to_end_rejects_bad_sinr(params):
     for bad in (-1e-9, float("nan")):
         with pytest.raises(ValueError):
             ber_end_to_end(bad, 1, 1, make_mod_scheme(1), FLAG_SETS["imp"],
-                           params)
+                           params, 1, substream(0, "bad-sinr"))
 
 
 def test_bad_draw_count_rejected_at_the_library_boundary(params):
     for bad in (0, -3):
         with pytest.raises(ValueError, match="n_draws"):
             ber_end_to_end(10.0, 1, 1, make_mod_scheme(2), FLAG_SETS["imp"],
-                           params, n_draws=bad)
+                           params, bad, substream(0, "bad-draws"))
         with pytest.raises(ValueError, match="n_draws"):
             build_rate_table(1, FLAG_SETS["imp"], params, n_draws=bad)
 
 
 def test_ber_end_to_end_zero_sinr_is_coin_flip(params):
     ber, se = ber_end_to_end(0.0, 2, 2, make_mod_scheme(2),
-                             FLAG_SETS["imp"], params)
+                             FLAG_SETS["imp"], params, 1, substream(0, "zero"))
     assert (ber, se) == (0.5, 0.0)
 
 
 def test_ber_end_to_end_rejects_more_streams_than_antennas(params):
     with pytest.raises(ValueError):
         ber_end_to_end(10.0, 3, 2, make_mod_scheme(2),
-                       FLAG_SETS["ideal"], params)
+                       FLAG_SETS["ideal"], params, 1, substream(0, "streams"))
+    with pytest.raises(ValueError):
+        ber_end_to_end(10.0, 0, 2, make_mod_scheme(2),
+                       FLAG_SETS["ideal"], params, 1, substream(0, "streams"))
     with pytest.raises(ValueError):
         ber_end_to_end(-1.0, 2, 2, make_mod_scheme(2),
-                       FLAG_SETS["ideal"], params)
+                       FLAG_SETS["ideal"], params, 1, substream(0, "streams"))
 
 
 def test_ber_end_to_end_all_flags_off_is_plain_average(params):
@@ -480,6 +484,16 @@ def test_rate_table_rejects_unsorted_modes():
                     (high, low)):
         with pytest.raises(ValueError):
             RateTable(n_rx=2, flags_label="none", entries=entries)
+
+
+def test_pareto_front_keeps_modes_that_undercut_every_faster_one():
+    e = [RateEntry(rate_bps=r, m=m, u=u, threshold_db=t)
+         for r, m, u, t in ((2.0, 1, 2, 8.0), (4.0, 1, 4, 6.0), (2.0, 2, 1, 6.0),
+                            (1.0, 1, 1, 3.0), (4.0, 2, 2, 6.0), (4.0, 4, 1, 9.0))]
+    # within a rate the lowest threshold (first of a tie) stands for it; a
+    # slower mode must strictly undercut every faster survivor
+    assert _pareto_front(e) == (e[3], e[1])
+    assert _pareto_front([]) == ()
 
 
 def test_select_mode_edges():

@@ -1,6 +1,7 @@
 """Symbol-level simulator: demapping, conditional runs, and the full link
 oracle used to arbitrate the analytic chain."""
 
+import inspect
 import math
 
 import numpy as np
@@ -8,22 +9,42 @@ import pytest
 from scipy.special import erfc
 
 from adhocmimo.config import db_to_linear
-from adhocmimo.link_abstraction import make_mod_scheme
-from adhocmimo.mc_oracle import OracleConfig, demap, simulate_link_ber
+from adhocmimo.impairment_model import sinr_baseband
+from adhocmimo.link_abstraction import FLAG_SETS, ber_end_to_end, make_mod_scheme
+from adhocmimo.mc_oracle import demap, simulate_link_ber
 from adhocmimo.rng import complex_normal, substream
 
 from conftest import conditional_ber, simulate_conditional_ber
 
 
-def test_oracle_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(m=3, n=2, u=2, sinr_b=10.0)
-    with pytest.raises(ValueError):
-        OracleConfig(m=2, n=2, u=2, sinr_b=0.0)
-    with pytest.raises(ValueError):
-        OracleConfig(m=2, n=2, u=2, sinr_b=10.0, n_symbols=1)
-    with pytest.raises(ValueError):
-        OracleConfig(m=1, n=1, u=1, sinr_b=math.nan)
+def test_oracle_rejects_bad_inputs(params):
+    mod = make_mod_scheme(2)
+    ideal = FLAG_SETS["ideal"]
+    for sinr_in, m, n, n_symbols in ((10.0, 3, 2, 100), (10.0, 0, 2, 100),
+                                     (0.0, 2, 2, 100), (math.nan, 1, 1, 100),
+                                     (10.0, 2, 2, 1)):
+        with pytest.raises(ValueError):
+            simulate_link_ber(sinr_in, m, n, mod, ideal, params,
+                              n_symbols=n_symbols, seed=0)
+
+
+def test_oracle_shares_the_analytic_chains_arguments():
+    # _ber_point hands both paths one (sinr_in, m, n, mod, flags, params)
+    head = list(inspect.signature(ber_end_to_end).parameters)[:6]
+    assert list(inspect.signature(simulate_link_ber).parameters)[:6] == head
+
+
+def test_oracle_phase_noise_is_the_baseband_sinr(params):
+    # phase noise only compresses the SINR, as in the analytic chain
+    mod = make_mod_scheme(2)
+    s = db_to_linear(30.0)
+    pn = simulate_link_ber(s, 2, 2, mod, FLAG_SETS["pn"], params,
+                           n_symbols=500, seed=8)
+    ideal = simulate_link_ber(sinr_baseband(s, params.f_ici), 2, 2, mod,
+                              FLAG_SETS["ideal"], params, n_symbols=500, seed=8)
+    assert pn == ideal
+    assert pn != simulate_link_ber(s, 2, 2, mod, FLAG_SETS["ideal"], params,
+                                   n_symbols=500, seed=8)
 
 
 @pytest.mark.parametrize("u", [1, 2, 4, 6])
@@ -75,33 +96,29 @@ def test_conditional_oracle_noiseless_identity_channel():
     assert res.ber == 0.0
 
 
-def test_link_oracle_zero_sinr_is_coin_flip():
-    cfg = OracleConfig(m=1, n=1, u=1, sinr_b=1e-9, n_symbols=100_000, seed=3)
-    res = simulate_link_ber(cfg)
+def test_link_oracle_zero_sinr_is_coin_flip(params):
+    res = simulate_link_ber(1e-9, 1, 1, make_mod_scheme(1), FLAG_SETS["ideal"],
+                            params, n_symbols=100_000, seed=3)
     assert abs(res.ber - 0.5) <= 3.0 * res.stderr
 
 
-def test_link_oracle_determinism_and_counts():
-    cfg = OracleConfig(m=2, n=2, u=2, sinr_b=db_to_linear(10.0),
-                       n_symbols=20_000, imperfect_ce=True, rfo=True, seed=4)
-    a = simulate_link_ber(cfg)
-    b = simulate_link_ber(cfg)
-    c = simulate_link_ber(
-        OracleConfig(m=2, n=2, u=2, sinr_b=db_to_linear(10.0),
-                     n_symbols=20_000, imperfect_ce=True, rfo=True, seed=5)
-    )
+def test_link_oracle_determinism_and_counts(params):
+    link = (db_to_linear(10.0), 2, 2, make_mod_scheme(2), FLAG_SETS["imp"], params)
+    a = simulate_link_ber(*link, n_symbols=20_000, seed=4)
+    b = simulate_link_ber(*link, n_symbols=20_000, seed=4)
+    c = simulate_link_ber(*link, n_symbols=20_000, seed=5)
     assert a.ber == b.ber and a.stderr == b.stderr
     assert a.ber != c.ber
     assert a.n_bits == 20_000 * 2 * 2
     assert a.n_vectors == 20_000
 
 
-def test_link_oracle_improves_with_sinr():
+def test_link_oracle_improves_with_sinr(params):
     bers = []
     for s_db in (0.0, 8.0, 16.0):
-        cfg = OracleConfig(m=2, n=2, u=2, sinr_b=db_to_linear(s_db),
-                           n_symbols=30_000, seed=6)
-        bers.append(simulate_link_ber(cfg).ber)
+        res = simulate_link_ber(db_to_linear(s_db), 2, 2, make_mod_scheme(2),
+                                FLAG_SETS["ideal"], params, n_symbols=30_000, seed=6)
+        bers.append(res.ber)
     assert bers[0] > bers[1] > bers[2]
 
 
