@@ -9,13 +9,13 @@ __version__ = "0.1.0"
 
 from .config import SystemParams
 from .dprc import run_dprc
-from .link_abstraction import ImpairmentFlags, build_rate_table
+from .link_abstraction import FLAG_SETS, build_rate_table
 from .network_opt import maximize_sum_throughput
 from .radio_env import sample_topology
 from .rng import substream
 
 __all__ = [
-    "ImpairmentFlags",
+    "FLAG_SETS",
     "SystemParams",
     "build_rate_table",
     "maximize_sum_throughput",

@@ -30,7 +30,6 @@ from .dprc import run_dprc
 from .impairment_model import sinr_baseband
 from .link_abstraction import (
     FLAG_SETS,
-    ImpairmentFlags,
     RateTable,
     ber_end_to_end,
     build_rate_table,
@@ -53,21 +52,26 @@ class RuntimeFailure(Exception):
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Fully resolved run description; the manifest records the fields its
-    scenario reads."""
+    scenario reads. spec_from_args fills every field, each default written
+    once, in the parser."""
 
     scenario: str
     params: SystemParams
     k_values: tuple[int, ...]
     n_rx_values: tuple[int, ...]
-    flag_names: tuple[str, ...]
     n_trials: int
     seed: int
     out_dir: Path
-    jobs: int = 1
-    build_tables: bool = False
-    table_seed: int = 0
-    table_draws: int = 2000
-    trace_trials: int = 5
+    jobs: int
+    build_tables: bool
+    table_seed: int
+    table_draws: int
+    trace_trials: int
+
+    @property
+    def flag_names(self) -> tuple[str, ...]:
+        """The FLAG_SETS names the scenario runs."""
+        return SCENARIOS[self.scenario].flag_names
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -83,9 +87,6 @@ class ExperimentSpec:
             raise UsageError(
                 "--seed, --table-seed and --trace-trials must be non-negative"
             )
-        unknown = [f for f in self.flag_names if f not in FLAG_SETS]
-        if unknown:
-            raise UsageError(f"unknown flag set: {unknown[0]}")
         # scenarios with pair counts draw topologies, whose pair distances
         # start at PAIR_MIN_M and must not reach below the path-loss model
         if SCENARIOS[self.scenario].k_values and self.params.d0_m > PAIR_MIN_M:
@@ -110,10 +111,9 @@ def _write_json(path: Path, doc) -> None:
 
 
 def _manifest(spec: ExperimentSpec, outputs: list[str]) -> dict:
-    doc = {
-        "flag_sets" if name == "flag_names" else name: getattr(spec, name)
-        for name in SCENARIOS[spec.scenario].reads
-    }
+    doc = {name: getattr(spec, name) for name in SCENARIOS[spec.scenario].reads}
+    if spec.flag_names:
+        doc["flag_sets"] = spec.flag_names
     return doc | {
         "tool_version": __version__,
         "scenario": spec.scenario,
@@ -285,12 +285,9 @@ def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, str]]:
 
 def _ber_point(task: tuple) -> tuple[list, list]:
     """The analytic and the oracle CSV row of one ber-validate point, given
-    as (spec, index, n, u, sinr_db) on an n x n link."""
-    spec, index, n, u, sinr_db = task
-    names = spec.flag_names
-    flags = ImpairmentFlags(
-        phase_noise="pn" in names, rfo="rfo" in names, channel_est="ce" in names
-    )
+    as (spec, index, flag name, n, u, sinr_db) on an n x n link."""
+    spec, index, name, n, u, sinr_db = task
+    flags = FLAG_SETS[name]
     link = (db_to_linear(sinr_db), n, n, make_mod_scheme(u), flags, spec.params)
     rng = substream(spec.seed, f"ber-analytic-{n}-{n}-{u}-{flags.label()}", index)
     ber, se = ber_end_to_end(*link, n_draws=_BER_DRAWS, rng=rng)
@@ -321,10 +318,11 @@ def _run_sinr_map(spec: ExperimentSpec) -> list[str]:
 
 
 def _run_ber_validate(spec: ExperimentSpec) -> list[str]:
-    grid = product(spec.n_rx_values, (1, 2, 4), np.arange(0.0, 25.0 + 1e-9, 5.0))
+    grid = product(spec.flag_names, spec.n_rx_values, (1, 2, 4),
+                   np.arange(0.0, 25.0 + 1e-9, 5.0))
     points = [
-        (spec, index, n, u, float(sinr_db))
-        for index, (n, u, sinr_db) in enumerate(grid)
+        (spec, index, name, n, u, float(sinr_db))
+        for index, (name, n, u, sinr_db) in enumerate(grid)
     ]
     analytic, oracle = zip(*_map_tasks(_ber_point, points, spec.jobs))
     header = ["sinr_db", "m", "n", "u", "flags", "ber", "stderr"]
@@ -418,23 +416,22 @@ class _Scenario(NamedTuple):
     n_rx_values: tuple[int, ...]    # defaults, overridden by --nrx
     flag_names: tuple[str, ...]
     # the ExperimentSpec fields the runner reads besides params, out_dir and
-    # build_tables; the manifest records these and params
+    # build_tables; the manifest records these, params and the flag sets
     reads: tuple[str, ...]
     run: Callable[[ExperimentSpec], list[str]]
 
 
-_SWEEP_READS = ("k_values", "n_rx_values", "flag_names", "n_trials", "seed",
-                "jobs", "table_seed", "table_draws")
+_SWEEP_READS = ("k_values", "n_rx_values", "n_trials", "seed", "jobs",
+                "table_seed", "table_draws")
 
 SCENARIOS = {
     "sinr-map": _Scenario((), (), (), (), _run_sinr_map),
     "ber-validate": _Scenario(
-        (), (1, 2, 4), ("rfo", "ce"), ("n_rx_values", "flag_names", "seed", "jobs"),
-        _run_ber_validate,
+        (), (1, 2, 4), ("rfo+ce",), ("n_rx_values", "seed", "jobs"), _run_ber_validate,
     ),
     "rate-table": _Scenario(
-        (), (1, 2, 4), ("ideal", "imp"),
-        ("n_rx_values", "flag_names", "table_seed", "table_draws"), _run_rate_table,
+        (), (1, 2, 4), ("ideal", "imp"), ("n_rx_values", "table_seed", "table_draws"),
+        _run_rate_table,
     ),
     "mst-sweep": _Scenario(
         (2, 6, 10), (1, 2, 4), ("ideal", "imp"), _SWEEP_READS,
@@ -469,18 +466,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """simcli's options; each option's dest is the ExperimentSpec field it
+    sets, and its default is that field's only default."""
     parser = _Parser(prog="simcli", description=__doc__.splitlines()[0])
     parser.add_argument("scenario", choices=SCENARIOS)
     parser.add_argument("--config", type=Path, default=None,
                         help="key = value parameter file")
-    parser.add_argument("--k", type=int, nargs="+", default=None,
+    parser.add_argument("--k", dest="k_values", type=int, nargs="+", default=None,
                         help="pair counts to sweep")
-    parser.add_argument("--nrx", type=int, nargs="+", default=None,
+    parser.add_argument("--nrx", dest="n_rx_values", type=int, nargs="+", default=None,
                         help="receive antenna counts to sweep")
-    parser.add_argument("--trials", type=int, default=200)
+    parser.add_argument("--trials", dest="n_trials", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--out", type=Path, default=Path("out"))
+    parser.add_argument("--out", dest="out_dir", type=Path, default=Path("out"))
     parser.add_argument("--build-tables", action="store_true",
                         help="build missing, stale or unreadable rate-table caches")
     parser.add_argument("--table-seed", type=int, default=0)
@@ -491,33 +490,18 @@ def _build_parser() -> _Parser:
 
 
 def spec_from_args(argv: list[str]) -> ExperimentSpec:
-    args = _build_parser().parse_args(argv)
+    settings = vars(_build_parser().parse_args(argv))
+    config = settings.pop("config")
     try:
-        params = (
-            SystemParams.from_file(args.config)
-            if args.config is not None
-            else SystemParams()
-        )
+        params = SystemParams.from_file(config) if config is not None else SystemParams()
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    axes = SCENARIOS[args.scenario]
-    return ExperimentSpec(
-        scenario=args.scenario,
-        params=params,
-        k_values=tuple(args.k) if args.k else axes.k_values,
-        n_rx_values=tuple(args.nrx) if args.nrx else axes.n_rx_values,
-        flag_names=axes.flag_names,
-        n_trials=args.trials,
-        seed=args.seed,
-        out_dir=args.out,
-        jobs=args.jobs,
-        build_tables=args.build_tables,
-        table_seed=args.table_seed,
-        table_draws=args.table_draws,
-        trace_trials=args.trace_trials,
-    )
+    axes = SCENARIOS[settings["scenario"]]
+    for axis in ("k_values", "n_rx_values"):
+        settings[axis] = tuple(settings[axis] or getattr(axes, axis))
+    return ExperimentSpec(params=params, **settings)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -151,9 +151,9 @@ def make_mod_scheme(u: int) -> ModScheme:
 class ImpairmentFlags:
     """Which transceiver impairments are active in the BER chain."""
 
-    phase_noise: bool = True
-    rfo: bool = True
-    channel_est: bool = True
+    phase_noise: bool
+    rfo: bool
+    channel_est: bool
 
     def label(self) -> str:
         parts = []
@@ -166,13 +166,15 @@ class ImpairmentFlags:
         return "+".join(parts) if parts else "none"
 
 
-# the named impairment sets of the scenarios, tables and test fixtures
+# the named impairment sets of the scenarios, tables and test fixtures; a
+# set named after its impairments is keyed by its label
 FLAG_SETS = {
     "ideal": ImpairmentFlags(phase_noise=False, rfo=False, channel_est=False),
-    "imp": ImpairmentFlags(),
+    "imp": ImpairmentFlags(phase_noise=True, rfo=True, channel_est=True),
     "pn": ImpairmentFlags(phase_noise=True, rfo=False, channel_est=False),
     "rfo": ImpairmentFlags(phase_noise=False, rfo=True, channel_est=False),
     "ce": ImpairmentFlags(phase_noise=False, rfo=False, channel_est=True),
+    "rfo+ce": ImpairmentFlags(phase_noise=False, rfo=True, channel_est=True),
 }
 
 
@@ -480,7 +482,7 @@ def _pareto_front(cands: list[RateEntry]) -> tuple[RateEntry, ...]:
     return tuple(reversed(front))
 
 
-def table_build_key(params: SystemParams, *, seed: int = 0, n_draws: int = 2000) -> dict:
+def table_build_key(params: SystemParams, *, seed: int, n_draws: int) -> dict:
     """Every input that shapes a rate table besides its antenna count and
     impairment set: the seed and draw count, the grid and quadrature
     constants, and the SystemParams fields the BER chain and the rates read.
@@ -503,7 +505,7 @@ def table_build_key(params: SystemParams, *, seed: int = 0, n_draws: int = 2000)
 
 def build_rate_table(
     n_rx: int, flags: ImpairmentFlags, params: SystemParams, *,
-    seed: int = 0, n_draws: int = 2000,
+    seed: int, n_draws: int,
 ) -> RateTable:
     """Scan every (m <= n_rx, u) mode for the lowest point of the SINR grid
     (SINR_LO_DB to SINR_HI_DB in GRID_STEP_DB steps) meeting the BER target
@@ -511,8 +513,10 @@ def build_rate_table(
 
     One channel/estimate draw set per stream count is reused across the whole
     grid (common random numbers), which makes the averaged BER smooth and
-    monotone in SINR so the first passing grid point is found by bisection.
-    Modes that fail the target everywhere on the grid are omitted.
+    monotone in SINR so the first passing grid point is found by bisection:
+    both grid ends, then each midpoint strictly inside the bracket, so no
+    grid point is evaluated twice. Modes that fail the target everywhere on
+    the grid are omitted.
     """
     _check_draws(n_draws)
     n_grid = int(round((SINR_HI_DB - SINR_LO_DB) / GRID_STEP_DB)) + 1
@@ -525,14 +529,10 @@ def build_rate_table(
         h, e_raw = _draw_channel_set(m, n_rx, n_draws, rng)
         for u in sorted(_D_BY_U):
             mod = make_mod_scheme(u)
-            cache: dict[int, float] = {}
 
             def mean_ber(j: int) -> float:
-                if j not in cache:
-                    pb = _ber_per_draw(db_to_linear(grid_db[j]), h, e_raw, mod,
-                                       flags, params)
-                    cache[j] = float(pb.mean())
-                return cache[j]
+                pb = _ber_per_draw(db_to_linear(grid_db[j]), h, e_raw, mod, flags, params)
+                return float(pb.mean())
 
             if mean_ber(n_grid - 1) > gamma:
                 continue

@@ -7,13 +7,15 @@ reference it must match bit for bit; likewise the GA's generation loop as
 it was before its draws shared one buffer per generation.
 
 Rate tables are expensive to build, so prebuilt copies live as JSON under
-tests/data/tables, built at the default table build key (seed 0, 2000
-draws, default SystemParams). They are read through simcli's own cache
-check, so a missing, stale or mislabeled copy fails the test that asks for
-it, as it would fail a scenario; the shipped fixtures are never rewritten.
+tests/data/tables, built at the table build key of simcli's defaults
+(fixture_build_key). They are read through simcli's own cache check, so a
+missing, stale or mislabeled copy fails the test that asks for it, as it
+would fail a scenario; the shipped fixtures are never rewritten, only copied
+byte for byte into scenario output trees (seed_tables).
 """
 
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import settings
 
 from adhocmimo.config import SystemParams
-from adhocmimo.experiments_cli import _cached_table, table_filename
+from adhocmimo.experiments_cli import _cached_table, spec_from_args, table_filename
 from adhocmimo.link_abstraction import (
     ModScheme,
     RateTable,
@@ -52,6 +54,22 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def fixture_build_key() -> dict:
+    """The table build key of `simcli rate-table` at its defaults, which the
+    shipped fixtures were built at."""
+    spec = spec_from_args(["rate-table"])
+    return table_build_key(spec.params, seed=spec.table_seed, n_draws=spec.table_draws)
+
+
+def seed_tables(out_dir: Path) -> None:
+    """Copy every shipped rate table, byte for byte, into a scenario output
+    tree."""
+    table_dir = out_dir / "tables"
+    table_dir.mkdir(parents=True, exist_ok=True)
+    for path in CACHE_DIR.glob("rates_*.json"):
+        shutil.copy(path, table_dir / path.name)
 
 
 def table_rates(table: RateTable, sinr) -> np.ndarray:
@@ -251,10 +269,10 @@ def params() -> SystemParams:
 
 
 @pytest.fixture(scope="session")
-def table_cache(params):
+def table_cache():
     """Callable (n_rx, flag_name) -> RateTable: the shipped fixture, if
     simcli would accept it as fresh at the default table build key."""
-    want = table_build_key(params)
+    want = fixture_build_key()
     loaded: dict[tuple[int, str], RateTable] = {}
 
     def get(n_rx: int, flag_name: str) -> RateTable:

@@ -15,9 +15,7 @@ import pytest
 import conftest
 from adhocmimo.config import SystemParams, db_to_linear, linear_to_db
 from adhocmimo.dprc import run_dprc, best_response_power, sigmoid_utility
-from adhocmimo.experiments_cli import (
-    ExperimentSpec, run_experiment, spec_from_args, table_filename,
-)
+from adhocmimo.experiments_cli import run_experiment, spec_from_args
 from adhocmimo.impairment_model import sinr_baseband
 from adhocmimo.link_abstraction import (
     FLAG_SETS,
@@ -35,14 +33,6 @@ def record(num: int, ok: bool, detail: str) -> None:
     conftest.ACCEPTANCE_LINES.append(line)
     print(line)
     assert ok, line
-
-
-def seed_tables(out_dir, table_cache, combos) -> None:
-    """Stage the suite's shipped rate tables for a scenario output tree."""
-    table_dir = out_dir / "tables"
-    table_dir.mkdir(parents=True, exist_ok=True)
-    for n_rx, name in combos:
-        table_cache(n_rx, name).save(table_dir / table_filename(n_rx, name))
 
 
 def crossing_db(grid_db: np.ndarray, bers: np.ndarray, target: float) -> float:
@@ -124,8 +114,7 @@ def test_primary_02_analytic_ber_tracks_oracle(tmp_path):
 
 
 def test_primary_03_channel_estimation_penalty(params):
-    flags = ImpairmentFlags(phase_noise=False, rfo=False, channel_est=True)
-    shift, clean, impaired = shift_at_ber(flags, params, "acc3")
+    shift, clean, impaired = shift_at_ber(FLAG_SETS["ce"], params, "acc3")
     ok = 1.0 <= shift <= 4.0
     record(
         3, ok,
@@ -135,8 +124,7 @@ def test_primary_03_channel_estimation_penalty(params):
 
 
 def test_primary_04_residual_offset_penalty(params):
-    flags = ImpairmentFlags(phase_noise=False, rfo=True, channel_est=False)
-    shift, clean, impaired = shift_at_ber(flags, params, "acc4")
+    shift, clean, impaired = shift_at_ber(FLAG_SETS["rfo"], params, "acc4")
     ok = abs(shift) < 0.5
     record(
         4, ok,
@@ -168,17 +156,12 @@ def test_primary_05_rate_table_under_impairments(table_cache):
     )
 
 
-def test_primary_06_throughput_trends(params, table_cache, tmp_path):
+def test_primary_06_throughput_trends(tmp_path):
+    # the shipped mst-sweep scenario: K = 2, 6, 10 on N1, N2 and N4 ideal and
+    # imp tables, 200 trials, seed 0
     out = tmp_path / "out"
-    combos = [(n, f) for n in (1, 2, 4) for f in ("ideal", "imp")]
-    seed_tables(out, table_cache, combos)
-    spec = ExperimentSpec(
-        scenario="mst-sweep", params=params,
-        k_values=(2, 6, 10), n_rx_values=(1, 2, 4),
-        flag_names=("ideal", "imp"),
-        n_trials=200, seed=0, out_dir=out,
-    )
-    run_experiment(spec)
+    conftest.seed_tables(out)
+    run_experiment(spec_from_args(["mst-sweep", "--out", str(out)]))
     agg = json.loads((out / "mst_aggregate.json").read_text())
     means = {
         (e["k"], e["n_rx"], e["flags"]): e["mean_bps"] for e in agg["mean_mst"]
@@ -204,17 +187,12 @@ def test_primary_06_throughput_trends(params, table_cache, tmp_path):
     )
 
 
-def test_primary_07_loss_shares(params, table_cache, tmp_path):
+def test_primary_07_loss_shares(tmp_path):
+    # the shipped loss-ratio scenario: K = 10 on the five N4 tables, 200
+    # trials, seed 0
     out = tmp_path / "out"
-    combos = [(4, f) for f in ("ideal", "imp", "pn", "ce", "rfo")]
-    seed_tables(out, table_cache, combos)
-    spec = ExperimentSpec(
-        scenario="loss-ratio", params=params,
-        k_values=(10,), n_rx_values=(4,),
-        flag_names=("ideal", "imp", "pn", "ce", "rfo"),
-        n_trials=200, seed=0, out_dir=out,
-    )
-    run_experiment(spec)
+    conftest.seed_tables(out)
+    run_experiment(spec_from_args(["loss-ratio", "--out", str(out)]))
     agg = json.loads((out / "loss_aggregate.json").read_text())
     ratios = {e["flags"]: e["loss_ratio"] for e in agg["loss_ratios"]}
     checks = [
@@ -262,14 +240,9 @@ def test_primary_08_ga_against_brute_force(params, table_cache):
 
 def test_primary_09_distributed_control(params, table_cache, tmp_path):
     out = tmp_path / "out"
-    seed_tables(out, table_cache, [(4, "ideal"), (4, "imp")])
-    spec = ExperimentSpec(
-        scenario="dprc-sweep", params=params,
-        k_values=(2, 6, 10), n_rx_values=(4,),
-        flag_names=("ideal", "imp"),
-        n_trials=50, seed=0, out_dir=out, trace_trials=0,
-    )
-    run_experiment(spec)
+    conftest.seed_tables(out)
+    run_experiment(spec_from_args(
+        ["dprc-sweep", "--trials", "50", "--trace-trials", "0", "--out", str(out)]))
     rows = (out / "dprc_trials.csv").read_text().splitlines()[1:]
     bound_ok = all(
         float(r.split(",")[4]) <= float(r.split(",")[5]) for r in rows

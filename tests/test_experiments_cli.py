@@ -31,21 +31,13 @@ from adhocmimo.experiments_cli import (
     spec_from_args,
     table_filename,
 )
-from adhocmimo.link_abstraction import FLAG_SETS, RateTable, table_build_key
+from adhocmimo.link_abstraction import FLAG_SETS, RateTable
 from adhocmimo.rng import substream
 
-from conftest import CACHE_DIR
+from conftest import CACHE_DIR, fixture_build_key, seed_tables
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 DIGESTS = Path(__file__).parent / "data" / "output_digests.json"
-
-
-def seed_tables(out_dir: Path) -> None:
-    """Copy the suite's cached rate tables into a scenario output tree."""
-    table_dir = out_dir / "tables"
-    table_dir.mkdir(parents=True, exist_ok=True)
-    for path in CACHE_DIR.glob("rates_*.json"):
-        shutil.copy(path, table_dir / path.name)
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -76,6 +68,12 @@ def test_spec_defaults_per_scenario():
 
     spec = spec_from_args(["sinr-map"])
     assert spec.k_values == () and spec.n_rx_values == ()
+
+
+def test_every_scenario_flag_set_is_a_registry_name():
+    # no outside input names a flag set: each scenario's come from the registry
+    for scenario in cli.SCENARIOS.values():
+        assert set(scenario.flag_names) <= set(FLAG_SETS)
 
 
 def test_spec_overrides():
@@ -186,11 +184,10 @@ def test_mislabeled_table_cache_is_reported_or_rebuilt(
 
 @pytest.mark.parametrize("path", sorted(CACHE_DIR.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_fixture_is_fresh_and_round_trips(tmp_path, path):
-    # simcli's cache check accepts every fixture at the default build key,
-    # and load -> save reproduces its bytes
+    # simcli's cache check accepts every fixture at the build key of its
+    # defaults, and load -> save reproduces its bytes
     _, n_rx, name = path.stem.split("_")
-    want = table_build_key(SystemParams())
-    table, problem = _cached_table(path, want, int(n_rx[1:]), name)
+    table, problem = _cached_table(path, fixture_build_key(), int(n_rx[1:]), name)
     assert table is not None, problem
     table.save(tmp_path / path.name)
     assert (tmp_path / path.name).read_bytes() == path.read_bytes()
@@ -323,6 +320,16 @@ def test_mst_sweep_outputs_and_jobs_equivalence(tmp_path):
     # worker fan-out changes no byte
     for name in ("mst_trials.csv", "mst_aggregate.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_ber_validate_manifest_names_the_flag_set_it_runs(tmp_path):
+    out = tmp_path / "out"
+    assert main(["ber-validate", "--nrx", "1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["flag_sets"] == ["rfo+ce"]
+    for name in ("ber_analytic.csv", "ber_oracle.csv"):
+        header, rows = read_csv(out / name)
+        assert {row[header.index("flags")] for row in rows} == {"rfo+ce"}
 
 
 def test_loss_ratio_outputs(tmp_path):
@@ -601,17 +608,8 @@ def test_manifest_records_only_the_settings_the_scenario_reads(tmp_path):
 
 
 def test_run_experiment_returns_written_paths(tmp_path):
-    spec = ExperimentSpec(
-        scenario="sinr-map",
-        params=spec_from_args(["sinr-map"]).params,
-        k_values=(),
-        n_rx_values=(),
-        flag_names=(),
-        n_trials=1,
-        seed=0,
-        out_dir=tmp_path / "out",
-    )
-    paths = run_experiment(spec)
+    paths = run_experiment(spec_from_args(
+        ["sinr-map", "--trials", "1", "--out", str(tmp_path / "out")]))
     assert paths[0].name == "manifest.json"
     assert all(p.exists() for p in paths)
 

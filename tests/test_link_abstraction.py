@@ -2,6 +2,7 @@
 and rate-table construction."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.special import erfc
 
 from adhocmimo import link_abstraction
 from adhocmimo.config import SystemParams, db_to_linear
+from adhocmimo.experiments_cli import spec_from_args
 from adhocmimo.impairment_model import RFO_EPS_LIMIT, rfo_std, sinr_after_rfo
 from adhocmimo.link_abstraction import (
     FLAG_SETS,
@@ -268,7 +270,7 @@ def test_folded_quadrature_matches_full_node_sum(params, monkeypatch, quad_order
     # weights give the sum over every node, for odd and even orders alike
     monkeypatch.setattr(link_abstraction, "QUAD_ORDER", quad_order)
     mod = make_mod_scheme(4)
-    flags = ImpairmentFlags(phase_noise=False, rfo=True, channel_est=True)
+    flags = FLAG_SETS["rfo+ce"]
     rng = substream(8, "fold")
     h = complex_normal(rng, (300, 2, 2))
     e_raw = complex_normal(rng, h.shape)
@@ -347,7 +349,7 @@ def test_erfc_is_scipys_and_every_q_call_goes_through_the_module_name(params, mo
 
     monkeypatch.setattr(link_abstraction, "_ber_given_stats", counting_kernel)
     monkeypatch.setattr(link_abstraction, "erfc", counting_erfc)
-    flags = ImpairmentFlags(phase_noise=True, rfo=True, channel_est=True)
+    flags = FLAG_SETS["imp"]
     n_draws, m, mod = 50, 2, make_mod_scheme(4)
     ber_end_to_end(db_to_linear(15.0), m, 2, mod, flags, params,
                    n_draws=n_draws, rng=substream(7, "hook"))
@@ -358,7 +360,7 @@ def test_erfc_is_scipys_and_every_q_call_goes_through_the_module_name(params, mo
 
 def test_ber_end_to_end_quadrature_order_stable(params, monkeypatch):
     mod = make_mod_scheme(2)
-    flags = ImpairmentFlags(phase_noise=False, rfo=True, channel_est=True)
+    flags = FLAG_SETS["rfo+ce"]
     bers = {}
     for order in (7, 15):
         monkeypatch.setattr(link_abstraction, "QUAD_ORDER", order)
@@ -380,7 +382,7 @@ def test_bad_draw_count_rejected_at_the_library_boundary(params):
             ber_end_to_end(10.0, 1, 1, make_mod_scheme(2), FLAG_SETS["imp"],
                            params, bad, substream(0, "bad-draws"))
         with pytest.raises(ValueError, match="n_draws"):
-            build_rate_table(1, FLAG_SETS["imp"], params, n_draws=bad)
+            build_rate_table(1, FLAG_SETS["imp"], params, seed=0, n_draws=bad)
 
 
 def test_ber_end_to_end_zero_sinr_is_coin_flip(params):
@@ -416,7 +418,7 @@ def test_ber_end_to_end_all_flags_off_is_plain_average(params):
 def test_ber_end_to_end_phase_noise_floor(params):
     # far above the ICI cap the curve stops improving
     mod = make_mod_scheme(4)
-    flags = ImpairmentFlags(phase_noise=True, rfo=False, channel_est=False)
+    flags = FLAG_SETS["pn"]
     hi1, _ = ber_end_to_end(db_to_linear(50.0), 4, 4, mod, flags, params,
                             n_draws=200, rng=substream(7, "floor"))
     hi2, _ = ber_end_to_end(db_to_linear(60.0), 4, 4, mod, flags, params,
@@ -430,9 +432,10 @@ def test_ber_end_to_end_phase_noise_floor(params):
 
 def test_flag_labels():
     assert FLAG_SETS["ideal"].label() == "none"
-    assert FLAG_SETS["imp"] == ImpairmentFlags()
     assert FLAG_SETS["imp"].label() == "pn+rfo+ce"
     assert ImpairmentFlags(phase_noise=False, rfo=True, channel_est=True).label() == "rfo+ce"
+    # a set named after its impairments is keyed by its label
+    assert FLAG_SETS["rfo+ce"].label() == "rfo+ce"
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +558,11 @@ def test_build_rate_table_small_grid(params):
 
 
 def test_table_build_key_tracks_table_shaping_params(params):
-    base = table_build_key(params)
-    assert base == table_build_key(SystemParams())
+    def key(p, seed=0):
+        return table_build_key(p, seed=seed, n_draws=2000)
+
+    base = key(params)
+    assert base == key(SystemParams())
     # fields the BER chain or the rates read change the key ...
     for changed in (
         SystemParams(gamma_ber=0.001),
@@ -564,10 +570,10 @@ def test_table_build_key_tracks_table_shaping_params(params):
         SystemParams(ns=128, ws_hz=156.25e3),
         SystemParams(r_base_bps=4e6),
     ):
-        assert table_build_key(changed) != base
+        assert key(changed) != base
     # ... network-level ones do not
-    assert table_build_key(SystemParams(alpha=3.5, p_t_mw=50.0)) == base
-    assert table_build_key(params, seed=1) != base
+    assert key(SystemParams(alpha=3.5, p_t_mw=50.0)) == base
+    assert key(params, seed=1) != base
 
 
 def test_build_rate_table_impairments_shift_thresholds_up(params):
@@ -581,11 +587,32 @@ def test_build_rate_table_impairments_shift_thresholds_up(params):
         assert e.threshold_db >= ideal_by_mode[(e.m, e.u)]
 
 
+def test_bisection_evaluates_each_grid_point_once(params, monkeypatch):
+    # both grid ends, then midpoints strictly inside the bracket: no grid
+    # point is probed twice, and a mode costs at most 2 + ceil(log2(500)) = 11
+    # evaluations of its draw set
+    probes = []
+
+    def counting(sinr_in, h, e_raw, mod, flags, params):
+        probes.append((h.shape[-1], mod.u, sinr_in))
+        return _ber_per_draw(sinr_in, h, e_raw, mod, flags, params)
+
+    monkeypatch.setattr(link_abstraction, "_ber_per_draw", counting)
+    build_rate_table(2, FLAG_SETS["ideal"], params, seed=0, n_draws=80)
+    assert len(set(probes)) == len(probes)
+    per_mode = Counter((m, u) for m, u, _ in probes)
+    assert set(per_mode) == {(m, u) for m in (1, 2) for u in (1, 2, 4, 6)}
+    assert max(per_mode.values()) <= 11
+
+
 @pytest.mark.parametrize("name", ["N1_ideal", "N1_imp", "N2_imp"])
-def test_rebuilt_fixture_tables_are_byte_identical(params, tmp_path, name):
-    # the BER kernel and the quadrature reproduce the shipped tables
+def test_rebuilt_fixture_tables_are_byte_identical(tmp_path, name):
+    # the BER kernel and the quadrature reproduce the shipped tables at
+    # simcli's default table seed and draw count
+    spec = spec_from_args(["rate-table"])
     n_rx, flags = name.split("_")
-    table = build_rate_table(int(n_rx[1:]), FLAG_SETS[flags], params)
+    table = build_rate_table(int(n_rx[1:]), FLAG_SETS[flags], spec.params,
+                             seed=spec.table_seed, n_draws=spec.table_draws)
     path = tmp_path / f"rates_{name}.json"
     table.save(path)
     assert path.read_bytes() == (CACHE_DIR / path.name).read_bytes()
