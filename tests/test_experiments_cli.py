@@ -525,6 +525,7 @@ def output_digest(path: Path) -> str:
 
 @pytest.mark.parametrize("command", [
     "ber-validate --nrx 1",
+    pytest.param("ber-validate --nrx 2", id="ber-validate-nrx2"),
     "mst-sweep --k 2 3 --trials 3",
     "loss-ratio --k 3 --trials 3",
     "dprc-sweep --k 2 3 --trials 3 --trace-trials 2",

@@ -137,3 +137,24 @@ def test_conditional_chain_tracks_oracle_on_frozen_channels():
         if abs(ana - res.ber) <= 3.0 * max(res.stderr, 1e-4) + 0.02 * res.ber:
             hits += 1
     assert hits >= 90
+
+
+@pytest.mark.parametrize("flag_name", ["ideal", "imp"])
+@pytest.mark.parametrize("n,m", [(2, 2), (4, 2), (4, 4)])
+def test_link_oracle_results_are_pinned(params, flag_name, n, m):
+    # the exact results, recorded before the oracle's detection was last
+    # rewritten: one full batch and one partial batch each, and m < n, which
+    # ber-validate never runs; the error counts depend only on the draws
+    # and the hard decisions, so any exact rewrite keeps them
+    pinned = {
+        ("ideal", 2, 2): (0.12559, 0.0008707275134369571),
+        ("ideal", 4, 2): (0.027765, 0.0004124269569751638),
+        ("ideal", 4, 4): (0.146945, 0.0006743273446144),
+        ("imp", 2, 2): (0.176665, 0.0009591094341295291),
+        ("imp", 4, 2): (0.069955, 0.0006187424607131044),
+        ("imp", 4, 4): (0.19668, 0.0007103779201745919),
+    }
+    res = simulate_link_ber(db_to_linear(12.0), m, n, make_mod_scheme(4),
+                            FLAG_SETS[flag_name], params, n_symbols=25_000, seed=11)
+    assert (res.ber, res.stderr) == pinned[flag_name, n, m]
+    assert (res.n_bits, res.n_vectors) == (25_000 * m * 4, 25_000)
