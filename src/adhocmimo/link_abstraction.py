@@ -29,6 +29,8 @@ system, never larger than the N x N one of H^H (H H^H + I/sinr)^-1. They are
 found by Gauss-Jordan elimination without pivoting (the matrix is Hermitian
 positive definite), with the batch of channels on the last axis, so each
 elimination step is one vectorized pass instead of one LAPACK call per draw.
+The symbol oracle runs the same elimination with the one right-hand column
+H^H y in place of H^H, which gives its detected symbols W y directly.
 """
 
 from __future__ import annotations
@@ -193,10 +195,37 @@ def estimation_error_std(m: int, sinr):
     return np.sqrt(m / (training_length(m) * sinr))
 
 
+def _mmse_solve(aug: np.ndarray, h_herm: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Solve (H^H H + nu I) X = R for a stack held batch-last: aug is
+    (M, M + R, B) with R in its right-hand block, h_herm is H^H as (M, N, B)
+    and nu is (B,). The Gram block is filled here and aug is eliminated in
+    place, Gauss-Jordan without pivoting (the matrix is Hermitian positive
+    definite); returns X, aug's right-hand block."""
+    m = aug.shape[0]
+    # a contiguous copy: products against a strided view of h_hat are slower
+    h_cols = h_herm.conj()
+    for i in range(m):
+        np.sum(h_herm[i] * h_cols[i], axis=0, out=aug[i, i])
+        aug[i, i] += nu
+        for j in range(i + 1, m):
+            np.sum(h_herm[i] * h_cols[j], axis=0, out=aug[i, j])
+            np.conjugate(aug[i, j], out=aug[j, i])
+    for k in range(m):
+        # columns left of k are already eliminated; the pivot column is not read again
+        row = aug[k, k + 1:]
+        # numpy divides by a real-valued complex by multiplying both parts
+        # by its reciprocal, so this keeps the bits of row / aug[k, k].real
+        row *= 1.0 / aug[k, k].real
+        for i in range(m):
+            if i != k:
+                aug[i, k + 1:] -= aug[i, k] * row
+    return aug[:, m:]
+
+
 def mmse_weights(h_hat: np.ndarray, sinr_rfo) -> np.ndarray:
     """Linear MMSE detector rows for the channel estimate,
-    W = (H^H H + (1/sinr) I)^-1 H^H: Gauss-Jordan elimination of
-    [H^H H + I/sinr | H^H] with the stack on the last axis. Supports stacked
+    W = (H^H H + (1/sinr) I)^-1 H^H: _mmse_solve with right-hand side H^H,
+    whose block of the augmented matrix becomes W. Supports stacked
     (..., N, M) inputs and a per-batch sinr array; returns (..., M, N)."""
     h_hat = np.asarray(h_hat)
     *batch, n, m = h_hat.shape
@@ -205,20 +234,7 @@ def mmse_weights(h_hat: np.ndarray, sinr_rfo) -> np.ndarray:
     h_herm = aug[:, m:]                                        # (M, N, B)
     h_last = np.moveaxis(h_hat.reshape(-1, n, m), 0, -1)      # (N, M, B)
     np.conjugate(h_last.swapaxes(0, 1), out=h_herm)
-    # a contiguous copy: products against a strided view of h_hat are slower
-    h_cols = h_herm.conj()
-    for i in range(m):
-        aug[i, i] = (h_herm[i] * h_cols[i]).sum(axis=0) + nu
-        for j in range(i + 1, m):
-            aug[i, j] = (h_herm[i] * h_cols[j]).sum(axis=0)
-            aug[j, i] = aug[i, j].conj()
-    for k in range(m):
-        # columns left of k are already eliminated; the pivot column is not read again
-        row = aug[k, k + 1:]
-        row /= aug[k, k].real
-        for i in range(m):
-            if i != k:
-                aug[i, k + 1:] -= aug[i, k] * row
+    _mmse_solve(aug, h_herm, nu)
     return np.moveaxis(h_herm, -1, 0).reshape(*batch, m, n)
 
 
@@ -303,15 +319,18 @@ def _draw_channel_set(m, n, n_draws, rng):
     return h, e_raw
 
 
+@lru_cache(maxsize=None)
 def _gh_nodes(quad_order: int):
     """The non-negative Gauss-Hermite nodes, each with its mirror's weight
     added: the integrand is even in the offset, and numpy's nodes and
-    weights are exactly symmetric."""
+    weights are exactly symmetric. Cached per order, so read-only."""
     nodes, weights = np.polynomial.hermite.hermgauss(quad_order)
     half = quad_order // 2
     folded = weights[half:].copy()
     folded[quad_order % 2:] += weights[:half][::-1]
-    return nodes[half:], folded / math.sqrt(math.pi)
+    nodes, folded = nodes[half:], folded / math.sqrt(math.pi)
+    nodes.flags.writeable = folded.flags.writeable = False
+    return nodes, folded
 
 
 def _check_draws(n_draws) -> None:

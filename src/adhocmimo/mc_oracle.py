@@ -1,13 +1,18 @@
 """Symbol-level Monte Carlo reference for the semi-analytic link BER.
 
 Random symbol vectors are pushed through the power-normalized channel with
-additive Gaussian noise, detected with the same MMSE weights the analytic
-chain uses, and demapped to the nearest point by slicing each axis against
-its decision edges; a point exactly on an edge keeps an argmin's tie rule
-(the lower label). Nothing here reuses the Gaussian decision-statistic
-approximation, the per-axis error expressions, or the quadrature averaging,
-so agreement between the two paths validates those approximations rather
-than echoing them.
+additive Gaussian noise, detected with the analytic chain's MMSE detector,
+and demapped to the nearest point by slicing each axis against its decision
+edges; a point exactly on an edge keeps an argmin's tie rule (the lower
+label). The detector is one elimination, link_abstraction's batch-last
+Gauss-Jordan solve of (H^H H + nu I) X = R: mmse_weights solves it for the
+right-hand side H^H and gets the rows W, while the oracle solves it for the
+one column H^H y and gets the detected symbols W y without forming W. The
+oracle's batch is held batch-last, (n, m, b), as the solve wants it.
+Nothing here reuses the Gaussian decision-statistic approximation, the
+per-axis error expressions, or the quadrature averaging, so agreement
+between the two paths validates those approximations rather than echoing
+them.
 
 simulate_link_ber takes ber_end_to_end's first six arguments, so both paths
 describe one link: the same flags and SystemParams set the phase-noise
@@ -25,7 +30,7 @@ import numpy as np
 from .config import SystemParams
 from .impairment_model import RFO_EPS_LIMIT, rfo_std, sinr_after_rfo, sinr_baseband
 from .link_abstraction import (
-    _POPCOUNT, ImpairmentFlags, ModScheme, estimation_error_std, mmse_weights,
+    _POPCOUNT, ImpairmentFlags, ModScheme, _mmse_solve, estimation_error_std,
 )
 from .rng import complex_normal, substream
 
@@ -88,26 +93,39 @@ def _oracle_result(errors: np.ndarray, bits_per_vector: int) -> OracleResult:
     )
 
 
+def _detect(h, h_hat, x, noise, sinr_eff) -> np.ndarray:
+    """MMSE estimates (m, b) of the symbols x (m, b) sent over channels h
+    with estimates h_hat, both batch-last (n, m, b), given unit-variance
+    noise draws (b, n), which are scaled in place, and per-vector effective
+    SINRs (b,).
+
+    The power split's 1/sqrt(m) moves onto the noise: the estimate W y of
+    the power-normalized link equals the solution x_hat of
+    (H^H H + nu I) x_hat = H^H (H x + sqrt(nu) noise) with nu = m / sinr on
+    the unscaled channel and estimate, so no detector row is formed."""
+    n, m, b = h.shape
+    nu = m / sinr_eff
+    noise *= np.sqrt(nu)[:, None]
+    y = noise.T
+    for j in range(m):
+        y += h[:, j] * x[j]
+    aug = np.empty((m, m + 1, b), dtype=complex)
+    h_herm = np.empty((m, n, b), dtype=complex)
+    np.conjugate(h_hat.swapaxes(0, 1), out=h_herm)
+    h_herm_y = aug[:, m]
+    np.multiply(h_herm[:, 0], y[0], out=h_herm_y)
+    for k in range(1, n):
+        h_herm_y += h_herm[:, k] * y[k]
+    return _mmse_solve(aug, h_herm, nu)[:, 0]
+
+
 def _transmit_and_count(h, h_hat, sinr_eff, mod: ModScheme, rng) -> np.ndarray:
-    """Bit errors per symbol vector for a batch of channels (b, n, m) with
-    per-vector effective SINR (b,)."""
-    b, n, m = h.shape
-    scale = 1.0 / math.sqrt(m)
-    labels = rng.integers(0, len(mod.points), size=(b, m))
-    x = mod.points[labels]
-    noise = complex_normal(rng, (b, n))
-    y = ((h * scale) @ x[..., None])[..., 0]
-    # numpy divides by a real-valued complex by multiplying both parts by its
-    # reciprocal, so scaling the float view in place keeps the bits
-    noise_parts = noise.view(float)
-    noise_parts *= (1.0 / np.sqrt(sinr_eff))[:, None]
-    y += noise
-    # not reused when h_hat is h: holding the scaled channel through the solve
-    # measured slower in cold ber-validate runs
-    w = mmse_weights(h_hat * scale, sinr_eff)
-    y_det = (w @ y[..., None])[..., 0]
-    labels_hat = demap(y_det, mod)
-    return _POPCOUNT[np.bitwise_xor(labels_hat, labels)].sum(axis=-1)
+    """Bit errors per symbol vector for a batch of channels held batch-last,
+    (n, m, b), with per-vector effective SINR (b,)."""
+    n, m, b = h.shape
+    labels = rng.integers(0, len(mod.points), size=(b, m)).T
+    x_hat = _detect(h, h_hat, mod.points[labels], complex_normal(rng, (b, n)), sinr_eff)
+    return _POPCOUNT[np.bitwise_xor(demap(x_hat, mod), labels)].sum(axis=0)
 
 
 def simulate_link_ber(
@@ -137,15 +155,18 @@ def simulate_link_ber(
     for done in range(0, n_symbols, BATCH_VECTORS):
         b = min(BATCH_VECTORS, n_symbols - done)
         h = complex_normal(rng, (b, n, m))
-        s_eff = np.full(b, float(sinr_b))
         if flags.rfo:
             sigma = rfo_std(sinr_b, params.ns)
             eps = np.clip(rng.normal(0.0, sigma, size=b), -RFO_EPS_LIMIT, RFO_EPS_LIMIT)
-            s_eff = sinr_after_rfo(s_eff, eps)
+            s_eff = sinr_after_rfo(sinr_b, eps)
+        else:
+            s_eff = np.full(b, float(sinr_b))
         if flags.channel_est:
-            err_std = estimation_error_std(m, s_eff)
-            h_hat = h + complex_normal(rng, h.shape) * err_std[:, None, None]
+            h_hat = complex_normal(rng, (b, n, m))
+            h_hat *= estimation_error_std(m, s_eff)[:, None, None]
+            h_hat += h
         else:
             h_hat = h
-        errors[done:done + b] = _transmit_and_count(h, h_hat, s_eff, mod, rng)
+        errors[done:done + b] = _transmit_and_count(
+            h.transpose(1, 2, 0), h_hat.transpose(1, 2, 0), s_eff, mod, rng)
     return _oracle_result(errors, m * mod.u)

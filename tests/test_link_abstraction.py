@@ -24,6 +24,7 @@ from adhocmimo.link_abstraction import (
     _ber_given_stats,
     _ber_per_draw,
     _detection_stats,
+    _gh_nodes,
     _pareto_front,
     ber_end_to_end,
     build_rate_table,
@@ -284,6 +285,17 @@ def test_folded_quadrature_matches_full_node_sum(params, monkeypatch, quad_order
         full += w_node * _ber_given_stats(*_detection_stats(h, h_hat, s_node), mod)
     folded = _ber_per_draw(sinr, h, e_raw, mod, flags, params)
     np.testing.assert_allclose(folded, full, rtol=1e-14)
+
+
+def test_gauss_hermite_nodes_are_cached_per_order_and_read_only():
+    nodes, weights = _gh_nodes(15)
+    assert _gh_nodes(15)[0] is nodes and _gh_nodes(15)[1] is weights
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    # keyed by the order, so a patched QUAD_ORDER still gets its own nodes
+    assert len(_gh_nodes(7)[0]) == 4 and len(nodes) == 8
+    # folding keeps the full rule's total weight, sqrt(pi) / sqrt(pi)
+    assert math.fsum(weights) == pytest.approx(1.0, rel=1e-14)
+    assert math.fsum(_gh_nodes(16)[1]) == pytest.approx(1.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

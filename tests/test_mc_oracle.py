@@ -6,12 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import erfc
 
 from adhocmimo.config import db_to_linear
 from adhocmimo.impairment_model import sinr_baseband
-from adhocmimo.link_abstraction import FLAG_SETS, ber_end_to_end, make_mod_scheme
-from adhocmimo.mc_oracle import demap, simulate_link_ber
+from adhocmimo.link_abstraction import (
+    FLAG_SETS, ber_end_to_end, make_mod_scheme, mmse_weights,
+)
+from adhocmimo.mc_oracle import _detect, demap, simulate_link_ber
 from adhocmimo.rng import complex_normal, substream
 
 from conftest import conditional_ber, simulate_conditional_ber
@@ -45,6 +48,26 @@ def test_oracle_phase_noise_is_the_baseband_sinr(params):
     assert pn == ideal
     assert pn != simulate_link_ber(s, 2, 2, mod, FLAG_SETS["ideal"], params,
                                    n_symbols=500, seed=8)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 30), st.integers(0, 1000))
+def test_oracle_detection_is_the_analytic_chains_mmse_detector(n, m, b, seed):
+    # the oracle solves on the unscaled channel with noise sqrt(m / s) and
+    # nu = m / s; that is the analytic chain's detector, W y with
+    # W = mmse_weights(h_hat / sqrt(m), s) on the power-normalized link
+    m = min(m, n)
+    rng = substream(seed, "oracle-detector")
+    h = complex_normal(rng, (b, n, m))
+    h_hat = h + 0.3 * complex_normal(rng, (b, n, m))
+    x = complex_normal(rng, (b, m))
+    noise = complex_normal(rng, (b, n))
+    s = db_to_linear(rng.uniform(-5.0, 30.0, size=b))
+    scale = 1.0 / math.sqrt(m)
+    y = (h * scale @ x[..., None])[..., 0] + noise / np.sqrt(s)[:, None]
+    want = (mmse_weights(h_hat * scale, s) @ y[..., None])[..., 0]
+    got = _detect(h.transpose(1, 2, 0), h_hat.transpose(1, 2, 0), x.T, noise, s)
+    assert got.shape == (m, b)
+    np.testing.assert_allclose(got.T, want, rtol=1e-10)
 
 
 @pytest.mark.parametrize("u", [1, 2, 4, 6])
