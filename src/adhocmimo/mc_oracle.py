@@ -7,8 +7,7 @@ edges; a point exactly on an edge keeps an argmin's tie rule (the lower
 label). The detector is one elimination, link_abstraction's batch-last
 Gauss-Jordan solve of (H^H H + nu I) X = R: mmse_weights solves it for the
 right-hand side H^H and gets the rows W, while the oracle solves it for the
-one column H^H y and gets the detected symbols W y without forming W. The
-oracle's batch is held batch-last, (n, m, b), as the solve wants it.
+one column H^H y and gets the detected symbols W y without forming W.
 Nothing here reuses the Gaussian decision-statistic approximation, the
 per-axis error expressions, or the quadrature averaging, so agreement
 between the two paths validates those approximations rather than echoing
@@ -95,14 +94,11 @@ def _oracle_result(errors: np.ndarray, bits_per_vector: int) -> OracleResult:
 
 def _detect(h, h_hat, x, noise, sinr_eff) -> np.ndarray:
     """MMSE estimates (m, b) of the symbols x (m, b) sent over channels h
-    with estimates h_hat, both batch-last (n, m, b), given unit-variance
-    noise draws (b, n), which are scaled in place, and per-vector effective
-    SINRs (b,).
-
-    The power split's 1/sqrt(m) moves onto the noise: the estimate W y of
-    the power-normalized link equals the solution x_hat of
-    (H^H H + nu I) x_hat = H^H (H x + sqrt(nu) noise) with nu = m / sinr on
-    the unscaled channel and estimate, so no detector row is formed."""
+    with estimates h_hat, both (n, m, b), given unit-variance noise draws
+    (b, n), scaled in place, and effective SINRs (b,). The power split's
+    1/sqrt(m) moves onto the noise: W y of the power-normalized link is the
+    solution of (H^H H + nu I) x_hat = H^H (H x + sqrt(nu) noise) on the
+    unscaled channel and estimate, with nu = m / sinr."""
     n, m, b = h.shape
     nu = m / sinr_eff
     noise *= np.sqrt(nu)[:, None]
@@ -112,10 +108,7 @@ def _detect(h, h_hat, x, noise, sinr_eff) -> np.ndarray:
     aug = np.empty((m, m + 1, b), dtype=complex)
     h_herm = np.empty((m, n, b), dtype=complex)
     np.conjugate(h_hat.swapaxes(0, 1), out=h_herm)
-    h_herm_y = aug[:, m]
-    np.multiply(h_herm[:, 0], y[0], out=h_herm_y)
-    for k in range(1, n):
-        h_herm_y += h_herm[:, k] * y[k]
+    np.sum(h_herm * y, axis=1, out=aug[:, m])
     return _mmse_solve(aug, h_herm, nu)[:, 0]
 
 
@@ -155,16 +148,14 @@ def simulate_link_ber(
     for done in range(0, n_symbols, BATCH_VECTORS):
         b = min(BATCH_VECTORS, n_symbols - done)
         h = complex_normal(rng, (b, n, m))
+        s_eff = np.full(b, float(sinr_b))
         if flags.rfo:
             sigma = rfo_std(sinr_b, params.ns)
             eps = np.clip(rng.normal(0.0, sigma, size=b), -RFO_EPS_LIMIT, RFO_EPS_LIMIT)
-            s_eff = sinr_after_rfo(sinr_b, eps)
-        else:
-            s_eff = np.full(b, float(sinr_b))
+            s_eff = sinr_after_rfo(s_eff, eps)
         if flags.channel_est:
-            h_hat = complex_normal(rng, (b, n, m))
-            h_hat *= estimation_error_std(m, s_eff)[:, None, None]
-            h_hat += h
+            err_std = estimation_error_std(m, s_eff)
+            h_hat = h + complex_normal(rng, h.shape) * err_std[:, None, None]
         else:
             h_hat = h
         errors[done:done + b] = _transmit_and_count(
