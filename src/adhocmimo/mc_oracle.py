@@ -108,7 +108,10 @@ def _detect(h, h_hat, x, noise, sinr_eff) -> np.ndarray:
     aug = np.empty((m, m + 1, b), dtype=complex)
     h_herm = np.empty((m, n, b), dtype=complex)
     np.conjugate(h_hat.swapaxes(0, 1), out=h_herm)
-    np.sum(h_herm * y, axis=1, out=aug[:, m])
+    h_herm_y = aug[:, m]
+    np.multiply(h_herm[:, 0], y[0], out=h_herm_y)
+    for k in range(1, n):
+        h_herm_y += h_herm[:, k] * y[k]
     return _mmse_solve(aug, h_herm, nu)[:, 0]
 
 
@@ -148,14 +151,16 @@ def simulate_link_ber(
     for done in range(0, n_symbols, BATCH_VECTORS):
         b = min(BATCH_VECTORS, n_symbols - done)
         h = complex_normal(rng, (b, n, m))
-        s_eff = np.full(b, float(sinr_b))
         if flags.rfo:
             sigma = rfo_std(sinr_b, params.ns)
             eps = np.clip(rng.normal(0.0, sigma, size=b), -RFO_EPS_LIMIT, RFO_EPS_LIMIT)
-            s_eff = sinr_after_rfo(s_eff, eps)
+            s_eff = sinr_after_rfo(sinr_b, eps)
+        else:
+            s_eff = np.full(b, float(sinr_b))
         if flags.channel_est:
-            err_std = estimation_error_std(m, s_eff)
-            h_hat = h + complex_normal(rng, h.shape) * err_std[:, None, None]
+            h_hat = complex_normal(rng, h.shape)
+            h_hat *= estimation_error_std(m, s_eff)[:, None, None]
+            h_hat += h
         else:
             h_hat = h
         errors[done:done + b] = _transmit_and_count(
