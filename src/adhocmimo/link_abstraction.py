@@ -202,7 +202,7 @@ def _mmse_solve(aug: np.ndarray, h_herm: np.ndarray, nu: np.ndarray) -> np.ndarr
     place, Gauss-Jordan without pivoting (the matrix is Hermitian positive
     definite); returns X, aug's right-hand block."""
     m = aug.shape[0]
-    # a contiguous copy: products against a strided view of h_hat are slower
+    # a contiguous copy: products against a strided view of H are slower
     h_cols = h_herm.conj()
     for i in range(m):
         np.sum(h_herm[i] * h_cols[i], axis=0, out=aug[i, i])

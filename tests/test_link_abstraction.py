@@ -293,9 +293,6 @@ def test_gauss_hermite_nodes_are_cached_per_order_and_read_only():
     assert not nodes.flags.writeable and not weights.flags.writeable
     # keyed by the order, so a patched QUAD_ORDER still gets its own nodes
     assert len(_gh_nodes(7)[0]) == 4 and len(nodes) == 8
-    # folding keeps the full rule's total weight, sqrt(pi) / sqrt(pi)
-    assert math.fsum(weights) == pytest.approx(1.0, rel=1e-14)
-    assert math.fsum(_gh_nodes(16)[1]) == pytest.approx(1.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
