@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Run every scenario behind the study's figures and tables, in dependency
-# order, into one output directory.
+# order. Each scenario writes into its own OUT_DIR/<scenario>/, so each keeps
+# its manifest.json; all of them share the rate tables in OUT_DIR/tables
+# through a tables symlink.
 #
 # Usage: scripts/reproduce_results.sh [OUT_DIR] [extra simcli args...]
 #   scripts/reproduce_results.sh                     quick pass, default sizes
@@ -17,7 +19,9 @@ shift || true
 
 run() {
     echo "==> simcli $*"
-    python3 -m adhocmimo.experiments_cli "$@" --out "$out"
+    mkdir -p "$out/tables" "$out/$1"
+    ln -sfn ../tables "$out/$1/tables"
+    python3 -m adhocmimo.experiments_cli "$@" --out "$out/$1"
 }
 
 # link-level inputs: analytic SINR maps, oracle cross-check, rate tables

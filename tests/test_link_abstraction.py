@@ -17,6 +17,7 @@ from adhocmimo.impairment_model import RFO_EPS_LIMIT, rfo_std, sinr_after_rfo
 from adhocmimo.link_abstraction import (
     FLAG_SETS,
     GRID_STEP_DB,
+    SINR_HI_DB,
     SINR_LO_DB,
     ImpairmentFlags,
     RateEntry,
@@ -596,10 +597,14 @@ def test_build_rate_table_impairments_shift_thresholds_up(params):
         assert e.threshold_db >= ideal_by_mode[(e.m, e.u)]
 
 
-def test_bisection_evaluates_each_grid_point_once(params, monkeypatch):
-    # both grid ends, then midpoints strictly inside the bracket: no grid
-    # point is probed twice, and a mode costs at most 2 + ceil(log2(500)) = 11
-    # evaluations of its draw set
+@pytest.mark.parametrize("flags, never_pass", [("ideal", set()), ("imp", {(2, 6)})],
+                         ids=["ideal", "imp"])
+def test_bisection_evaluates_each_grid_point_once(params, monkeypatch, flags, never_pass):
+    # the top of the grid first, then one bisection over the other 500 points:
+    # no grid point is probed twice, a passing mode costs at most
+    # 1 + ceil(log2(501)) = 10 evaluations of its draw set, and a mode that
+    # fails at the top (under imp, phase noise caps the baseband SINR of
+    # (2, 64-QAM) near 1 / (2 f_ici), 28.9 dB) costs that one probe
     probes = []
 
     def counting(sinr_in, h, e_raw, mod, flags, params):
@@ -607,14 +612,17 @@ def test_bisection_evaluates_each_grid_point_once(params, monkeypatch):
         return _ber_per_draw(sinr_in, h, e_raw, mod, flags, params)
 
     monkeypatch.setattr(link_abstraction, "_ber_per_draw", counting)
-    build_rate_table(2, FLAG_SETS["ideal"], params, seed=0, n_draws=80)
+    build_rate_table(2, FLAG_SETS[flags], params, seed=0, n_draws=80)
     assert len(set(probes)) == len(probes)
     per_mode = Counter((m, u) for m, u, _ in probes)
     assert set(per_mode) == {(m, u) for m in (1, 2) for u in (1, 2, 4, 6)}
-    assert max(per_mode.values()) <= 11
+    assert max(n for mode, n in per_mode.items() if mode not in never_pass) <= 10
+    top = db_to_linear(SINR_HI_DB)
+    for m, u in never_pass:
+        assert [s for mm, uu, s in probes if (mm, uu) == (m, u)] == [top]
 
 
-@pytest.mark.parametrize("name", ["N1_ideal", "N1_imp", "N2_imp"])
+@pytest.mark.parametrize("name", ["N1_ideal", "N1_imp", "N2_imp", "N4_pn"])
 def test_rebuilt_fixture_tables_are_byte_identical(tmp_path, name):
     # the BER kernel and the quadrature reproduce the shipped tables at
     # simcli's default table seed and draw count
