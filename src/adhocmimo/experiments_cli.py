@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -160,7 +160,8 @@ def _load_tables(spec: ExperimentSpec) -> dict[tuple[int, str], RateTable]:
     With --build-tables (and always for the rate-table scenario) a table
     that is not fresh is built and saved, and fresh files are left untouched,
     so rebuilds are idempotent and byte-stable; otherwise it is a
-    RuntimeFailure naming every such path.
+    RuntimeFailure naming every such path. A tables directory that cannot
+    be made (say, a dangling symlink) is a RuntimeFailure before any build.
     """
     build = spec.build_tables or spec.scenario == "rate-table"
     want = table_build_key(spec.params, seed=spec.table_seed, n_draws=spec.table_draws)
@@ -170,11 +171,16 @@ def _load_tables(spec: ExperimentSpec) -> dict[tuple[int, str], RateTable]:
             path = spec.out_dir / "tables" / table_filename(n_rx, name)
             table, problem = _cached_table(path, want, n_rx, name)
             if table is None and build:
+                try:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                except OSError as exc:
+                    raise RuntimeFailure(
+                        f"cannot create the rate table directory {path.parent} "
+                        f"({type(exc).__name__}: {exc})") from exc
                 table = build_rate_table(
                     n_rx, FLAG_SETS[name], spec.params,
                     seed=spec.table_seed, n_draws=spec.table_draws,
                 )
-                path.parent.mkdir(parents=True, exist_ok=True)
                 table.save(path)
             elif table is None:
                 problems.append(problem)
@@ -220,18 +226,18 @@ class _Chunk(NamedTuple):
 
 def _trace_text(p, sinr, r, table: RateTable) -> str:
     """One member's trace CSV, a line per (round, pair), from its (rounds, K)
-    history arrays, converted to dBm and dB as whole arrays. The lines are
-    what csv.writer gives for these fields: CRLF ends, nothing quoted."""
+    history arrays, converted to dBm and dB as whole arrays and formatted by
+    one % call (%.10g is _fmt's format). The lines are what csv.writer gives
+    for these fields: CRLF ends, nothing quoted."""
     with np.errstate(divide="ignore"):
         power_dbm = np.where(p > 0, mw_to_dbm(p), -np.inf).ravel().tolist()
         sinr_db = np.where(sinr > 0, linear_to_db(sinr), -np.inf).ravel().tolist()
     rate = [str(int(x)) for x in table.rates_by_index]
-    steps = product(range(p.shape[0]), range(p.shape[1]))
-    fields = zip(steps, power_dbm, sinr_db, r.ravel().tolist())
-    return "iteration,pair,power_dbm,sinr_db,rate_bps\r\n" + "".join([
-        f"{step},{pair},{dbm:.10g},{db:.10g},{rate[idx]}\r\n"
-        for (step, pair), dbm, db, idx in fields
-    ])
+    rounds, k = p.shape
+    fields = zip(np.repeat(np.arange(rounds), k).tolist(), list(range(k)) * rounds,
+                 power_dbm, sinr_db, [rate[idx] for idx in r.ravel().tolist()])
+    return "iteration,pair,power_dbm,sinr_db,rate_bps\r\n" + (
+        "%d,%d,%.10g,%.10g,%s\r\n" * (rounds * k)) % tuple(chain.from_iterable(fields))
 
 
 def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, str]]:

@@ -55,9 +55,12 @@ def stack_tables(tables: Sequence[RateTable]) -> tuple[np.ndarray, np.ndarray]:
     """The rate ladders of a batch's M tables: (M, T) linear thresholds,
     padded with +inf, which no SINR clears, and the (M, T + 1) rates of
     each rate index (each table's rates_by_index; padding is never read).
-    T is at least 1, so a table with no modes reads rate 0 everywhere."""
+    T is at least 1, so a table with no modes reads rate 0 everywhere, and
+    at most 255, the most rate_indices counts."""
     tables = list(tables)
     width = max([1] + [len(t.entries) for t in tables])
+    if width > 255:
+        raise ValueError(f"a rate table may hold at most 255 modes, not {width}")
     thresholds = np.full((len(tables), width), np.inf)
     rates = np.zeros((len(tables), width + 1))
     for j, t in enumerate(tables):
@@ -71,12 +74,10 @@ def rate_indices(sinr: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     (M, T) thresholds from stack_tables: how many of its member's thresholds
     are at or below it, so 0 means none. Thresholds are inclusive lower
     bounds."""
-    column_shape = (-1,) + (1,) * (sinr.ndim - 1)
-    idx = np.zeros(sinr.shape, dtype=np.intp)
-    # one comparison per column: a (M, ..., K, T) broadcast is slower
-    for column in thresholds.T:
-        idx += column.reshape(column_shape) <= sinr
-    return idx
+    # one (T, M, ..., K) comparison, counted down its leading axis in uint8
+    # (stack_tables keeps T <= 255)
+    held = thresholds.T.reshape(thresholds.shape[::-1] + (1,) * (sinr.ndim - 1))
+    return np.add.reduce(held <= sinr, axis=0, dtype=np.uint8).astype(np.intp)
 
 
 def sinr_in_all(p, gains: tuple[np.ndarray, np.ndarray], noise_mw: float) -> np.ndarray:
@@ -152,9 +153,11 @@ def maximize_sum_throughput(
 
     thresholds, rates = stack_tables(tables)
     rows = np.arange(m)[:, None]
-    # member j's rate of index i sits at j * (T + 1) + i of the flat rates
+    # member j's rate of index i sits at j * (T + 1) + i of the flat rates,
+    # and its allocation i at row j * pop_size + i of the flat genes
     rate_offsets = (rows * rates.shape[1])[..., None]
     rates = rates.ravel()
+    member_base = rows * pop_size
 
     def fitness(pop: np.ndarray) -> np.ndarray:
         idx = rate_indices(sinr_in_all(pop, gains, noise_mw), thresholds)
@@ -185,8 +188,10 @@ def maximize_sum_throughput(
 
         # tournament selection, two random entrants per parent slot
         entrants = (d[:, tour] * pop_size).astype(np.intp).reshape(m, 2, pop_size)
+        entrants += member_base[..., None]
         a, b = entrants[:, 0], entrants[:, 1]
-        parents = genes[rows, np.where(fit[rows, a] >= fit[rows, b], a, b)]
+        score = fit.ravel()[entrants]
+        parents = genes.reshape(-1, k)[np.where(score[:, 0] >= score[:, 1], a, b)]
 
         # blend crossover on consecutive parent pairs; the unpaired last
         # parent of an odd population passes through
@@ -213,7 +218,7 @@ def maximize_sum_throughput(
 
         # elitism: best of the current generation survive unchanged
         elite = np.argsort(fit, axis=1, kind="stable")[:, -ELITISM:]
-        children[:, :ELITISM] = genes[rows, elite]
+        children[:, :ELITISM] = genes.reshape(-1, k)[elite + member_base]
 
         genes = children
         fit = fitness(genes)

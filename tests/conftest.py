@@ -4,7 +4,8 @@ analytic conditional BER and its symbol-level simulation on one frozen
 channel. The LAPACK form of the MMSE detector is kept here as the
 reference for the elimination kernel, and the kernel's first form as the
 reference it must match bit for bit; likewise the GA's generation loop as
-it was before its draws shared one buffer per generation.
+it was before its draws shared one buffer per generation, and the rate
+lookup as a loop over the threshold columns, which that GA reads.
 
 Rate tables are expensive to build, so prebuilt copies live as JSON under
 tests/data/tables, built at the table build key of simcli's defaults
@@ -132,13 +133,25 @@ def mmse_weights_elimination_reference(h_hat: np.ndarray, sinr_rfo) -> np.ndarra
     return np.moveaxis(h_herm, -1, 0).reshape(*batch, m, n)
 
 
+def rate_indices_reference(sinr: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """rate_indices as a loop over the (M, T) thresholds' columns: each adds
+    1 where its threshold is at or below the SINR."""
+    column_shape = (-1,) + (1,) * (sinr.ndim - 1)
+    idx = np.zeros(sinr.shape, dtype=np.intp)
+    for column in thresholds.T:
+        idx += column.reshape(column_shape) <= sinr
+    return idx
+
+
 def maximize_sum_throughput_reference(
     topos, tables, params, *, seeds, extra_seeds=None
 ):
     """The batched GA as it first shipped: separate uniform and normal draw
     buffers split with np.split and gathered apart, crossover bounds as
-    min/max reductions over each mate pair, and the children copied from
-    the parents. The shipped GA must match it bit for bit."""
+    min/max reductions over each mate pair, the children copied from the
+    parents, fitness and parents gathered by (member, index) pairs, and
+    rates looked up column by column. The shipped GA must match it bit for
+    bit."""
     ga = network_opt
     tables, seeds = list(tables), list(seeds)
     gains = stack_gains(topos)
@@ -158,7 +171,7 @@ def maximize_sum_throughput_reference(
     rows = np.arange(m)[:, None]
 
     def fitness(pop):
-        idx = rate_indices(sinr_in_all(pop, gains, noise_mw), thresholds)
+        idx = rate_indices_reference(sinr_in_all(pop, gains, noise_mw), thresholds)
         return rates[rows[..., None], idx].sum(axis=-1)
 
     slot = {s: j for j, s in enumerate(dict.fromkeys(seeds))}

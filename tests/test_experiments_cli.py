@@ -182,6 +182,25 @@ def test_mislabeled_table_cache_is_reported_or_rebuilt(
     assert wrong.read_bytes() == shipped.read_bytes()
 
 
+def test_dangling_tables_link_fails_before_any_build(tmp_path, capsys, monkeypatch):
+    # <out>/tables pointing at a missing directory cannot hold a built
+    # table: the run exits 2 naming it, and builds nothing first
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "tables").symlink_to(tmp_path / "missing")
+
+    def build(*args, **kwargs):
+        pytest.fail("build_rate_table called")
+
+    monkeypatch.setattr(cli, "build_rate_table", build)
+    code = main(["mst-sweep", "--k", "2", "--nrx", "1", "--trials", "1",
+                 "--out", str(out), "--build-tables"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("simcli: cannot create the rate table directory")
+    assert str(out / "tables") in err
+
+
 @pytest.mark.parametrize("path", sorted(CACHE_DIR.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_fixture_is_fresh_and_round_trips(tmp_path, path):
     # simcli's cache check accepts every fixture at the build key of its

@@ -1,11 +1,17 @@
 """Network SINR coupling, the sum-throughput objective, and the GA power
 search."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from adhocmimo.config import SystemParams, dbm_to_mw
-from adhocmimo.network_opt import maximize_sum_throughput, sinr_in_all, split_gains
+from adhocmimo.link_abstraction import RateEntry, RateTable
+from adhocmimo.network_opt import (
+    maximize_sum_throughput, rate_indices, sinr_in_all, split_gains, stack_tables,
+)
 from adhocmimo.radio_env import (
     Topology,
     noise_variance,
@@ -17,7 +23,7 @@ from adhocmimo.rng import substream
 
 from conftest import (
     HIGH_SINR_D, HIGH_SINR_P, interference_by_hand, maximize_sum_throughput_reference,
-    table_rates,
+    rate_indices_reference, table_rates,
 )
 
 
@@ -154,6 +160,53 @@ def test_sum_throughput_repeatable(params, table_cache):
     assert sum_rate(p, topo, table, params) == sum_rate(
         p, topo, table, params
     )
+
+
+# ---------------------------------------------------------------------------
+# rate lookup
+
+
+def ladder(thresholds_db) -> RateTable:
+    """A table with one mode per threshold (dB), rates 1, 2, ... bps."""
+    return RateTable(n_rx=1, flags_label="none", entries=tuple(
+        RateEntry(rate_bps=float(i + 1), m=1, u=1, threshold_db=float(db))
+        for i, db in enumerate(thresholds_db)))
+
+
+@st.composite
+def lookup_cases(draw):
+    """Stacked thresholds of 1 to 4 tables of 0 to 8 modes each (so +inf
+    padding, and tables with no modes), and (M, K) or (M, R, K) SINRs mixing
+    exact thresholds, 0, 1e18 and free values."""
+    tables = [
+        ladder(sorted(draw(st.lists(st.floats(-10.0, 50.0), max_size=8, unique=True))))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    thresholds, _ = stack_tables(tables)
+    shape = (len(tables), *draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)))
+    exact = [float(x) for t in tables for x in t.thresholds_linear] + [0.0, 1e18]
+    values = st.one_of(st.sampled_from(exact), st.floats(0.0, 1e18))
+    size = math.prod(shape)
+    flat = draw(st.lists(values, min_size=size, max_size=size))
+    return np.array(flat).reshape(shape), thresholds
+
+
+@given(lookup_cases())
+def test_rate_indices_match_the_column_loop(case):
+    sinr, thresholds = case
+    got, want = rate_indices(sinr, thresholds), rate_indices_reference(sinr, thresholds)
+    assert got.dtype == want.dtype == np.intp
+    np.testing.assert_array_equal(got, want)
+
+
+def test_stack_tables_holds_at_most_255_modes():
+    # rate_indices counts in uint8: 255 modes all count, 256 are refused
+    full = ladder(np.arange(255) * 0.1)
+    thresholds, _ = stack_tables([ladder([0.0]), full])
+    idx = rate_indices(np.array([[1e18], [1e18]]), thresholds)
+    np.testing.assert_array_equal(idx, [[1], [255]])
+    with pytest.raises(ValueError, match="255"):
+        stack_tables([ladder([0.0]), ladder(np.arange(256) * 0.1)])
 
 
 # ---------------------------------------------------------------------------
