@@ -548,6 +548,8 @@ def output_digest(path: Path) -> str:
     "mst-sweep --k 2 3 --trials 3",
     "loss-ratio --k 3 --trials 3",
     "dprc-sweep --k 2 3 --trials 3 --trace-trials 2",
+    # a GA population of 40 and 10-pair fitness sums
+    pytest.param("dprc-sweep --k 10 --trials 2 --trace-trials 1", id="dprc-sweep-k10"),
 ], ids=lambda command: command.split()[0])
 def test_outputs_match_recorded_digests(tmp_path, command):
     # every output of these small runs at --seed 0 on the shipped tables,
