@@ -78,6 +78,10 @@ def sigmoid_utility(sinr, p):
     return reward - PRICE_PER_MW * np.asarray(p, float)
 
 
+# the utility of a silent pair, which transmitting must beat
+_ZERO_POWER_UTILITY = float(sigmoid_utility(0.0, 0.0))
+
+
 def best_response_power(ieff, p_t: float):
     """Utility-maximizing power for each pair whose SINR at power p is
     p / ieff (ieff = interference-plus-noise over own gain, mW), in closed
@@ -104,7 +108,7 @@ def best_response_power(ieff, p_t: float):
     log_odds = 2.0 * np.log1p(root) - np.log(q)
     p = np.clip(ieff_arr * (BETA + log_odds / SIGMOID_A), 0.0, p_t)
     # drop rule: silence unless transmitting beats the zero-power floor
-    keep = on & (sigmoid_utility(p / ieff_arr, p) > sigmoid_utility(0.0, 0.0))
+    keep = on & (sigmoid_utility(p / ieff_arr, p) > _ZERO_POWER_UTILITY)
     p = np.where(keep, p, 0.0)
     return float(p[0]) if x.ndim == 0 else p.reshape(x.shape)
 

@@ -191,17 +191,28 @@ def maximize_sum_throughput(
         entrants += member_base[..., None]
         a, b = entrants[:, 0], entrants[:, 1]
         score = fit.ravel()[entrants]
-        parents = genes.reshape(-1, k)[np.where(score[:, 0] >= score[:, 1], a, b)]
+        winners = np.where(score[:, 0] >= score[:, 1], a, b)
+        parents = genes.reshape(-1, k)[winners]
 
         # blend crossover on consecutive parent pairs; the unpaired last
-        # parent of an odd population passes through
-        mates = parents[:, :paired].reshape(m, n_pairs, 2, k)
-        first, second = mates[:, :, :1], mates[:, :, 1:]
-        lo = np.minimum(first, second)
-        span = np.maximum(first, second) - lo
-        blended = lo - 0.5 * span + 2.0 * span * d[:, blend].reshape(m, n_pairs, 2, k)
-        crossed = (d[:, cross] < CROSSOVER_RATE)[..., None, None]
-        children = np.where(crossed, blended, mates).reshape(m, paired, k)
+        # parent of an odd population passes through. Gathering the winners
+        # again through the pair-swapped indices puts each parent's mate in
+        # its slot, so the bounds of a pair (min and max are symmetric) and
+        # both children come from whole (M, paired, K) passes. A pair that
+        # does not cross is gathered unswapped: each parent blends with
+        # itself, and a zero span returns it bit for bit
+        pairs = winners[:, :paired].reshape(m, n_pairs, 2)
+        crossed = (d[:, cross] < CROSSOVER_RATE)[..., None]
+        mates = genes.reshape(-1, k)[np.where(crossed, pairs[..., ::-1], pairs)]
+        own, mates = parents[:, :paired], mates.reshape(m, paired, k)
+        # children = lo - 0.5 * span + 2.0 * span * weight, in place
+        children = np.minimum(own, mates)
+        span = np.maximum(own, mates)
+        span -= children
+        children -= 0.5 * span
+        span *= 2.0
+        span *= d[:, blend].reshape(m, paired, k)
+        children += span
         if paired < pop_size:
             children = np.concatenate([children, parents[:, paired:]], axis=1)
 
@@ -214,7 +225,9 @@ def maximize_sum_throughput(
             p_t * d[:, redraw].reshape(m, pop_size, k),
             np.where(which < mut_rate, stepped, children),
         )
-        np.clip(children, 0.0, p_t, out=children)
+        # clip to [0, P_T]; two ufunc calls skip np.clip's wrapper
+        np.maximum(children, 0.0, out=children)
+        np.minimum(children, p_t, out=children)
 
         # elitism: best of the current generation survive unchanged
         elite = np.argsort(fit, axis=1, kind="stable")[:, -ELITISM:]

@@ -454,6 +454,27 @@ def test_trace_bytes_match_csv_writer(tmp_path, params, table_cache):
     assert raw == buf.getvalue().encode()
 
 
+def test_trace_rounds_non_whole_rates_as_the_trials_csv_does(tmp_path):
+    # at 1000.7 bps per bit the 8-bit mode runs at 8005.6 bps, which the
+    # trials CSV writes as 8006; the trace must write the same, not 8005
+    cfg = tmp_path / "odd.cfg"
+    cfg.write_text("r_base_bps = 1000.7\n")
+    out = tmp_path / "out"
+    assert main(["dprc-sweep", "--k", "2", "--trials", "1", "--trace-trials", "1",
+                 "--build-tables", "--table-draws", "50", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    written = set()
+    for name in ("ideal", "imp"):
+        table = RateTable.from_dict(
+            json.loads((out / "tables" / table_filename(4, name)).read_text()))
+        assert 8005.6 in table.rates_by_index
+        _, rows = read_csv(out / f"dprc_trace_k2_n4_{name}_t0.csv")
+        rates = {row[4] for row in rows}
+        assert rates <= {str(int(round(x))) for x in table.rates_by_index}
+        written |= rates
+    assert "8006" in written and "8005" not in written
+
+
 def test_dprc_tracing_does_not_change_results(tmp_path):
     # traced and untraced members share one batched run_dprc call; writing
     # a member's trace must not change any member's result or trace
