@@ -192,18 +192,19 @@ def maximize_sum_throughput(
         a, b = entrants[:, 0], entrants[:, 1]
         score = fit.ravel()[entrants]
         winners = np.where(score[:, 0] >= score[:, 1], a, b)
-        parents = genes.reshape(-1, k)[winners]
+        # np.take gathers rows of K about twice as fast as fancy indexing
+        flat = genes.reshape(-1, k)
+        parents = np.take(flat, winners, axis=0)
 
         # blend crossover on consecutive parent pairs; the unpaired last
-        # parent of an odd population passes through. Gathering the winners
-        # again through the pair-swapped indices puts each parent's mate in
-        # its slot, so the bounds of a pair (min and max are symmetric) and
-        # both children come from whole (M, paired, K) passes. A pair that
-        # does not cross is gathered unswapped: each parent blends with
-        # itself, and a zero span returns it bit for bit
+        # parent of an odd population passes through. Each parent slot also
+        # gathers its mate, the pair-swapped winner, so the pair's bounds (min
+        # and max are symmetric) and both children are whole (M, paired, K)
+        # passes. A pair that does not cross gathers each parent as its own
+        # mate, and the zero span returns it bit for bit
         pairs = winners[:, :paired].reshape(m, n_pairs, 2)
         crossed = (d[:, cross] < CROSSOVER_RATE)[..., None]
-        mates = genes.reshape(-1, k)[np.where(crossed, pairs[..., ::-1], pairs)]
+        mates = np.take(flat, np.where(crossed, pairs[..., ::-1], pairs), axis=0)
         own, mates = parents[:, :paired], mates.reshape(m, paired, k)
         # children = lo - 0.5 * span + 2.0 * span * weight, in place
         children = np.minimum(own, mates)
@@ -231,7 +232,7 @@ def maximize_sum_throughput(
 
         # elitism: best of the current generation survive unchanged
         elite = np.argsort(fit, axis=1, kind="stable")[:, -ELITISM:]
-        children[:, :ELITISM] = genes.reshape(-1, k)[elite + member_base]
+        children[:, :ELITISM] = np.take(flat, elite + member_base, axis=0)
 
         genes = children
         fit = fitness(genes)

@@ -309,41 +309,26 @@ def test_ga_batch_members_match_batches_of_one(params, table_cache):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6, 10])
 def test_ga_matches_reference_bit_for_bit(params, table_cache, k):
-    # K=1 has an odd population without extra rows, so one parent is unpaired
-    tables = [table_cache(4, name) for name in ("ideal", "imp", "pn", "ideal")]
-    topos = [sample_topology(k, params, substream(s, "ga-ref")) for s in range(4)]
-    warm = 1.2 * params.p_t_mw * substream(k, "ga-ref-warm").random((4, 3, k))
-    for seeds in ([7, 7, 7, 7], [3, 4, 5, 6]):
-        for extra in (None, warm[:, 0], warm):
-            got = maximize_sum_throughput(topos, tables, params, seeds=seeds,
-                                          extra_seeds=extra)
-            want = maximize_sum_throughput_reference(topos, tables, params,
-                                                     seeds=seeds, extra_seeds=extra)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 6, 10])
-def test_ga_matches_reference_on_non_whole_rates(params, table_cache, k):
-    # the fixture rates are whole multiples of 8e6 bps, so a fitness sum in
-    # any order gives the same bits; at 1000.7 bps per bit the order shows
-    tables = [
+    # K=1 has an odd population without extra rows, so one parent is unpaired.
+    # The fixture rates are whole multiples of 8e6 bps, on which a fitness sum
+    # in any order gives the same bits; at 1000.7 bps per bit the order shows
+    fixtures = [table_cache(4, name) for name in ("ideal", "imp", "pn", "ideal")]
+    non_whole = [
         RateTable(t.n_rx, t.flags_label, tuple(
-            RateEntry(rate_bps=1000.7 * e.m * e.u, m=e.m, u=e.u,
-                      threshold_db=e.threshold_db) for e in t.entries))
-        for t in (table_cache(4, name) for name in ("ideal", "imp", "pn", "ideal"))
+            RateEntry(1000.7 * e.m * e.u, e.m, e.u, e.threshold_db) for e in t.entries))
+        for t in fixtures
     ]
-    assert any(rate % 1 for t in tables for rate in t.rates_by_index)
     topos = [sample_topology(k, params, substream(s, "ga-ref")) for s in range(4)]
     warm = 1.2 * params.p_t_mw * substream(k, "ga-ref-warm").random((4, 3, k))
-    for seeds in ([7, 7, 7, 7], [3, 4, 5, 6]):
-        for extra in (None, warm):
-            got = maximize_sum_throughput(topos, tables, params, seeds=seeds,
-                                          extra_seeds=extra)
-            want = maximize_sum_throughput_reference(topos, tables, params,
-                                                     seeds=seeds, extra_seeds=extra)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
+    for tables in (fixtures, non_whole):
+        for seeds in ([7, 7, 7, 7], [3, 4, 5, 6]):
+            for extra in (None, warm[:, 0], warm):
+                got = maximize_sum_throughput(topos, tables, params, seeds=seeds,
+                                              extra_seeds=extra)
+                want = maximize_sum_throughput_reference(
+                    topos, tables, params, seeds=seeds, extra_seeds=extra)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_ga_batch_input_validation(params, table_cache):
