@@ -232,7 +232,7 @@ def _trace_text(p, sinr, r, table: RateTable) -> str:
     with np.errstate(divide="ignore"):
         power_dbm = np.where(p > 0, mw_to_dbm(p), -np.inf).ravel().tolist()
         sinr_db = np.where(sinr > 0, linear_to_db(sinr), -np.inf).ravel().tolist()
-    rate = [str(int(round(x))) for x in table.rates_by_index]
+    rate = [str(round(x)) for x in table.rates_by_index.tolist()]
     rounds, k = p.shape
     fields = zip(np.repeat(np.arange(rounds), k).tolist(), list(range(k)) * rounds,
                  power_dbm, sinr_db, [rate[idx] for idx in r.ravel().tolist()])
