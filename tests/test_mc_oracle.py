@@ -162,13 +162,14 @@ def test_conditional_chain_tracks_oracle_on_frozen_channels():
     assert hits >= 90
 
 
-@pytest.mark.parametrize("flag_name", ["ideal", "imp"])
+@pytest.mark.parametrize("flag_name", list(FLAG_SETS))
 @pytest.mark.parametrize("n,m", [(2, 2), (4, 2), (4, 4)])
 def test_link_oracle_results_are_pinned(params, flag_name, n, m):
-    # the exact results, recorded before the oracle's detection was last
-    # rewritten: one full batch and one partial batch each, and m < n, which
-    # ber-validate never runs; the error counts depend only on the draws
-    # and the hard decisions, so any exact rewrite keeps them
+    # the exact results under every flag set, recorded before the oracle's
+    # detection was last rewritten: one full batch and one partial batch
+    # each, and m < n, which ber-validate never runs; the error counts
+    # depend only on the draws and the hard decisions, so any exact rewrite
+    # keeps them
     pinned = {
         ("ideal", 2, 2): (0.12559, 0.0008707275134369571),
         ("ideal", 4, 2): (0.027765, 0.0004124269569751638),
@@ -176,6 +177,18 @@ def test_link_oracle_results_are_pinned(params, flag_name, n, m):
         ("imp", 2, 2): (0.176665, 0.0009591094341295291),
         ("imp", 4, 2): (0.069955, 0.0006187424607131044),
         ("imp", 4, 4): (0.19668, 0.0007103779201745919),
+        ("pn", 2, 2): (0.127025, 0.00087320757821894),
+        ("pn", 4, 2): (0.02857, 0.0004173214232301182),
+        ("pn", 4, 4): (0.1483875, 0.0006755057335580822),
+        ("rfo", 2, 2): (0.126785, 0.000882654357123198),
+        ("rfo", 4, 2): (0.027855, 0.00040564213393289516),
+        ("rfo", 4, 4): (0.1475825, 0.0006773299260944782),
+        ("ce", 2, 2): (0.174675, 0.0009588313455983654),
+        ("ce", 4, 2): (0.068075, 0.0006079650975692555),
+        ("ce", 4, 4): (0.1951625, 0.0007130676912967624),
+        ("rfo+ce", 2, 2): (0.175035, 0.000956489177075117),
+        ("rfo+ce", 4, 2): (0.068375, 0.0006127678144091569),
+        ("rfo+ce", 4, 4): (0.195105, 0.000710119165893437),
     }
     res = simulate_link_ber(db_to_linear(12.0), m, n, make_mod_scheme(4),
                             FLAG_SETS[flag_name], params, n_symbols=25_000, seed=11)
