@@ -17,6 +17,12 @@ simulate_link_ber takes ber_end_to_end's first six arguments, so both paths
 describe one link: the same flags and SystemParams set the phase-noise
 compression, the offset spread (params.ns) and the estimation error
 (estimation_error_std), drawn afresh per vector where the chain integrates.
+
+The draws are made per batch of BATCH_VECTORS vectors; everything after
+them (the offset's SINR, the estimate scaling, detection, demapping and the
+error count) runs per block of BLOCK_VECTORS vectors of that batch, so its
+temporaries stay block-sized. Each of those steps works per vector and the
+elimination sums over the antenna axis, so the block size moves no bit.
 """
 
 from __future__ import annotations
@@ -39,8 +45,9 @@ __all__ = [
     "simulate_link_ber",
 ]
 
-# symbol vectors simulated per batch
+# symbol vectors drawn per batch, and detected per block of a batch
 BATCH_VECTORS = 20_000
+BLOCK_VECTORS = 4096
 
 
 def _slice(x, levels, gray, half_step):
@@ -115,12 +122,11 @@ def _detect(h, h_hat, x, noise, sinr_eff) -> np.ndarray:
     return _mmse_solve(aug, h_herm, nu)[:, 0]
 
 
-def _transmit_and_count(h, h_hat, sinr_eff, mod: ModScheme, rng) -> np.ndarray:
-    """Bit errors per symbol vector for a batch of channels held batch-last,
-    (n, m, b), with per-vector effective SINR (b,)."""
-    n, m, b = h.shape
-    labels = rng.integers(0, len(mod.points), size=(b, m)).T
-    x_hat = _detect(h, h_hat, mod.points[labels], complex_normal(rng, (b, n)), sinr_eff)
+def _transmit_and_count(h, h_hat, labels, noise, sinr_eff, mod: ModScheme) -> np.ndarray:
+    """Bit errors per symbol vector for one block of drawn vectors: channels
+    and estimates held batch-last, (n, m, b), the sent labels (m, b), unit
+    noise (b, n), scaled in place, and effective SINRs (b,)."""
+    x_hat = _detect(h, h_hat, mod.points[labels], noise, sinr_eff)
     return _POPCOUNT[np.bitwise_xor(demap(x_hat, mod), labels)].sum(axis=0)
 
 
@@ -154,15 +160,24 @@ def simulate_link_ber(
         if flags.rfo:
             sigma = rfo_std(sinr_b, params.ns)
             eps = np.clip(rng.normal(0.0, sigma, size=b), -RFO_EPS_LIMIT, RFO_EPS_LIMIT)
-            s_eff = sinr_after_rfo(sinr_b, eps)
-        else:
-            s_eff = np.full(b, float(sinr_b))
         if flags.channel_est:
-            h_hat = complex_normal(rng, h.shape)
-            h_hat *= estimation_error_std(m, s_eff)[:, None, None]
-            h_hat += h
-        else:
-            h_hat = h
-        errors[done:done + b] = _transmit_and_count(
-            h.transpose(1, 2, 0), h_hat.transpose(1, 2, 0), s_eff, mod, rng)
+            h_err = complex_normal(rng, h.shape)
+        labels = rng.integers(0, len(mod.points), size=(b, m))
+        noise = complex_normal(rng, (b, n))
+        for lo in range(0, b, BLOCK_VECTORS):
+            blk = slice(lo, min(lo + BLOCK_VECTORS, b))
+            h_blk = h[blk]
+            if flags.rfo:
+                s_eff = sinr_after_rfo(sinr_b, eps[blk])
+            else:
+                s_eff = np.full(len(h_blk), float(sinr_b))
+            if flags.channel_est:
+                h_hat = h_err[blk]
+                h_hat *= estimation_error_std(m, s_eff)[:, None, None]
+                h_hat += h_blk
+            else:
+                h_hat = h_blk
+            errors[done + lo:done + blk.stop] = _transmit_and_count(
+                h_blk.transpose(1, 2, 0), h_hat.transpose(1, 2, 0),
+                labels[blk].T, noise[blk], s_eff, mod)
     return _oracle_result(errors, m * mod.u)
