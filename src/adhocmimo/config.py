@@ -96,8 +96,9 @@ class SystemParams:
 
     @classmethod
     def from_file(cls, path) -> "SystemParams":
-        """Parse `key = value` lines; '#' starts a comment, blanks ignored."""
-        mapping = {}
+        """Parse `key = value` lines; '#' starts a comment, blanks ignored,
+        and a key may be set only once."""
+        mapping, first_line = {}, {}
         for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -105,7 +106,12 @@ class SystemParams:
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{ln}: expected 'key = value'")
             key, _, value = stripped.partition("=")
-            mapping[key.strip()] = value.strip()
+            key = key.strip()
+            if key in first_line:
+                raise ConfigError(
+                    f"{path}:{ln}: {key!r} repeats the key set on line {first_line[key]}")
+            first_line[key] = ln
+            mapping[key] = value.strip()
         return cls.from_mapping(mapping)
 
     def to_config_dict(self) -> dict:

@@ -455,8 +455,15 @@ SCENARIOS = {
 
 
 def run_experiment(spec: ExperimentSpec) -> list[Path]:
-    """Execute one scenario and return the paths of everything written."""
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    """Execute one scenario and return the paths of everything written. An
+    output directory that cannot be made (say, a file stands at or above
+    it) is a RuntimeFailure before any work."""
+    try:
+        spec.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise RuntimeFailure(
+            f"cannot create the output directory {spec.out_dir} "
+            f"({type(exc).__name__}: {exc})") from exc
     outputs = SCENARIOS[spec.scenario].run(spec)
     _write_json(spec.out_dir / "manifest.json", _manifest(spec, outputs))
     return [spec.out_dir / "manifest.json"] + [spec.out_dir / o for o in outputs]

@@ -95,6 +95,15 @@ def test_from_file_reports_line_number(tmp_path):
         SystemParams.from_file(cfg)
 
 
+def test_from_file_rejects_a_repeated_key(tmp_path):
+    # the second value used to win silently; the error names the file, the
+    # repeating line and the key
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("p_t_dbm = 20\nalpha = 3\np_t_dbm = 10\n")
+    with pytest.raises(ConfigError, match=r"sys\.cfg:3: 'p_t_dbm' repeats the key set on line 1"):
+        SystemParams.from_file(cfg)
+
+
 def test_config_dict_round_trip():
     p = SystemParams.from_mapping({"p_t_dbm": "23", "ns": "64"})
     q = SystemParams.from_mapping(

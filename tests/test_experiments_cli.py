@@ -267,6 +267,35 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_repeated_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("p_t_dbm = 20\np_t_dbm = 10\n")
+    out = tmp_path / "out"
+    assert main(["sinr-map", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"{cfg}:2: 'p_t_dbm' repeats" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["at", "under"])
+def test_out_path_at_or_under_a_file_fails_before_any_work(
+        tmp_path, capsys, monkeypatch, below):
+    # a file where the output directory, or one of its parents, should be:
+    # the run exits 2 naming the path, and runs nothing first
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if below else afile
+
+    def run(spec):
+        pytest.fail("scenario ran")
+
+    monkeypatch.setitem(cli.SCENARIOS, "sinr-map",
+                        cli.SCENARIOS["sinr-map"]._replace(run=run))
+    assert main(["sinr-map", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"simcli: cannot create the output directory {out} ")
+    assert afile.read_text() == "kept\n"
+
+
 def test_rate_table_scenario_is_idempotent(tmp_path):
     out = tmp_path / "out"
     argv = ["rate-table", "--nrx", "1", "--table-draws", "60",
