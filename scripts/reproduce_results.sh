@@ -2,7 +2,8 @@
 # Run every scenario behind the study's figures and tables, in dependency
 # order. Each scenario writes into its own OUT_DIR/<scenario>/, so each keeps
 # its manifest.json; all of them share the rate tables in OUT_DIR/tables
-# through a tables symlink.
+# through a tables symlink. Each scenario's wall time goes to stderr, as
+# "<== SCENARIO: SECONDS s wall".
 #
 # Usage: scripts/reproduce_results.sh [OUT_DIR] [extra simcli args...]
 #   scripts/reproduce_results.sh                     quick pass, default sizes
@@ -21,7 +22,8 @@ run() {
     echo "==> simcli $*"
     mkdir -p "$out/tables" "$out/$1"
     ln -sfn ../tables "$out/$1/tables"
-    python3 -m adhocmimo.experiments_cli "$@" --out "$out/$1"
+    local TIMEFORMAT="<== $1: %3R s wall"
+    time python3 -m adhocmimo.experiments_cli "$@" --out "$out/$1"
 }
 
 # link-level inputs: analytic SINR maps, oracle cross-check, rate tables

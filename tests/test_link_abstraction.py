@@ -644,3 +644,34 @@ def test_cached_tables_structure(table_cache):
     assert (4, 6) in modes            # the 192 Mbps top mode
     thr = [e.threshold_db for e in n4.entries]
     assert all(a < b for a, b in zip(thr[:-1], thr[1:]))
+
+
+def _thresholds_by_mode(table: RateTable) -> dict[tuple[int, int], float]:
+    return {(e.m, e.u): e.threshold_db for e in table.entries}
+
+
+def _assert_not_below(low, high):
+    # on every mode both tables hold, `high`'s threshold is at least `low`'s
+    shared = low.keys() & high.keys()
+    assert shared
+    for mode in shared:
+        assert high[mode] >= low[mode], mode
+
+
+@pytest.mark.parametrize("name", ["ideal", "imp"])
+def test_more_receive_antennas_never_raise_a_shipped_threshold(table_cache, name):
+    n1, n2, n4 = (_thresholds_by_mode(table_cache(n_rx, name)) for n_rx in (1, 2, 4))
+    _assert_not_below(n2, n1)
+    _assert_not_below(n4, n2)
+
+
+def test_shipped_n4_estimation_thresholds_are_ordered(table_cache):
+    # estimation error on top of ideal hardware, and the other impairments
+    # on top of it, never lower a threshold; the pn and rfo tables break
+    # "never below ideal" by a grid step or two at (3, QPSK) and (4, 64-QAM),
+    # which is table noise, so they are not checked here
+    ideal, ce, imp = (_thresholds_by_mode(table_cache(4, name))
+                      for name in ("ideal", "ce", "imp"))
+    _assert_not_below(ce, imp)
+    _assert_not_below(ideal, ce)
+    _assert_not_below(ideal, imp)
