@@ -130,6 +130,35 @@ def _transmit_and_count(h, h_hat, labels, noise, sinr_eff, mod: ModScheme) -> np
     return _POPCOUNT[np.bitwise_xor(demap(x_hat, mod), labels)].sum(axis=0)
 
 
+def _count_batch(errors, rng, n, m, mod: ModScheme, flags: ImpairmentFlags,
+                 sinr_b: float, eps_std: float | None) -> None:
+    """Fill errors (b,) with the bit errors of b fresh symbol vectors. All of
+    the batch's draws come first, in a fixed order; the rest runs per block
+    of BLOCK_VECTORS vectors. The draws die on return, before the next
+    batch's are made."""
+    b = errors.size
+    h = complex_normal(rng, (b, n, m))
+    if flags.rfo:
+        eps = np.clip(rng.normal(0.0, eps_std, size=b), -RFO_EPS_LIMIT, RFO_EPS_LIMIT)
+    if flags.channel_est:
+        h_err = complex_normal(rng, h.shape)
+    labels = rng.integers(0, len(mod.points), size=(b, m))
+    noise = complex_normal(rng, (b, n))
+    for lo in range(0, b, BLOCK_VECTORS):
+        blk = slice(lo, lo + BLOCK_VECTORS)
+        h_blk = h[blk]
+        s_eff = sinr_after_rfo(sinr_b, eps[blk]) if flags.rfo else np.full(len(h_blk), sinr_b)
+        if flags.channel_est:
+            h_hat = h_err[blk]
+            h_hat *= estimation_error_std(m, s_eff)[:, None, None]
+            h_hat += h_blk
+        else:
+            h_hat = h_blk
+        errors[blk] = _transmit_and_count(
+            h_blk.transpose(1, 2, 0), h_hat.transpose(1, 2, 0),
+            labels[blk].T, noise[blk], s_eff, mod)
+
+
 def simulate_link_ber(
     sinr_in: float,
     m: int,
@@ -151,33 +180,10 @@ def simulate_link_ber(
         raise ValueError("sinr_in must be positive")
     if n_symbols < 2:
         raise ValueError("n_symbols must be at least 2")
-    sinr_b = sinr_baseband(sinr_in, params.f_ici) if flags.phase_noise else sinr_in
+    sinr_b = float(sinr_baseband(sinr_in, params.f_ici) if flags.phase_noise else sinr_in)
+    eps_std = rfo_std(sinr_b, params.ns) if flags.rfo else None
     rng = substream(seed, "mc-oracle")
     errors = np.empty(n_symbols, dtype=np.int64)
     for done in range(0, n_symbols, BATCH_VECTORS):
-        b = min(BATCH_VECTORS, n_symbols - done)
-        h = complex_normal(rng, (b, n, m))
-        if flags.rfo:
-            sigma = rfo_std(sinr_b, params.ns)
-            eps = np.clip(rng.normal(0.0, sigma, size=b), -RFO_EPS_LIMIT, RFO_EPS_LIMIT)
-        if flags.channel_est:
-            h_err = complex_normal(rng, h.shape)
-        labels = rng.integers(0, len(mod.points), size=(b, m))
-        noise = complex_normal(rng, (b, n))
-        for lo in range(0, b, BLOCK_VECTORS):
-            blk = slice(lo, min(lo + BLOCK_VECTORS, b))
-            h_blk = h[blk]
-            if flags.rfo:
-                s_eff = sinr_after_rfo(sinr_b, eps[blk])
-            else:
-                s_eff = np.full(len(h_blk), float(sinr_b))
-            if flags.channel_est:
-                h_hat = h_err[blk]
-                h_hat *= estimation_error_std(m, s_eff)[:, None, None]
-                h_hat += h_blk
-            else:
-                h_hat = h_blk
-            errors[done + lo:done + blk.stop] = _transmit_and_count(
-                h_blk.transpose(1, 2, 0), h_hat.transpose(1, 2, 0),
-                labels[blk].T, noise[blk], s_eff, mod)
+        _count_batch(errors[done:done + BATCH_VECTORS], rng, n, m, mod, flags, sinr_b, eps_std)
     return _oracle_result(errors, m * mod.u)
