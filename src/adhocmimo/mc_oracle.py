@@ -133,7 +133,8 @@ def _transmit_and_count(h, h_hat, labels, noise, sinr_eff, mod: ModScheme) -> np
 def _count_batch(errors, rng, n, m, mod: ModScheme, flags: ImpairmentFlags,
                  sinr_b: float, eps_std: float | None) -> None:
     """Fill errors (b,) with the bit errors of b fresh symbol vectors. All of
-    the batch's draws come first, in a fixed order; the rest runs per block
+    the batch's draws come first, in the order that fixes every result
+    (channel, offset, estimate error, labels, noise); the rest runs per block
     of BLOCK_VECTORS vectors. The draws die on return, before the next
     batch's are made."""
     b = errors.size
