@@ -98,7 +98,7 @@ class SystemParams:
     def from_file(cls, path) -> "SystemParams":
         """Parse `key = value` lines; '#' starts a comment, blanks ignored,
         and a key may be set only once."""
-        mapping, first_line = {}, {}
+        mapping = {}
         for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -107,10 +107,8 @@ class SystemParams:
                 raise ConfigError(f"{path}:{ln}: expected 'key = value'")
             key, _, value = stripped.partition("=")
             key = key.strip()
-            if key in first_line:
-                raise ConfigError(
-                    f"{path}:{ln}: {key!r} repeats the key set on line {first_line[key]}")
-            first_line[key] = ln
+            if key in mapping:
+                raise ConfigError(f"{path}:{ln}: repeated config key {key!r}")
             mapping[key] = value.strip()
         return cls.from_mapping(mapping)
 

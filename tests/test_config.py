@@ -100,7 +100,7 @@ def test_from_file_rejects_a_repeated_key(tmp_path):
     # repeating line and the key
     cfg = tmp_path / "sys.cfg"
     cfg.write_text("p_t_dbm = 20\nalpha = 3\np_t_dbm = 10\n")
-    with pytest.raises(ConfigError, match=r"sys\.cfg:3: 'p_t_dbm' repeats the key set on line 1"):
+    with pytest.raises(ConfigError, match=r"sys\.cfg:3: repeated config key 'p_t_dbm'"):
         SystemParams.from_file(cfg)
 
 

@@ -272,7 +272,7 @@ def test_repeated_config_key_is_a_usage_error(tmp_path, capsys):
     cfg.write_text("p_t_dbm = 20\np_t_dbm = 10\n")
     out = tmp_path / "out"
     assert main(["sinr-map", "--config", str(cfg), "--out", str(out)]) == 1
-    assert f"{cfg}:2: 'p_t_dbm' repeats" in capsys.readouterr().err
+    assert f"{cfg}:2: repeated config key 'p_t_dbm'" in capsys.readouterr().err
     assert not out.exists()
 
 
