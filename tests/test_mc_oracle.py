@@ -1,6 +1,7 @@
 """Symbol-level simulator: demapping, conditional runs, and the full link
 oracle used to arbitrate the analytic chain."""
 
+import hashlib
 import inspect
 import math
 
@@ -12,7 +13,7 @@ from scipy.special import erfc
 from adhocmimo.config import db_to_linear
 from adhocmimo.impairment_model import sinr_baseband
 from adhocmimo.link_abstraction import (
-    FLAG_SETS, ber_end_to_end, make_mod_scheme, mmse_weights,
+    FLAG_SETS, _orbit, ber_end_to_end, make_mod_scheme, mmse_weights,
 )
 from adhocmimo.mc_oracle import _detect, demap, simulate_link_ber
 from adhocmimo.rng import complex_normal, substream
@@ -100,6 +101,33 @@ def test_demap_slicer_matches_argmin(u):
     want = np.argmin(np.abs(y[:, None] - mod.points) ** 2, axis=-1)
     np.testing.assert_array_equal(demap(y, mod), want)
     np.testing.assert_array_equal(demap(y.reshape(250, 400), mod), want.reshape(250, 400))
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("u,d,digest", [
+    (1, 1, "6bf669d57491033103b30660275a2b2283a4373afe5715ec9c87050fafb90a17"),
+    (2, 2, "19736fa0efcda33c7325046c5135de80101d65db41b35b7a35b3c1826bc3488e"),
+    (4, 10, "fad580c1220a14b38549e2124d55e79f52cc8c20c993dc58bdcb218fce440e2b"),
+    (6, 42, "1c4d45c9a62e7f0166de0c57e648c85ddb34b6e8856ed7ee2a371a0023d303db"),
+])
+def test_constellation_orbit_and_demap_bytes_are_pinned(u, d, digest):
+    # sha256 of the points, the orbit kernel's three arrays and the labels
+    # demap gives the points and a grid of every level and decision edge on
+    # both axes (the edges are ties), recorded from the two-axis ModScheme:
+    # an exact rewrite of the constellation keeps every byte
+    mod = make_mod_scheme(u)
+    levels = np.unique(mod.points.real)
+    coords = np.concatenate([levels, levels[:-1] + 1.0 / math.sqrt(d)])
+    grid = coords[:, None] + 1j * coords
+    assert _digest(mod.points, *_orbit(u), demap(mod.points, mod), demap(grid, mod)) == digest
 
 
 def test_conditional_oracle_bpsk_awgn():
