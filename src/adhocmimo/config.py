@@ -58,6 +58,9 @@ class SystemParams:
     p_t_mw: float = 100.0              # per-pair transmit power cap (linear)
 
     def __post_init__(self):
+        for key, (target, _) in _CONFIG_KEYS.items():
+            if not np.isfinite(getattr(self, target)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, target)}")
         if self.d0_m <= 0:
             raise ConfigError("d0_m must be positive")
         if self.alpha <= 0:
@@ -117,6 +120,12 @@ class SystemParams:
         return {key: getattr(self, key) for key in _CONFIG_KEYS}
 
 
+def _whole(value) -> int:
+    if not float(value).is_integer():
+        raise ValueError(f"not a whole number: {value!r}")
+    return int(float(value))
+
+
 # external key -> (internal target, converter from file value)
 _CONFIG_KEYS = {
     "d0_m": ("d0_m", float),
@@ -124,7 +133,7 @@ _CONFIG_KEYS = {
     "alpha": ("alpha", float),
     "eta_n_dbm_hz": ("eta_n_dbm_hz", float),
     "ws_hz": ("ws_hz", float),
-    "ns": ("ns", lambda v: int(float(v))),
+    "ns": ("ns", _whole),
     "f_n_db": ("f_n_db", float),
     "f_ici_dbc": ("f_ici", lambda v: float(db_to_linear(float(v)))),
     "gamma_ber": ("gamma_ber", float),

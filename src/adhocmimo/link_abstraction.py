@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -83,36 +83,28 @@ def erfc(x):
     return scipy_erfc(x)
 
 
-def _gray(i: int) -> int:
-    return i ^ (i >> 1)
-
-
 @dataclass(frozen=True, eq=False)
 class ModScheme:
     """Gray-labeled square constellation with unit mean symbol energy.
 
-    points is indexed by bit label. re_index/im_index map a label to its
-    level index on each axis; re_gray/im_gray give the per-level axis bits.
-    """
+    One axis is stored: both axes of a square QAM share the ascending levels
+    and their Gray bits gray. A label, the index of points, holds the Gray
+    bits of its real level re_index[label] above those of its imaginary one."""
 
     u: int
-    d: int
     points: np.ndarray
-    re_levels: np.ndarray
-    im_levels: np.ndarray
+    levels: np.ndarray
+    gray: np.ndarray
     re_index: np.ndarray
-    im_index: np.ndarray
-    re_gray: np.ndarray
-    im_gray: np.ndarray
 
     @property
     def half_step(self) -> float:
         """Half the distance between adjacent axis levels."""
-        return 1.0 / math.sqrt(self.d)
+        return 1.0 / math.sqrt(_D_BY_U[self.u])
 
     @property
     def has_im_axis(self) -> bool:
-        return len(self.im_levels) > 1
+        return self.u > 1
 
 
 @lru_cache(maxsize=None)
@@ -120,34 +112,15 @@ def make_mod_scheme(u: int) -> ModScheme:
     """Build the scheme for u bits per symbol (1, 2, 4 or 6)."""
     if u not in _D_BY_U:
         raise ValueError(f"unsupported bits/symbol: {u}")
-    d = _D_BY_U[u]
-    if u == 1:
-        re_levels = np.array([-1.0, 1.0])
-        im_levels = np.array([0.0])
-        im_bits = 0
-    else:
-        side = 1 << (u // 2)
-        re_levels = (2.0 * np.arange(side) - (side - 1)) / math.sqrt(d)
-        im_levels = re_levels.copy()
-        im_bits = u // 2
-    n_pts = 1 << u
-    points = np.zeros(n_pts, dtype=complex)
-    re_index = np.zeros(n_pts, dtype=np.int64)
-    im_index = np.zeros(n_pts, dtype=np.int64)
-    for ir in range(len(re_levels)):
-        for ii in range(len(im_levels)):
-            label = (_gray(ir) << im_bits) | _gray(ii)
-            points[label] = re_levels[ir] + 1j * im_levels[ii]
-            re_index[label] = ir
-            im_index[label] = ii
-    re_gray = np.array([_gray(i) for i in range(len(re_levels))], dtype=np.int64)
-    im_gray = np.array([_gray(i) for i in range(len(im_levels))], dtype=np.int64)
-    return ModScheme(
-        u=u, d=d, points=points,
-        re_levels=re_levels, im_levels=im_levels,
-        re_index=re_index, im_index=im_index,
-        re_gray=re_gray, im_gray=im_gray,
-    )
+    side = 1 << (u - u // 2)
+    levels = (2.0 * np.arange(side) - (side - 1)) / math.sqrt(_D_BY_U[u])
+    gray = np.arange(side)
+    gray ^= gray >> 1
+    level_of = np.empty_like(gray)   # the level each Gray code labels
+    level_of[gray] = np.arange(side)
+    im = 1j * levels[level_of] if u > 1 else np.zeros(1, dtype=complex)
+    points = (levels[level_of, None] + im).ravel()
+    return ModScheme(u, points, levels, gray, re_index=level_of.repeat(len(im)))
 
 
 @dataclass(frozen=True)
@@ -260,14 +233,12 @@ def _orbit(u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sum_k sign_k (W_{k+1} - W_k) Q(sign_k (edge_k - mean) / sigma): each tail
     is the small side of its edge and keeps full relative precision."""
     mod = make_mod_scheme(u)
-    reps = mod.re_index < len(mod.re_levels) // 2
+    reps = mod.re_index < len(mod.levels) // 2
     level = mod.re_index[reps]
-    axes = (mod.re_gray, mod.im_gray) if mod.has_im_axis else (mod.re_gray,)
-    weights = 0
-    for gray in axes:
-        flips = _POPCOUNT[np.bitwise_xor.outer(gray, gray)]
-        weights = weights + flips[level] + flips[::-1, ::-1][level]
-    edge = np.arange(len(mod.re_levels) - 1)
+    flips = _POPCOUNT[np.bitwise_xor.outer(mod.gray, mod.gray)]
+    # the imaginary axis repeats the real one's levels and bits
+    weights = (flips[level] + flips[::-1, ::-1][level]) * (1 + mod.has_im_axis)
+    edge = np.arange(len(mod.levels) - 1)
     sign = np.where(edge < level[:, None], -1.0, 1.0)
     # Q(x) = erfc(x / sqrt(2)) / 2: the 1/2 goes here, the sqrt(2) into the scale
     coef = 0.5 * sign * np.diff(weights, axis=-1)
@@ -282,7 +253,7 @@ def _ber_given_stats(s_diag, sigma2, mod: ModScheme):
     reps, sign, coef = _orbit(mod.u)
     scale = np.maximum(np.sqrt(np.maximum(sigma2, 0.0)), 1e-300)   # sqrt(2) sigma
     mean = (s_diag[..., None] * reps).real                      # (..., M, P/2)
-    edges = mod.re_levels[:-1] + mod.half_step
+    edges = mod.levels[:-1] + mod.half_step
     x = edges - mean[..., None]                                  # (..., M, P/2, L-1)
     x *= sign
     x /= scale[..., None, None]
@@ -442,15 +413,7 @@ class RateTable:
             "impaired": self.flags_label != "none",
             "flags": self.flags_label,
             "grid_step_db": GRID_STEP_DB,
-            "entries": [
-                {
-                    "rate_bps": e.rate_bps,
-                    "m": e.m,
-                    "u": e.u,
-                    "threshold_db": e.threshold_db,
-                }
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
         }
         if self.build_info is not None:
             doc["build"] = self.build_info

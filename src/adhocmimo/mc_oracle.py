@@ -50,12 +50,12 @@ BATCH_VECTORS = 20_000
 BLOCK_VECTORS = 4096
 
 
-def _slice(x, levels, gray, half_step):
+def _slice(x, mod: ModScheme):
     """Level index of each coordinate on one axis: the number of decision
     edges below it. An edge whose upper neighbour has the smaller Gray code
     counts as below a coordinate exactly on it, so that neighbour wins."""
     idx = np.zeros(np.shape(x), dtype=np.intp)
-    for edge, upper_wins in zip(levels[:-1] + half_step, gray[1:] < gray[:-1]):
+    for edge, upper_wins in zip(mod.levels[:-1] + mod.half_step, mod.gray[1:] < mod.gray[:-1]):
         idx += (x >= edge) if upper_wins else (x > edge)
     return idx
 
@@ -69,9 +69,9 @@ def demap(y_hat, mod: ModScheme):
     argmin over all points, which keeps the first minimum.
     """
     y = np.asarray(y_hat, dtype=complex)
-    ir = _slice(y.real, mod.re_levels, mod.re_gray, mod.half_step)
-    ii = _slice(y.imag, mod.im_levels, mod.im_gray, mod.half_step)
-    labels = (mod.re_gray[ir] << (mod.u // 2)) | mod.im_gray[ii]
+    labels = mod.gray[_slice(y.real, mod)]
+    if mod.has_im_axis:
+        labels = (labels << (mod.u // 2)) | mod.gray[_slice(y.imag, mod)]
     return int(labels) if labels.ndim == 0 else labels
 
 
@@ -122,19 +122,12 @@ def _detect(h, h_hat, x, noise, sinr_eff) -> np.ndarray:
     return _mmse_solve(aug, h_herm, nu)[:, 0]
 
 
-def _transmit_and_count(h, h_hat, labels, noise, sinr_eff, mod: ModScheme) -> np.ndarray:
-    """Bit errors per symbol vector for one block of drawn vectors: channels
-    and estimates held batch-last, (n, m, b), the sent labels (m, b), unit
-    noise (b, n), scaled in place, and effective SINRs (b,)."""
-    x_hat = _detect(h, h_hat, mod.points[labels], noise, sinr_eff)
-    return _POPCOUNT[np.bitwise_xor(demap(x_hat, mod), labels)].sum(axis=0)
-
-
 def _count_batch(errors, rng, n, m, mod: ModScheme, flags: ImpairmentFlags,
                  sinr_b: float, eps_std: float | None) -> None:
     """Fill errors (b,) with the bit errors of b fresh symbol vectors. All of
     the batch's draws come first, in the order that fixes every result
-    (channel, offset, estimate error, labels, noise); the rest runs per block
+    (channel, offset, estimate error, labels, noise); the offset's SINR, the
+    estimate scaling, detection, demapping and the error count run per block
     of BLOCK_VECTORS vectors. The draws die on return, before the next
     batch's are made."""
     b = errors.size
@@ -147,17 +140,17 @@ def _count_batch(errors, rng, n, m, mod: ModScheme, flags: ImpairmentFlags,
     noise = complex_normal(rng, (b, n))
     for lo in range(0, b, BLOCK_VECTORS):
         blk = slice(lo, lo + BLOCK_VECTORS)
-        h_blk = h[blk]
+        h_blk = h_hat = h[blk]
         s_eff = sinr_after_rfo(sinr_b, eps[blk]) if flags.rfo else np.full(len(h_blk), sinr_b)
         if flags.channel_est:
             h_hat = h_err[blk]
             h_hat *= estimation_error_std(m, s_eff)[:, None, None]
             h_hat += h_blk
-        else:
-            h_hat = h_blk
-        errors[blk] = _transmit_and_count(
-            h_blk.transpose(1, 2, 0), h_hat.transpose(1, 2, 0),
-            labels[blk].T, noise[blk], s_eff, mod)
+        sent = labels[blk].T
+        x_hat = _detect(h_blk.transpose(1, 2, 0), h_hat.transpose(1, 2, 0),
+                        mod.points[sent], noise[blk], s_eff)
+        errors[blk] = _POPCOUNT[np.bitwise_xor(demap(x_hat, mod), sent)].sum(axis=0)
+        del x_hat   # a view of this block's solve: free it before the next one
 
 
 def simulate_link_ber(

@@ -75,6 +75,28 @@ def test_from_mapping_rejects_bad_value():
         SystemParams.from_mapping({"alpha": "three"})
 
 
+@pytest.mark.parametrize("key", list(SystemParams().to_config_dict()))
+def test_from_mapping_rejects_non_finite_values(key):
+    # a NaN used to pass every positivity check and reach the manifest as
+    # NaN, which is not JSON; NaN and inf name their key, and -inf dB is a
+    # zero ratio or power where it is not non-finite itself
+    for value in ("nan", "inf"):
+        with pytest.raises(ConfigError, match=key):
+            SystemParams.from_mapping({key: value})
+    with pytest.raises(ConfigError):
+        SystemParams.from_mapping({key: "-inf"})
+
+
+def test_from_mapping_takes_ns_only_as_a_whole_number():
+    # ns = 64.7 used to run, and be recorded, as 64
+    for value in ("64", "64.0", "6.4e1"):
+        ns = SystemParams.from_mapping({"ns": value}).ns
+        assert ns == 64 and type(ns) is int
+    for value in ("64.7", "0.5"):
+        with pytest.raises(ConfigError, match="'ns'"):
+            SystemParams.from_mapping({"ns": value})
+
+
 def test_from_file_parses_comments_and_blanks(tmp_path):
     cfg = tmp_path / "sys.cfg"
     cfg.write_text(

@@ -276,6 +276,20 @@ def test_repeated_config_key_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["alpha = nan", "p_t_dbm = inf", "ns = 64.7"])
+def test_non_finite_or_fractional_config_value_is_a_usage_error(tmp_path, capsys, line):
+    # each used to exit 0: NaN and inf sums of 0 bps with a manifest that is
+    # not JSON, and ns cut to 64
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    argv = ["dprc-sweep", "--k", "2", "--trials", "1", "--build-tables",
+            "--table-draws", "20", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 1
+    assert line.split()[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("below", [False, True], ids=["at", "under"])
 def test_out_path_at_or_under_a_file_fails_before_any_work(
         tmp_path, capsys, monkeypatch, below):

@@ -58,7 +58,7 @@ def q_func(x: float) -> float:
 @pytest.mark.parametrize("u,d", [(1, 1), (2, 2), (4, 10), (6, 42)])
 def test_constellation_energy_and_size(u, d):
     mod = make_mod_scheme(u)
-    assert mod.d == d
+    assert mod.half_step == 1 / math.sqrt(d)
     assert len(mod.points) == 2 ** u
     assert np.mean(np.abs(mod.points) ** 2) == pytest.approx(1.0, abs=1e-12)
 
@@ -66,9 +66,16 @@ def test_constellation_energy_and_size(u, d):
 @pytest.mark.parametrize("u", [2, 4, 6])
 def test_gray_labels_differ_by_one_bit_between_neighbor_levels(u):
     mod = make_mod_scheme(u)
-    for gray in (mod.re_gray, mod.im_gray):
-        for a, b in zip(gray[:-1], gray[1:]):
-            assert bin(int(a) ^ int(b)).count("1") == 1
+    for a, b in zip(mod.gray[:-1], mod.gray[1:]):
+        assert bin(int(a) ^ int(b)).count("1") == 1
+    # both axes take the one axis' levels and Gray bits: a label's high bits
+    # code its real level, its low u/2 bits its imaginary level
+    labels = np.arange(2 ** u)
+    im_index = np.searchsorted(mod.levels, mod.points.imag)
+    np.testing.assert_array_equal(mod.points.real, mod.levels[mod.re_index])
+    np.testing.assert_array_equal(mod.points.imag, mod.levels[im_index])
+    np.testing.assert_array_equal(mod.gray[mod.re_index], labels >> (u // 2))
+    np.testing.assert_array_equal(mod.gray[im_index], labels % 2 ** (u // 2))
 
 
 def test_bpsk_is_antipodal():
@@ -204,17 +211,18 @@ def _ber_given_stats_by_label(s_diag, sigma2, mod):
     """Brute-force reference for the orbit kernel: every (label, axis) pair
     integrates its own decision regions, one Q evaluation per edge."""
     sig = np.maximum(np.sqrt(np.maximum(sigma2, 0.0) / 2.0), 1e-300)
-    edges = mod.re_levels[:-1] + mod.half_step
-    axes = [(np.real, mod.re_index, mod.re_gray)]
+    edges = mod.levels[:-1] + mod.half_step
+    axes = [(np.real, mod.re_index)]
     if mod.has_im_axis:
-        axes.append((np.imag, mod.im_index, mod.im_gray))
+        axes.append((np.imag, np.searchsorted(mod.levels, mod.points.imag)))
     acc = np.zeros(s_diag.shape)
     for label, z in enumerate(mod.points):
-        for part, level_index, gray in axes:
+        for part, level_index in axes:
             tail = q_func((edges - part(s_diag * z)[..., None]) / sig[..., None])
             upper = np.concatenate([np.ones(acc.shape + (1,)), tail], axis=-1)
             lower = np.concatenate([tail, np.zeros(acc.shape + (1,))], axis=-1)
-            flips = [bin(int(g) ^ int(gray[level_index[label]])).count("1") for g in gray]
+            flips = [bin(int(g) ^ int(mod.gray[level_index[label]])).count("1")
+                     for g in mod.gray]
             acc += (upper - lower) @ np.array(flips, dtype=float)
     return (acc / (len(mod.points) * mod.u)).mean(axis=-1)
 
@@ -363,7 +371,7 @@ def test_erfc_is_scipys_and_every_q_call_goes_through_the_module_name(params, mo
     n_draws, m, mod = 50, 2, make_mod_scheme(4)
     ber_end_to_end(db_to_linear(15.0), m, 2, mod, flags, params,
                    n_draws=n_draws, rng=substream(7, "hook"))
-    per_call = n_draws * m * (len(mod.points) // 2) * (len(mod.re_levels) - 1)
+    per_call = n_draws * m * (len(mod.points) // 2) * (len(mod.levels) - 1)
     assert kernel_calls[0] > 0
     assert erfc_sizes == [per_call] * kernel_calls[0]
 
