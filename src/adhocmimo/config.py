@@ -67,6 +67,8 @@ class SystemParams:
             raise ConfigError("alpha must be positive")
         if self.ws_hz <= 0 or self.ns < 1:
             raise ConfigError("ws_hz must be positive and ns at least 1")
+        if not float(self.ns).is_integer():
+            raise ConfigError(f"ns must be a whole number, got {self.ns!r}")
         if self.f_ici <= 0:
             raise ConfigError("f_ici must be positive")
         if not 0 < self.gamma_ber < 0.5:
@@ -126,6 +128,14 @@ def _whole(value) -> int:
     return int(float(value))
 
 
+def _finite(value) -> float:
+    """A finite float; a dB value is checked here, before its conversion can
+    turn -inf into a finite zero."""
+    if not np.isfinite(value := float(value)):
+        raise ValueError(f"not finite: {value!r}")
+    return value
+
+
 # external key -> (internal target, converter from file value)
 _CONFIG_KEYS = {
     "d0_m": ("d0_m", float),
@@ -135,8 +145,8 @@ _CONFIG_KEYS = {
     "ws_hz": ("ws_hz", float),
     "ns": ("ns", _whole),
     "f_n_db": ("f_n_db", float),
-    "f_ici_dbc": ("f_ici", lambda v: float(db_to_linear(float(v)))),
+    "f_ici_dbc": ("f_ici", lambda v: float(db_to_linear(_finite(v)))),
     "gamma_ber": ("gamma_ber", float),
     "r_base_bps": ("r_base_bps", float),
-    "p_t_dbm": ("p_t_mw", lambda v: float(dbm_to_mw(float(v)))),
+    "p_t_dbm": ("p_t_mw", lambda v: float(dbm_to_mw(_finite(v)))),
 }

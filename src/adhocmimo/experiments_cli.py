@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -99,7 +99,7 @@ def _fmt(x: float) -> str:
     return f"{float(x):.10g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -196,7 +196,7 @@ def _load_tables(spec: ExperimentSpec) -> dict[tuple[int, str], RateTable]:
 
 # members per batched GA or DPRC call: bounds a chunk's working set to a few MB
 _CHUNK_MEMBERS = 64
-# analytic channel draws and oracle symbols per ber-validate point
+# analytic channel draws and oracle symbol vectors per ber-validate point
 _BER_DRAWS = 2000
 _ORACLE_SYMBOLS = 100_000
 
@@ -289,23 +289,28 @@ def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, str]]:
     return rows, traces
 
 
-def _ber_point(task: tuple) -> tuple[list, list]:
-    """The analytic and the oracle CSV row of one ber-validate point, given
-    as (spec, index, flag name, n, u, sinr_db) on an n x n link."""
-    spec, index, name, n, u, sinr_db = task
+def _ber_curve(task: tuple) -> tuple[list, list]:
+    """The analytic and the oracle CSV rows of one ber-validate curve, given
+    as (spec, index, flag name, n, u, sinr_db grid) on an n x n link, whose
+    points are numbered from index. Each analytic point draws from its own
+    substream; the oracle runs the whole curve in one call seeded by its
+    first point, each batch's draws serving every point."""
+    spec, index, name, n, u, grid_db = task
     flags = FLAG_SETS[name]
-    link = (db_to_linear(sinr_db), n, n, make_mod_scheme(u), flags, spec.params)
-    rng = substream(spec.seed, f"ber-analytic-{n}-{n}-{u}-{flags.label()}", index)
-    ber, se = ber_end_to_end(*link, n_draws=_BER_DRAWS, rng=rng)
+    mod = make_mod_scheme(u)
+    sinr = [db_to_linear(sinr_db) for sinr_db in grid_db]
     oracle = simulate_link_ber(
-        *link, n_symbols=_ORACLE_SYMBOLS,
+        np.array(sinr), n, n, mod, flags, spec.params, n_symbols=_ORACLE_SYMBOLS,
         seed=derive_seed(spec.seed, f"ber-oracle-{n}-{n}-{u}", index),
     )
-    point = [_fmt(sinr_db), n, n, u, flags.label()]
-    return (
-        [*point, _fmt(ber), _fmt(se), _BER_DRAWS],
-        [*point, _fmt(oracle.ber), _fmt(oracle.stderr), oracle.n_bits],
-    )
+    analytic, simulated = [], []
+    for i, (sinr_db, s) in enumerate(zip(grid_db, sinr)):
+        rng = substream(spec.seed, f"ber-analytic-{n}-{n}-{u}-{flags.label()}", index + i)
+        ber, se = ber_end_to_end(s, n, n, mod, flags, spec.params, n_draws=_BER_DRAWS, rng=rng)
+        point = [_fmt(sinr_db), n, n, u, flags.label()]
+        analytic.append([*point, _fmt(ber), _fmt(se), _BER_DRAWS])
+        simulated.append([*point, _fmt(oracle.ber[i]), _fmt(oracle.stderr[i]), oracle.n_bits])
+    return analytic, simulated
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +329,18 @@ def _run_sinr_map(spec: ExperimentSpec) -> list[str]:
 
 
 def _run_ber_validate(spec: ExperimentSpec) -> list[str]:
-    grid = product(spec.flag_names, spec.n_rx_values, (1, 2, 4),
-                   np.arange(0.0, 25.0 + 1e-9, 5.0))
-    points = [
-        (spec, index, name, n, u, float(sinr_db))
-        for index, (name, n, u, sinr_db) in enumerate(grid)
+    grid_db = tuple(np.arange(0.0, 25.0 + 1e-9, 5.0).tolist())
+    curves = [
+        (spec, index * len(grid_db), name, n, u, grid_db)
+        for index, (name, n, u) in enumerate(
+            product(spec.flag_names, spec.n_rx_values, (1, 2, 4)))
     ]
-    analytic, oracle = zip(*_map_tasks(_ber_point, points, spec.jobs))
+    analytic, oracle = zip(*_map_tasks(_ber_curve, curves, spec.jobs))
     header = ["sinr_db", "m", "n", "u", "flags", "ber", "stderr"]
-    _write_csv(spec.out_dir / "ber_analytic.csv", header + ["n_draws"], analytic)
-    _write_csv(spec.out_dir / "ber_oracle.csv", header + ["n_bits"], oracle)
+    _write_csv(spec.out_dir / "ber_analytic.csv", header + ["n_draws"],
+               chain.from_iterable(analytic))
+    _write_csv(spec.out_dir / "ber_oracle.csv", header + ["n_bits"],
+               chain.from_iterable(oracle))
     return ["ber_analytic.csv", "ber_oracle.csv"]
 
 

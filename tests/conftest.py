@@ -273,7 +273,7 @@ def simulate_conditional_ber(
         y_det = y @ w.T
         labels_hat = demap(y_det, mod)
         errors[done:done + b] = _POPCOUNT[np.bitwise_xor(labels_hat, labels)].sum(axis=-1)
-    return _oracle_result(errors, m * mod.u)
+    return _oracle_result(errors.sum(), errors @ errors, n_symbols, m * mod.u)
 
 
 @pytest.fixture(scope="session")

@@ -43,6 +43,9 @@ def test_invariant_violations_raise():
         SystemParams(alpha=0.0)
     with pytest.raises(ConfigError):
         SystemParams(d0_m=0.0)
+    # the file converter takes ns only whole; a direct value is held to it too
+    with pytest.raises(ConfigError, match="ns must be a whole number, got 64.7"):
+        SystemParams(ns=64.7)
 
 
 def test_from_mapping_converts_units():
@@ -78,13 +81,11 @@ def test_from_mapping_rejects_bad_value():
 @pytest.mark.parametrize("key", list(SystemParams().to_config_dict()))
 def test_from_mapping_rejects_non_finite_values(key):
     # a NaN used to pass every positivity check and reach the manifest as
-    # NaN, which is not JSON; NaN and inf name their key, and -inf dB is a
-    # zero ratio or power where it is not non-finite itself
-    for value in ("nan", "inf"):
+    # NaN, which is not JSON; -inf dBc and -inf dBm used to convert to a
+    # finite zero and be reported under the internal f_ici or p_t_mw
+    for value in ("nan", "inf", "-inf"):
         with pytest.raises(ConfigError, match=key):
             SystemParams.from_mapping({key: value})
-    with pytest.raises(ConfigError):
-        SystemParams.from_mapping({key: "-inf"})
 
 
 def test_from_mapping_takes_ns_only_as_a_whole_number():
@@ -95,6 +96,7 @@ def test_from_mapping_takes_ns_only_as_a_whole_number():
     for value in ("64.7", "0.5"):
         with pytest.raises(ConfigError, match="'ns'"):
             SystemParams.from_mapping({"ns": value})
+    assert SystemParams.from_mapping({"ns": "64.0"}).to_config_dict()["ns"] == 64
 
 
 def test_from_file_parses_comments_and_blanks(tmp_path):

@@ -276,10 +276,12 @@ def test_repeated_config_key_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["alpha = nan", "p_t_dbm = inf", "ns = 64.7"])
+@pytest.mark.parametrize("line", ["alpha = nan", "p_t_dbm = inf", "ns = 64.7",
+                                  "f_ici_dbc = -inf", "p_t_dbm = -inf"])
 def test_non_finite_or_fractional_config_value_is_a_usage_error(tmp_path, capsys, line):
-    # each used to exit 0: NaN and inf sums of 0 bps with a manifest that is
-    # not JSON, and ns cut to 64
+    # the first three used to exit 0: NaN and inf sums of 0 bps with a
+    # manifest that is not JSON, and ns cut to 64; -inf dB used to exit 1
+    # naming the internal f_ici or p_t_mw instead of the key written
     cfg = tmp_path / "sys.cfg"
     cfg.write_text(line + "\n")
     out = tmp_path / "out"
@@ -631,6 +633,8 @@ def test_outputs_match_recorded_digests(tmp_path, command):
 @pytest.mark.parametrize("argv", [
     ["sinr-map"],
     ["dprc-sweep", "--k", "2", "3", "--trials", "3", "--trace-trials", "2"],
+    # six (flag set, n, u) curves, one task each, over up to two workers
+    ["ber-validate", "--nrx", "1", "2"],
 ], ids=lambda argv: argv[0])
 def test_reruns_at_any_jobs_rewrite_every_file(tmp_path, argv):
     # no output records wall time, so a rerun at either --jobs writes the

@@ -26,14 +26,15 @@ def test_oracle_rejects_bad_inputs(params):
     ideal = FLAG_SETS["ideal"]
     for sinr_in, m, n, n_symbols in ((10.0, 3, 2, 100), (10.0, 0, 2, 100),
                                      (0.0, 2, 2, 100), (math.nan, 1, 1, 100),
-                                     (10.0, 2, 2, 1)):
+                                     (10.0, 2, 2, 1), ([10.0, 0.0], 1, 1, 100),
+                                     (np.full((2, 2), 10.0), 1, 1, 100)):
         with pytest.raises(ValueError):
             simulate_link_ber(sinr_in, m, n, mod, ideal, params,
                               n_symbols=n_symbols, seed=0)
 
 
 def test_oracle_shares_the_analytic_chains_arguments():
-    # _ber_point hands both paths one (sinr_in, m, n, mod, flags, params)
+    # _ber_curve hands both paths one (sinr_in, m, n, mod, flags, params)
     head = list(inspect.signature(ber_end_to_end).parameters)[:6]
     assert list(inspect.signature(simulate_link_ber).parameters)[:6] == head
 
@@ -222,3 +223,22 @@ def test_link_oracle_results_are_pinned(params, flag_name, n, m):
                             FLAG_SETS[flag_name], params, n_symbols=25_000, seed=11)
     assert (res.ber, res.stderr) == pinned[flag_name, n, m]
     assert (res.n_bits, res.n_vectors) == (25_000 * m * 4, 25_000)
+
+
+@pytest.mark.parametrize("flag_name", list(FLAG_SETS))
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (4, 2), (3, 1)])
+def test_link_oracle_curve_equals_its_points(params, flag_name, n, m):
+    # one call over an array of SINRs shares each batch's draws among its
+    # points, and gives each point the bits of a scalar call at it: 4097
+    # vectors end in a one-vector block, 25,000 in a partial batch
+    sinr = db_to_linear(np.array([0.0, 9.0, 21.0]))
+    link = (m, n, make_mod_scheme(2), FLAG_SETS[flag_name], params)
+    for n_symbols in (4097, 25_000):
+        curve = simulate_link_ber(sinr, *link, n_symbols=n_symbols, seed=12)
+        points = [simulate_link_ber(float(s), *link, n_symbols=n_symbols, seed=12)
+                  for s in sinr]
+        assert all(type(p.ber) is float and type(p.stderr) is float for p in points)
+        assert curve.ber.tolist() == [p.ber for p in points]
+        assert curve.stderr.tolist() == [p.stderr for p in points]
+        assert {(curve.n_bits, curve.n_vectors)} == {(p.n_bits, p.n_vectors) for p in points}
+        assert curve.n_vectors == n_symbols and curve.n_bits == n_symbols * m * 2
