@@ -4,7 +4,9 @@ Two stages of local iteration, then a final rate pick. Stage 1 is a
 synchronous power game: each pair maximizes a sigmoid reward on its own SINR
 minus a linear power price, seeing the other pairs only through the
 aggregate interference at its receiver; the closed-form best response
-answers all pairs of a round in one array expression. Stage 2 walks the
+answers all pairs of a round in one array expression. A round forms one
+load, the network layer's interference plus noise at each receiver, and
+reads both its SINRs and the next round's response from it. Stage 2 walks the
 surviving powers onto the rate-table thresholds: each active pair rescales
 its power so its SINR lands on the threshold of the best rate it currently
 clears. Step 3 reads the final rates off the table.
@@ -25,7 +27,9 @@ import numpy as np
 
 from .config import SystemParams
 from .link_abstraction import RateTable
-from .network_opt import rate_indices, sinr_in_all, stack_gains, stack_tables
+from .network_opt import (
+    interference_plus_noise, rate_indices, sinr_in_all, stack_gains, stack_tables,
+)
 from .radio_env import Topology, total_noise_power
 
 __all__ = [
@@ -113,17 +117,6 @@ def best_response_power(ieff, p_t: float):
     return float(p[0]) if x.ndim == 0 else p.reshape(x.shape)
 
 
-def _effective_interference(
-    p: np.ndarray, gains: tuple[np.ndarray, np.ndarray], noise_mw: float
-) -> np.ndarray:
-    """Per-pair (interference + noise) / own gain, the ieff of the game, for
-    (M, K) powers against the (M, K) own and (M, K, K) cross gains of
-    stack_gains."""
-    own, cross = gains
-    interference = (cross @ p[..., None])[..., 0]
-    return (interference + noise_mw) / own
-
-
 def stage1(
     gains: tuple[np.ndarray, np.ndarray], params: SystemParams,
     rngs: Sequence[np.random.Generator],
@@ -132,16 +125,22 @@ def stage1(
     of stack_gains and M generators play M games as one (M, K) array. Each
     member starts from p_i(0) = u_i * P_T drawn from its own generator;
     every round, all pairs play the closed-form best response to the
-    interference of the previous round. Returns the powers and SINRs after each of the
-    ROUNDS rounds, each (M, ROUNDS, K)."""
+    interference of the previous round. A round forms one load, the
+    interference plus noise at each receiver (interference_plus_noise): its
+    SINR row is p * own / load and the next round's ieff is load / own.
+    Returns the powers and SINRs after each of the ROUNDS rounds, each
+    (M, ROUNDS, K)."""
+    own, cross = gains
     p_t = params.p_t_mw
     noise_mw = total_noise_power(params)
-    p = np.stack([g.uniform(0.0, 1.0, size=gains[0].shape[-1]) for g in rngs]) * p_t
+    p = np.stack([g.uniform(0.0, 1.0, size=own.shape[-1]) for g in rngs]) * p_t
+    load = interference_plus_noise(p[:, None], cross, noise_mw)[:, 0]
     powers, sinrs = [], []
     for _ in range(ROUNDS):
-        p = best_response_power(_effective_interference(p, gains, noise_mw), p_t)
+        p = best_response_power(load / own, p_t)
+        load = interference_plus_noise(p[:, None], cross, noise_mw)[:, 0]
         powers.append(p)
-        sinrs.append(sinr_in_all(p[:, None], gains, noise_mw)[:, 0])
+        sinrs.append(p * own / load)
     return np.stack(powers, axis=1), np.stack(sinrs, axis=1)
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "split_gains",
     "stack_gains",
     "stack_tables",
+    "interference_plus_noise",
     "sinr_in_all",
     "rate_indices",
     "maximize_sum_throughput",
@@ -80,16 +81,23 @@ def rate_indices(sinr: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.add.reduce(held <= sinr, axis=0, dtype=np.uint8).astype(np.intp)
 
 
+def interference_plus_noise(p, cross: np.ndarray, noise_mw: float) -> np.ndarray:
+    """Interference plus noise (mW) at every receiver for allocation rows p
+    of shape (..., B, K) against the (..., K, K) cross gains of split_gains;
+    the result has p's shape. noise_mw is the total receiver noise power
+    over all subcarriers."""
+    # load[..., b, j] = sum_{i != j} p[..., b, i] * rho[..., j, i] + noise
+    return np.asarray(p, dtype=float) @ np.swapaxes(cross, -1, -2) + noise_mw
+
+
 def sinr_in_all(p, gains: tuple[np.ndarray, np.ndarray], noise_mw: float) -> np.ndarray:
     """Input SINR of every pair for allocation rows p of shape (..., B, K)
     against the (own, cross) gains of split_gains, of shapes (..., K) and
-    (..., K, K); the result has p's shape. noise_mw is the total receiver
-    noise power over all subcarriers."""
+    (..., K, K): own signal over interference_plus_noise; the result has p's
+    shape."""
     own, cross = gains
     p = np.asarray(p, dtype=float)
-    # interference[..., b, j] = sum_{i != j} p[..., b, i] * rho[..., j, i]
-    interference = p @ np.swapaxes(cross, -1, -2)
-    return p * own[..., None, :] / (interference + noise_mw)
+    return p * own[..., None, :] / interference_plus_noise(p, cross, noise_mw)
 
 
 # GA settings (the README's constants table lists them)

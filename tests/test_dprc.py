@@ -18,6 +18,7 @@ from adhocmimo.dprc import (
 )
 from adhocmimo.link_abstraction import RateTable
 from adhocmimo.network_opt import (
+    interference_plus_noise,
     maximize_sum_throughput,
     rate_indices,
     sinr_in_all,
@@ -172,12 +173,13 @@ def test_best_response_exact_below_the_grid_resolution():
 # stage 1
 
 
-def test_effective_interference_sums_the_interferers_directly(params):
+def test_interference_plus_noise_sums_the_interferers_directly(params):
+    # the load stage 1 reads each round is the network layer's sum
     rho = path_gain(np.asarray(HIGH_SINR_D), params)
     noise = total_noise_power(params)
-    want = (interference_by_hand(HIGH_SINR_P, rho) + noise) / np.diagonal(rho)
-    gains = split_gains(np.stack([rho, rho]))
-    got = dprc._effective_interference(HIGH_SINR_P, gains, noise)
+    want = interference_by_hand(HIGH_SINR_P, rho) + noise
+    _, cross = split_gains(np.stack([rho, rho]))
+    got = interference_plus_noise(HIGH_SINR_P[:, None], cross, noise)[:, 0]
     np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
@@ -189,8 +191,12 @@ def test_stage1_single_pair_settles_in_one_round(params):
     # without interference the response never changes after the first round
     assert np.all(powers == powers[0])
     assert powers[0] > 0.0
-    np.testing.assert_array_equal(sinr_h[0], sinr_in_all(
-        p_h[0], split_gains(topo.rho), total_noise_power(params)))
+    # stage 1's SINR rows are sinr_in_all's, bit for bit, alone and with
+    # three pairs that interfere
+    for topo in (topo, topo_from_d(HIGH_SINR_D, params)):
+        p_h, sinr_h = stage1(stack_gains([topo]), params, [substream(0, "s1")])
+        np.testing.assert_array_equal(sinr_h[0], sinr_in_all(
+            p_h[0], split_gains(topo.rho), total_noise_power(params)))
 
 
 def test_stage1_mutual_outage_shuts_both_off(params):
