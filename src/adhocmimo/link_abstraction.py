@@ -176,14 +176,13 @@ def _mmse_solve(aug: np.ndarray, h_herm: np.ndarray, nu: np.ndarray) -> np.ndarr
     place, Gauss-Jordan without pivoting (the matrix is Hermitian positive
     definite); returns X, aug's right-hand block."""
     m = aug.shape[0]
-    # a contiguous copy: products against a strided view of H are slower
-    h_cols = h_herm.conj()
-    for i in range(m):
-        np.sum(h_herm[i] * h_cols[i], axis=0, out=aug[i, i])
-        aug[i, i] += nu
-        for j in range(i + 1, m):
-            np.sum(h_herm[i] * h_cols[j], axis=0, out=aug[i, j])
+    for j in range(m):
+        h_col = h_herm[j].conj()
+        for i in range(j):
+            np.sum(h_herm[i] * h_col, axis=0, out=aug[i, j])
             np.conjugate(aug[i, j], out=aug[j, i])
+        np.sum(h_herm[j] * h_col, axis=0, out=aug[j, j])
+        aug[j, j] += nu
     for k in range(m):
         # columns left of k are already eliminated; the pivot column is not read again
         row = aug[k, k + 1:]
