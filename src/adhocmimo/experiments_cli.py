@@ -249,8 +249,9 @@ def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, str]]:
     warm-start the GA, so elitism guarantees distributed <= centralized;
     members of the first trace_trials trials write their slice of the
     batch's per-round history.
-    Flag sets share the GA seed of their (trial, K, n_rx), so loss shares
-    compare the same search.
+    Flag sets share the GA seed and the DPRC stage-1 start of their
+    (trial, K, n_rx), so loss shares compare the same search and the same
+    power game; each member builds its own generator from the shared key.
     """
     spec, tables, k, trials = chunk
     topos = [
@@ -266,8 +267,8 @@ def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, str]]:
     sums, traces, warm = [], {}, None
     if spec.scenario == "dprc-sweep":
         rngs = [
-            substream(derive_seed(spec.seed, f"dprc-k{k}-n{n_rx}-{name}"), "dprc", trial)
-            for trial, _, n_rx, name, _ in members
+            substream(derive_seed(spec.seed, f"dprc-k{k}-n{n_rx}"), "dprc", trial)
+            for trial, _, n_rx, _, _ in members
         ]
         state, dprc_bps = run_dprc(topo_m, table_m, spec.params, rngs)
         warm = state.p

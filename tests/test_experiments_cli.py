@@ -542,6 +542,29 @@ def test_dprc_tracing_does_not_change_results(tmp_path):
     assert len(list(outs["2"].glob("dprc_trace_*.csv"))) == 4
 
 
+def test_dprc_flag_sets_share_the_stage1_start(monkeypatch, table_cache):
+    # stage 1 reads no rate table, so the ideal and imp members of one
+    # (trial, K, n_rx) start from one key and play the same power game, as
+    # they share one GA seed; only stage 2, on each member's table, differs
+    spec = spec_from_args(["dprc-sweep", "--k", "3", "--trials", "3"])
+    tables = tuple(((4, name), table_cache(4, name)) for name in ("ideal", "imp"))
+    states = []
+
+    def spy(*args):
+        state, sums = dprc.run_dprc(*args)
+        states.append(state)
+        return state, sums
+
+    monkeypatch.setattr(cli, "run_dprc", spy)
+    cli._sweep_chunk(cli._Chunk(spec, tables, 3, range(3)))
+    (state,) = states
+    p_h, sinr_h, _ = state.history
+    assert p_h.shape[0] == 3 * 2                    # trials x flag sets
+    for h in (p_h, sinr_h):
+        assert np.array_equal(h[0::2, : dprc.ROUNDS], h[1::2, : dprc.ROUNDS])
+    assert not np.array_equal(p_h[0::2], p_h[1::2])
+
+
 @pytest.mark.parametrize(
     "scenario, called",
     [("mst-sweep", {"maximize_sum_throughput"}),
