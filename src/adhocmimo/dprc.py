@@ -2,14 +2,12 @@
 
 Two stages of local iteration, then a final rate pick. Stage 1 is a
 synchronous power game: each pair maximizes a sigmoid reward on its own SINR
-minus a linear power price, seeing the other pairs only through the
-aggregate interference at its receiver; the closed-form best response
-answers all pairs of a round in one array expression. A round forms one
-load, the network layer's interference plus noise at each receiver, and
-reads both its SINRs and the next round's response from it. Stage 2 walks the
-surviving powers onto the rate-table thresholds: each active pair rescales
-its power so its SINR lands on the threshold of the best rate it currently
-clears. Step 3 reads the final rates off the table.
+minus a linear power price, seeing the other pairs only through the load at
+its receiver, the network layer's interference plus noise. A round forms one
+load, and the round's SINRs and the next closed-form best responses of all
+pairs are array expressions on it. Stage 2 rescales each active pair's power
+so its SINR lands on the threshold of the best rate it currently clears.
+Step 3 reads the final rates off the table.
 
 The stages and run_dprc take a batch of members with the same pair count
 and run them as one (M, K) array; a single run is a batch of one. Each
@@ -123,12 +121,10 @@ def stage1(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Synchronous best-response power game over a batch: the stacked gains
     of stack_gains and M generators play M games as one (M, K) array. Each
-    member starts from p_i(0) = u_i * P_T drawn from its own generator;
-    every round, all pairs play the closed-form best response to the
-    interference of the previous round. A round forms one load, the
-    interference plus noise at each receiver (interference_plus_noise): its
-    SINR row is p * own / load and the next round's ieff is load / own.
-    Returns the powers and SINRs after each of the ROUNDS rounds, each
+    member starts from p_i(0) = u_i * P_T drawn from its own generator.
+    A round's one load, interference_plus_noise at its new powers, gives its
+    SINRs, p * own / load, and the next round's best-response input, load /
+    own. Returns the powers and SINRs after each of the ROUNDS rounds, each
     (M, ROUNDS, K)."""
     own, cross = gains
     p_t = params.p_t_mw

@@ -249,9 +249,8 @@ def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, str]]:
     warm-start the GA, so elitism guarantees distributed <= centralized;
     members of the first trace_trials trials write their slice of the
     batch's per-round history.
-    Flag sets share the GA seed and the DPRC stage-1 start of their
-    (trial, K, n_rx), so loss shares compare the same search and the same
-    power game; each member builds its own generator from the shared key.
+    Flag sets share the GA seed and the DPRC stage-1 start (a generator per
+    member) of their (trial, K, n_rx): loss shares compare one search and game.
     """
     spec, tables, k, trials = chunk
     topos = [

@@ -82,19 +82,16 @@ def rate_indices(sinr: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 
 
 def interference_plus_noise(p, cross: np.ndarray, noise_mw: float) -> np.ndarray:
-    """Interference plus noise (mW) at every receiver for allocation rows p
-    of shape (..., B, K) against the (..., K, K) cross gains of split_gains;
-    the result has p's shape. noise_mw is the total receiver noise power
-    over all subcarriers."""
-    # load[..., b, j] = sum_{i != j} p[..., b, i] * rho[..., j, i] + noise
+    """Interference plus total receiver noise (mW) at every receiver for
+    allocation rows p of shape (..., B, K) against the (..., K, K) cross
+    gains of split_gains: noise_mw + sum_{i != j} p[..., b, i] * rho[..., j, i]."""
     return np.asarray(p, dtype=float) @ np.swapaxes(cross, -1, -2) + noise_mw
 
 
 def sinr_in_all(p, gains: tuple[np.ndarray, np.ndarray], noise_mw: float) -> np.ndarray:
     """Input SINR of every pair for allocation rows p of shape (..., B, K)
     against the (own, cross) gains of split_gains, of shapes (..., K) and
-    (..., K, K): own signal over interference_plus_noise; the result has p's
-    shape."""
+    (..., K, K): own signal over interference_plus_noise, in p's shape."""
     own, cross = gains
     p = np.asarray(p, dtype=float)
     return p * own[..., None, :] / interference_plus_noise(p, cross, noise_mw)
