@@ -66,12 +66,24 @@ def sinr_after_rfo(sinr_b, eps):
     eps = np.asarray(eps, dtype=float)
     if np.any(sinr_b < 0):
         raise ValueError("sinr_b must be non-negative")
-    if np.any(np.abs(eps) >= 0.5):
+    if np.abs(eps).max(initial=0.0) >= 0.5:
         raise ValueError("residual offset must satisfy |eps| < 0.5")
-    # np.sinc's own arithmetic, sharing its sine with the ICI term
-    y = np.pi * np.where(eps == 0, 1.0e-20, eps)
+    # np.sinc's own arithmetic, sharing its sine with the ICI term; np.sinc
+    # puts 1e-20 for a zero offset, and the ICI term is 0 there
+    zero = eps == 0
+    any_zero = zero.any()
+    y = np.empty(np.broadcast_shapes(eps.shape, sinr_b.shape) or (1,))
+    np.multiply(np.pi, eps, out=y)
+    if any_zero:
+        np.copyto(y, np.pi * 1.0e-20, where=zero)
     sin_y = np.sin(y)
-    att = (sin_y / y) ** 2
-    den = 1.0 + RFO_ICI_COEFF * sinr_b * np.where(eps == 0, 0.0, sin_y) ** 2
-    out = sinr_b * att / den
-    return float(out) if out.ndim == 0 else out
+    out = np.divide(sin_y, y, out=y)
+    out *= out                                  # the sinc^2 attenuation
+    den = np.multiply(sin_y, sin_y, out=sin_y)
+    if any_zero:
+        np.copyto(den, 0.0, where=zero)
+    den *= RFO_ICI_COEFF * sinr_b
+    den += 1.0
+    out *= sinr_b
+    out /= den
+    return float(out[0]) if eps.ndim == sinr_b.ndim == 0 else out

@@ -261,15 +261,14 @@ def _ber_given_stats(s_diag, sigma2, mod: ModScheme):
     return (errors / (len(mod.points) * mod.u)).mean(axis=-1)
 
 
-def _detection_stats(h, h_hat, sinr_rfo):
+def _detection_stats(g, g_hat, sinr_rfo):
     """Post-detection diagonal gains and decision-statistic variances for the
-    power-normalized link (signal scaled by 1/sqrt(M), noise 1/sinr): the
+    power-normalized link (signal scaled by 1/sqrt(M), noise 1/sinr), given
+    its channel g = h / sqrt(M) and estimate g_hat = h_hat / sqrt(M): the
     detected stream's off-diagonal interference plus the detector-row-scaled
     noise."""
-    m = h.shape[-1]
-    scale = 1.0 / math.sqrt(m)
-    g = h * scale
-    w = mmse_weights(g if h_hat is h else h_hat * scale, sinr_rfo)
+    m = g.shape[-1]
+    w = mmse_weights(g_hat, sinr_rfo)
     s = w @ g
     idx = np.arange(m)
     s_diag = s[..., idx, idx]
@@ -325,13 +324,16 @@ def _ber_per_draw(sinr_in, h, e_raw, mod, flags: ImpairmentFlags,
     else:
         sinr_nodes = np.array([sinr_b])
         weights = np.array([1.0])
+    scale = 1.0 / math.sqrt(m)
+    g = h * scale
     pb = np.zeros(h.shape[0])
     for w_node, s_node in zip(weights, sinr_nodes):
         if flags.channel_est:
-            h_hat = h + estimation_error_std(m, s_node) * e_raw
+            g_hat = h + estimation_error_std(m, s_node) * e_raw
+            g_hat *= scale
         else:
-            h_hat = h
-        pb += w_node * _ber_given_stats(*_detection_stats(h, h_hat, s_node), mod)
+            g_hat = g
+        pb += w_node * _ber_given_stats(*_detection_stats(g, g_hat, s_node), mod)
     return pb
 
 

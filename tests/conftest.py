@@ -3,7 +3,8 @@ the single-channel BER helpers the link and oracle tests compare: the
 analytic conditional BER and its symbol-level simulation on one frozen
 channel. The LAPACK form of the MMSE detector is kept here as the
 reference for the elimination kernel, and the kernel's first form as the
-reference it must match bit for bit; likewise the GA's generation loop as
+reference it must match bit for bit; likewise the oracle's axis slicer as a
+loop over the decision edges, the GA's generation loop as
 it was before its draws shared one buffer per generation, and the rate
 lookup as a loop over the threshold columns, which that GA reads.
 
@@ -133,6 +134,16 @@ def mmse_weights_elimination_reference(h_hat: np.ndarray, sinr_rfo) -> np.ndarra
     return np.moveaxis(h_herm, -1, 0).reshape(*batch, m, n)
 
 
+def slice_reference(x, mod: ModScheme) -> np.ndarray:
+    """The oracle's axis slicer as a loop over the decision edges: each adds
+    1 where the coordinate lies above it, or on it where the upper
+    neighbour has the smaller Gray code."""
+    idx = np.zeros(np.shape(x), dtype=np.intp)
+    for edge, upper_wins in zip(mod.levels[:-1] + mod.half_step, mod.gray[1:] < mod.gray[:-1]):
+        idx += (x >= edge) if upper_wins else (x > edge)
+    return idx
+
+
 def rate_indices_reference(sinr: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """rate_indices as a loop over the (M, T) thresholds' columns: each adds
     1 where its threshold is at or below the SINR."""
@@ -235,7 +246,9 @@ def conditional_ber(
     h_hat = np.asarray(h_hat)
     if h.shape != h_hat.shape:
         raise ValueError("h and h_hat must have the same shape")
-    out = _ber_given_stats(*_detection_stats(h[None], h_hat[None], sinr_rfo), mod)
+    scale = 1.0 / math.sqrt(h.shape[-1])
+    out = _ber_given_stats(*_detection_stats(h[None] * scale, h_hat[None] * scale, sinr_rfo),
+                           mod)
     return float(out[0])
 
 

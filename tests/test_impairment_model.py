@@ -63,12 +63,18 @@ def test_sinr_after_rfo_keeps_the_bits_of_the_sinc_formula():
         ici = RFO_ICI_COEFF * sinr * np.sin(np.pi * eps) ** 2
         return sinr * np.sinc(eps) ** 2 / (1 + ici)
 
-    eps = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-9, -1e-9, 0.013, -0.21,
-                    RFO_EPS_LIMIT, -RFO_EPS_LIMIT])
-    sinr = np.logspace(-2, 6, eps.size)
-    got, want = sinr_after_rfo(sinr, eps), formula(sinr, eps)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    for e in eps:
+    # a mixed array, one with no zero offset (no zero patching runs), an
+    # all-zero one, each against a SINR array and a scalar SINR (one so large
+    # that np.sinc's 1e-20 would show in the ICI term if it were not zeroed);
+    # then 0-d inputs
+    mixed = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-9, -1e-9, 0.013, -0.21,
+                      RFO_EPS_LIMIT, -RFO_EPS_LIMIT])
+    nonzero = mixed[2:]
+    for eps in (mixed, nonzero, np.zeros(4), np.array([-0.0, 0.0])):
+        for sinr in (np.logspace(-2, 6, eps.size), 316.0, 1e300):
+            got, want = sinr_after_rfo(sinr, eps), formula(sinr, eps)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for e in mixed:
         got = sinr_after_rfo(316.0, float(e))
         assert isinstance(got, float)
         assert np.float64(got).tobytes() == formula(316.0, e).tobytes()
@@ -85,6 +91,14 @@ def test_sinr_after_rfo_domain():
         sinr_after_rfo(100.0, 0.5)
     with pytest.raises(ValueError):
         sinr_after_rfo(100.0, -0.6)
+    # one offset on the edge of the domain fails a whole array
+    for edge in (0.5, -0.5):
+        eps = np.full(7, 0.01)
+        eps[3] = edge
+        with pytest.raises(ValueError):
+            sinr_after_rfo(100.0, eps)
+        with pytest.raises(ValueError):
+            sinr_after_rfo(np.full(7, 100.0), eps)
     # the clamp constant used for random draws stays strictly inside
     assert RFO_EPS_LIMIT < 0.5
     assert sinr_after_rfo(100.0, RFO_EPS_LIMIT) > 0.0

@@ -243,7 +243,8 @@ def test_orbit_kernel_matches_per_label_reference(u, m, estimated):
     rng = substream(u, "orbit-kernel", m)
     h = complex_normal(rng, (200, 4, m))
     h_hat = h + 0.3 * complex_normal(rng, h.shape) if estimated else h
-    s_diag, sigma2 = _detection_stats(h, h_hat, s)
+    scale = 1.0 / math.sqrt(m)
+    s_diag, sigma2 = _detection_stats(h * scale, h_hat * scale, s)
     assert (np.abs(s_diag.imag).max() > 1e-3) == estimated
     np.testing.assert_allclose(
         _ber_given_stats(s_diag, sigma2, mod),
@@ -289,9 +290,11 @@ def test_folded_quadrature_matches_full_node_sum(params, monkeypatch, quad_order
     eps = np.clip(math.sqrt(2.0) * rfo_std(sinr, params.ns) * nodes,
                   -RFO_EPS_LIMIT, RFO_EPS_LIMIT)
     full = np.zeros(h.shape[0])
+    scale = 1.0 / math.sqrt(2)
     for w_node, s_node in zip(weights / math.sqrt(math.pi), sinr_after_rfo(sinr, eps)):
         h_hat = h + math.sqrt(2 / (training_length(2) * s_node)) * e_raw
-        full += w_node * _ber_given_stats(*_detection_stats(h, h_hat, s_node), mod)
+        stats = _detection_stats(h * scale, h_hat * scale, s_node)
+        full += w_node * _ber_given_stats(*stats, mod)
     folded = _ber_per_draw(sinr, h, e_raw, mod, flags, params)
     np.testing.assert_allclose(folded, full, rtol=1e-14)
 

@@ -15,10 +15,10 @@ from adhocmimo.impairment_model import sinr_baseband
 from adhocmimo.link_abstraction import (
     FLAG_SETS, _orbit, ber_end_to_end, make_mod_scheme, mmse_weights,
 )
-from adhocmimo.mc_oracle import _detect, demap, simulate_link_ber
+from adhocmimo.mc_oracle import _detect, _slice, demap, simulate_link_ber
 from adhocmimo.rng import complex_normal, substream
 
-from conftest import conditional_ber, simulate_conditional_ber
+from conftest import conditional_ber, simulate_conditional_ber, slice_reference
 
 
 def test_oracle_rejects_bad_inputs(params):
@@ -67,9 +67,45 @@ def test_oracle_detection_is_the_analytic_chains_mmse_detector(n, m, b, seed):
     scale = 1.0 / math.sqrt(m)
     y = (h * scale @ x[..., None])[..., 0] + noise / np.sqrt(s)[:, None]
     want = (mmse_weights(h_hat * scale, s) @ y[..., None])[..., 0]
-    got = _detect(h.transpose(1, 2, 0), h_hat.transpose(1, 2, 0), x.T, noise, s)
+    h_herm = np.ascontiguousarray(h_hat.conj().transpose(2, 1, 0))
+    hx = np.ascontiguousarray((h * x[:, None]).transpose(2, 1, 0))
+    got = _detect(h_herm, hx, np.ascontiguousarray(noise.T), s)
     assert got.shape == (m, b)
     np.testing.assert_allclose(got.T, want, rtol=1e-10)
+
+
+def test_conjugated_estimate_is_built_bit_for_bit():
+    # the oracle builds H_hat^H as conj(E) * sigma + conj(H) from the
+    # conjugated draws; negation is exact and rounding symmetric, so that is
+    # conj(E * sigma + H), the conjugate of the estimate, byte for byte
+    rng = substream(0, "conjugated-estimate")
+    for shape in ((4096, 1, 1), (4096, 4, 4), (999, 3, 2)):
+        h = complex_normal(rng, shape)
+        e = complex_normal(rng, shape)
+        sigma = np.sqrt(1.0 / db_to_linear(rng.uniform(-5.0, 40.0, size=shape[0])))
+        want = np.conjugate(e * sigma[:, None, None] + h)
+        got = np.conjugate(e) * sigma[:, None, None] + np.conjugate(h)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("u", [1, 2, 4, 6])
+def test_slicing_in_one_comparison_matches_the_edge_loop(u):
+    # the slicer compares with every edge at once, an edge where the upper
+    # level wins moved one float down; the loop over the edges compares
+    # with >= there. Both count alike on each edge, at both of its float
+    # neighbours, and at random points inside and outside the grid
+    mod = make_mod_scheme(u)
+    edges = mod.levels[:-1] + mod.half_step
+    x = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        mod.levels, [0.0, -0.0],
+        substream(u, "slice-one-comparison").standard_normal(10_000) * 1.5,
+    ])
+    np.testing.assert_array_equal(_slice(x, mod), slice_reference(x, mod))
+    grid = x[-10_000:].reshape(100, 100)
+    np.testing.assert_array_equal(_slice(grid, mod), slice_reference(grid, mod))
+    for xi in x[: 3 * edges.size]:
+        assert _slice(xi, mod) == slice_reference(xi, mod)
 
 
 @pytest.mark.parametrize("u", [1, 2, 4, 6])
