@@ -249,8 +249,9 @@ def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, str]]:
     warm-start the GA, so elitism guarantees distributed <= centralized;
     members of the first trace_trials trials write their slice of the
     batch's per-round history.
-    Flag sets share the GA seed and the DPRC stage-1 start (a generator per
-    member) of their (trial, K, n_rx): loss shares compare one search and game.
+    Flag sets share the GA seed and the DPRC stage-1 start of their
+    (trial, K, n_rx), whose stage 1 runs once: loss shares compare one search
+    and game.
     """
     spec, tables, k, trials = chunk
     topos = [
@@ -265,11 +266,13 @@ def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, str]]:
     _, topo_m, _, _, table_m = zip(*members)
     sums, traces, warm = [], {}, None
     if spec.scenario == "dprc-sweep":
-        rngs = [
-            substream(derive_seed(spec.seed, f"dprc-k{k}-n{n_rx}"), "dprc", trial)
-            for trial, _, n_rx, _, _ in members
-        ]
-        state, dprc_bps = run_dprc(topo_m, table_m, spec.params, rngs)
+        # one generator per (trial, n_rx): its flag sets share one stage 1
+        keys = [(trial, n_rx) for trial, _, n_rx, _, _ in members]
+        slot = {key: j for j, key in enumerate(dict.fromkeys(keys))}
+        rngs = [substream(derive_seed(spec.seed, f"dprc-k{k}-n{n_rx}"), "dprc", trial)
+                for trial, n_rx in slot]
+        state, dprc_bps = run_dprc(topo_m, table_m, spec.params, rngs,
+                                   [slot[key] for key in keys])
         warm = state.p
         sums.append(dprc_bps.tolist())
         traces = {
