@@ -94,7 +94,7 @@ class SystemParams:
             target, conv = _CONFIG_KEYS[key]
             try:
                 value = conv(raw)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
             kwargs[target] = value
         return cls(**kwargs)
@@ -103,8 +103,12 @@ class SystemParams:
     def from_file(cls, path) -> "SystemParams":
         """Parse `key = value` lines; '#' starts a comment, blanks ignored,
         and a key may be set only once."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
         mapping = {}
-        for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for ln, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue

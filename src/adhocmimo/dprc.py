@@ -183,38 +183,23 @@ def run_dprc(
     tables: Sequence[RateTable],
     params: SystemParams,
     rngs: Sequence[np.random.Generator],
-    starts: Sequence[int] | None = None,
 ) -> tuple[DprcState, np.ndarray]:
     """Full algorithm over a batch: equal-length sequences of topologies
-    (all with the same K) and tables run M members through the power game,
-    threshold tracking against each member's table, and the final per-pair
-    mode pick, as one (M, K) array. Returns the batch's final state, history
-    included, and the (M,) sum throughputs (bits/s).
-
-    rngs holds one generator per distinct stage-1 start and starts gives
-    each member's index into it (by default, member j starts from rngs[j]).
-    Stage 1 reads no table, so it runs once per start, on the topology of
-    the start's first member, and every member of that start shares its
-    history; members of one start must share their topology. Each start
-    draws only from its own generator, so a member's result is
+    (all with the same K), tables and generators run M members through the
+    power game, threshold tracking against each member's table, and the
+    final per-pair mode pick, as one (M, K) array. Returns the batch's final
+    state, history included, and the (M,) sum throughputs (bits/s). Each
+    member draws only from its own generator, so its result is
     bit-identical in any batch.
     """
     tables, rngs = list(tables), list(rngs)
-    own, cross = stack_gains(topos)
-    m = own.shape[0]
-    starts = np.arange(m) if starts is None else np.asarray(starts, dtype=np.intp)
-    if not m == len(tables) == len(starts):
-        raise ValueError("topos, tables and starts must have one length")
-    used, first = np.unique(starts, return_index=True)
-    if not np.array_equal(used, np.arange(len(rngs))):
-        raise ValueError("starts must use every generator of rngs and no other")
-    lead = first[starts]
-    if not (np.array_equal(own[lead], own) and np.array_equal(cross[lead], cross)):
-        raise ValueError("members of one stage-1 start must share their topology")
+    gains = stack_gains(topos)
+    m = gains[0].shape[0]
+    if not m == len(tables) == len(rngs):
+        raise ValueError("topos, tables and rngs must have one length")
     thr, rates = stack_tables(tables)
-    p1, sinr1 = stage1((own[first], cross[first]), params, rngs)
-    p1, sinr1 = p1[starts], sinr1[starts]
-    p2, sinr2, r2 = stage2(p1[:, -1], (own, cross), thr, params)
+    p1, sinr1 = stage1(gains, params, rngs)
+    p2, sinr2, r2 = stage2(p1[:, -1], gains, thr, params)
     # step 3: the rates are read off the table at the final powers
     r = rate_indices(sinr2[:, -1], thr)
     history = (

@@ -250,8 +250,7 @@ def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, str]]:
     members of the first trace_trials trials write their slice of the
     batch's per-round history.
     Flag sets share the GA seed and the DPRC stage-1 start of their
-    (trial, K, n_rx), whose stage 1 runs once: loss shares compare one search
-    and game.
+    (trial, K, n_rx): loss shares compare one search and game.
     """
     spec, tables, k, trials = chunk
     topos = [
@@ -266,13 +265,11 @@ def _sweep_chunk(chunk: _Chunk) -> tuple[list[tuple], dict[str, str]]:
     _, topo_m, _, _, table_m = zip(*members)
     sums, traces, warm = [], {}, None
     if spec.scenario == "dprc-sweep":
-        # one generator per (trial, n_rx): its flag sets share one stage 1
-        keys = [(trial, n_rx) for trial, _, n_rx, _, _ in members]
-        slot = {key: j for j, key in enumerate(dict.fromkeys(keys))}
-        rngs = [substream(derive_seed(spec.seed, f"dprc-k{k}-n{n_rx}"), "dprc", trial)
-                for trial, n_rx in slot]
-        state, dprc_bps = run_dprc(topo_m, table_m, spec.params, rngs,
-                                   [slot[key] for key in keys])
+        rngs = [
+            substream(derive_seed(spec.seed, f"dprc-k{k}-n{n_rx}"), "dprc", trial)
+            for trial, _, n_rx, _, _ in members
+        ]
+        state, dprc_bps = run_dprc(topo_m, table_m, spec.params, rngs)
         warm = state.p
         sums.append(dprc_bps.tolist())
         traces = {

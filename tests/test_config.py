@@ -88,6 +88,14 @@ def test_from_mapping_rejects_non_finite_values(key):
             SystemParams.from_mapping({key: value})
 
 
+@pytest.mark.parametrize("key", ["f_ici_dbc", "p_t_dbm"])
+def test_from_mapping_rejects_a_db_value_that_overflows(key):
+    # 4000 dB is finite, but 10 ** 400 is not a float: the conversion used
+    # to raise OverflowError instead of naming the key
+    with pytest.raises(ConfigError, match=key):
+        SystemParams.from_mapping({key: "4000"})
+
+
 def test_from_mapping_takes_ns_only_as_a_whole_number():
     # ns = 64.7 used to run, and be recorded, as 64
     for value in ("64", "64.0", "6.4e1"):

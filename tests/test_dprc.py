@@ -384,35 +384,6 @@ def test_dprc_batch_members_match_batches_of_one(params, table_cache):
             _assert_same_state(member(rev, n - 1 - j), member(state, j))
 
 
-def test_dprc_shared_starts_equal_a_generator_per_member(params, table_cache):
-    # members that share a start run stage 1 once and take its history; the
-    # result equals a generator per member drawn from the same key, bit for
-    # bit, and stage 2 still runs on each member's own table
-    tables = [table_cache(4, name) for name in ("ideal", "imp")]
-    topos = [sample_topology(5, params, substream(s, "dprc-starts")) for s in (0, 1)]
-    topo_b = [t for t in topos for _ in tables]
-    table_b = tables * len(topos)
-
-    def rng(trial):
-        return substream(3, "dprc-starts-rng", trial)
-
-    shared, shared_sums = run_dprc(topo_b, table_b, params, [rng(0), rng(1)],
-                                   [0, 0, 1, 1])
-    apart, apart_sums = run_dprc(topo_b, table_b, params, [rng(j // 2) for j in range(4)])
-    np.testing.assert_array_equal(shared_sums, apart_sums)
-    for j in range(4):
-        _assert_same_state(member(shared, j), member(apart, j))
-    p_h = shared.history[0]
-    assert not np.array_equal(p_h[0], p_h[1])
-    # a start serves members of one topology, and every generator serves one
-    with pytest.raises(ValueError):
-        run_dprc(topo_b, table_b, params, [rng(0), rng(1)], [0, 1, 0, 1])
-    with pytest.raises(ValueError):
-        run_dprc(topo_b, table_b, params, [rng(0), rng(1), rng(2)], [0, 0, 1, 1])
-    with pytest.raises(ValueError):
-        run_dprc(topo_b, table_b, params, [rng(0), rng(1)], [0, 0, 1])
-
-
 def test_history_rate_indices_follow_the_sinr_rows(params, table_cache):
     # a stage-1 row reports the rate index its own SINR clears; a stage-2
     # row the index it aimed at, which the previous row's SINR clears; the

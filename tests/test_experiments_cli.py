@@ -277,11 +277,12 @@ def test_repeated_config_key_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["alpha = nan", "p_t_dbm = inf", "ns = 64.7",
-                                  "f_ici_dbc = -inf", "p_t_dbm = -inf"])
+                                  "f_ici_dbc = -inf", "p_t_dbm = -inf", "p_t_dbm = 4000"])
 def test_non_finite_or_fractional_config_value_is_a_usage_error(tmp_path, capsys, line):
     # the first three used to exit 0: NaN and inf sums of 0 bps with a
     # manifest that is not JSON, and ns cut to 64; -inf dB used to exit 1
-    # naming the internal f_ici or p_t_mw instead of the key written
+    # naming the internal f_ici or p_t_mw instead of the key written, and a
+    # dB value whose conversion overflows ended in an OverflowError traceback
     cfg = tmp_path / "sys.cfg"
     cfg.write_text(line + "\n")
     out = tmp_path / "out"
@@ -289,6 +290,16 @@ def test_non_finite_or_fractional_config_value_is_a_usage_error(tmp_path, capsys
             "--table-draws", "20", "--config", str(cfg), "--out", str(out)]
     assert main(argv) == 1
     assert line.split()[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    # used to end in a UnicodeDecodeError traceback
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_bytes(b"alpha = 3\xff\n")
+    out = tmp_path / "out"
+    assert main(["sinr-map", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -658,6 +669,10 @@ def test_outputs_match_recorded_digests(tmp_path, command):
     ["dprc-sweep", "--k", "2", "3", "--trials", "3", "--trace-trials", "2"],
     # six (flag set, n, u) curves, one task each, over up to two workers
     ["ber-validate", "--nrx", "1", "2"],
+    ["mst-sweep", "--k", "2", "--nrx", "1", "--trials", "3"],
+    ["loss-ratio", "--k", "3", "--trials", "3"],
+    # builds the N1 tables afresh, the shipped ones being at another draw count
+    ["rate-table", "--nrx", "1", "--table-draws", "200"],
 ], ids=lambda argv: argv[0])
 def test_reruns_at_any_jobs_rewrite_every_file(tmp_path, argv):
     # no output records wall time, so a rerun at either --jobs writes the
