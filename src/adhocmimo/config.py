@@ -16,8 +16,6 @@ __all__ = [
     "SystemParams",
     "db_to_linear",
     "linear_to_db",
-    "dbm_to_mw",
-    "mw_to_dbm",
 ]
 
 
@@ -31,14 +29,6 @@ def db_to_linear(db):
 
 def linear_to_db(x):
     return 10.0 * np.log10(x)
-
-
-def dbm_to_mw(dbm):
-    return db_to_linear(dbm)
-
-
-def mw_to_dbm(mw):
-    return linear_to_db(mw)
 
 
 @dataclass(frozen=True)
@@ -59,7 +49,8 @@ class SystemParams:
 
     def __post_init__(self):
         for key, (target, _) in _CONFIG_KEYS.items():
-            if not np.isfinite(getattr(self, target)):
+            # via float: np.isfinite rejects an int beyond int64, such as ns = 10**20
+            if not np.isfinite(float(getattr(self, target))):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, target)}")
         if self.d0_m <= 0:
             raise ConfigError("d0_m must be positive")
@@ -78,7 +69,7 @@ class SystemParams:
 
     @property
     def p_t_dbm(self) -> float:
-        return float(mw_to_dbm(self.p_t_mw))
+        return float(linear_to_db(self.p_t_mw))
 
     @property
     def f_ici_dbc(self) -> float:
@@ -152,5 +143,5 @@ _CONFIG_KEYS = {
     "f_ici_dbc": ("f_ici", lambda v: float(db_to_linear(_finite(v)))),
     "gamma_ber": ("gamma_ber", float),
     "r_base_bps": ("r_base_bps", float),
-    "p_t_dbm": ("p_t_mw", lambda v: float(dbm_to_mw(_finite(v)))),
+    "p_t_dbm": ("p_t_mw", lambda v: float(db_to_linear(_finite(v)))),
 }

@@ -87,7 +87,7 @@ _ZERO_POWER_UTILITY = float(sigmoid_utility(0.0, 0.0))
 def best_response_power(ieff, p_t: float):
     """Utility-maximizing power for each pair whose SINR at power p is
     p / ieff (ieff = interference-plus-noise over own gain, mW), in closed
-    form. Returns a float for a scalar ieff and an array for an array.
+    form, of ieff's shape: a numpy scalar for a scalar ieff.
 
     The utility's stationary points satisfy sg * (1 - sg) = alpha * ieff / a
     in the sigmoid value sg; the maximum is the upper root,
@@ -103,16 +103,14 @@ def best_response_power(ieff, p_t: float):
         raise ValueError("ieff must be positive")
     if p_t <= 0:
         raise ValueError("p_t must be positive")
-    ieff_arr = np.atleast_1d(x)
-    q = 4.0 * PRICE_PER_MW * ieff_arr / SIGMOID_A
+    q = 4.0 * PRICE_PER_MW * x / SIGMOID_A
     on = q < 1.0
     root = np.sqrt(np.where(on, 1.0 - q, 0.0))
     log_odds = 2.0 * np.log1p(root) - np.log(q)
-    p = np.clip(ieff_arr * (BETA + log_odds / SIGMOID_A), 0.0, p_t)
+    p = np.clip(x * (BETA + log_odds / SIGMOID_A), 0.0, p_t)
     # drop rule: silence unless transmitting beats the zero-power floor
-    keep = on & (sigmoid_utility(p / ieff_arr, p) > _ZERO_POWER_UTILITY)
-    p = np.where(keep, p, 0.0)
-    return float(p[0]) if x.ndim == 0 else p.reshape(x.shape)
+    keep = on & (sigmoid_utility(p / x, p) > _ZERO_POWER_UTILITY)
+    return np.where(keep, p, 0.0)[()]
 
 
 def stage1(

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, SystemParams, linear_to_db, db_to_linear, mw_to_dbm
+from .config import ConfigError, SystemParams, linear_to_db, db_to_linear
 from .dprc import run_dprc
 from .impairment_model import sinr_baseband
 from .link_abstraction import (
@@ -135,15 +135,20 @@ def _cached_table(
 ) -> tuple[RateTable | None, str]:
     """The (n_rx, flag set) table cached at path if it is fresh, else None
     and what is wrong. Fresh means it parses, its build block equals want,
-    and it holds the antenna count and flag set it is filed under."""
+    each rate is the build's r_base_bps * m * u, and it holds the antenna
+    count and flag set it is filed under."""
     if not path.exists():
         return None, f"missing rate table cache: {path}"
     try:
         table = RateTable.load(path)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, OverflowError, KeyError, TypeError, AttributeError) as exc:
         return None, f"cannot read cached table {path} ({type(exc).__name__}: {exc})"
     if table.build_info != want:
         return None, f"cached table {path} was built with different settings"
+    for e in table.entries:
+        if e.rate_bps != want["r_base_bps"] * e.m * e.u:
+            return None, (f"cannot read cached table {path} (rate_bps {e.rate_bps} "
+                          f"is not r_base_bps * m * u at m={e.m}, u={e.u})")
     label = FLAG_SETS[flag_name].label()
     if (table.n_rx, table.flags_label) != (n_rx, label):
         return None, (f"cached table {path} holds the N{table.n_rx} "
@@ -230,7 +235,7 @@ def _trace_text(p, sinr, r, table: RateTable) -> str:
     one % call (%.10g is _fmt's format). The lines are what csv.writer gives
     for these fields: CRLF ends, nothing quoted."""
     with np.errstate(divide="ignore"):
-        power_dbm = np.where(p > 0, mw_to_dbm(p), -np.inf).ravel().tolist()
+        power_dbm = np.where(p > 0, linear_to_db(p), -np.inf).ravel().tolist()
         sinr_db = np.where(sinr > 0, linear_to_db(sinr), -np.inf).ravel().tolist()
     rate = [str(round(x)) for x in table.rates_by_index.tolist()]
     rounds, k = p.shape

@@ -32,7 +32,8 @@ RFO_EPS_LIMIT = 0.4999
 
 
 def sinr_baseband(sinr_in, f_ici: float):
-    """Baseband SINR after phase-noise ICI: sinr / (1 + 2 * sinr * f_ici).
+    """Baseband SINR after phase-noise ICI: sinr / (1 + 2 * sinr * f_ici),
+    of sinr_in's shape (a numpy scalar for a scalar).
 
     Strictly increasing in sinr_in and saturating at 1 / (2 * f_ici).
     """
@@ -41,8 +42,7 @@ def sinr_baseband(sinr_in, f_ici: float):
         raise ValueError("sinr_in must be non-negative")
     if f_ici < 0:
         raise ValueError("f_ici must be non-negative")
-    out = sinr_in / (1.0 + 2.0 * sinr_in * f_ici)
-    return float(out) if out.ndim == 0 else out
+    return sinr_in / (1.0 + 2.0 * sinr_in * f_ici)
 
 
 def rfo_std(sinr_b: float, ns: int) -> float:
@@ -60,7 +60,8 @@ def sinr_after_rfo(sinr_b, eps):
     sinc^2 attenuation of the useful power over 1 + coeff * sinr * sin^2(pi eps).
 
     Defined for |eps| < 0.5 (beyond that the offset aliases onto a neighbor
-    subcarrier); even in eps and equal to sinr_b at eps = 0.
+    subcarrier); even in eps and equal to sinr_b at eps = 0. sinr_b and eps
+    broadcast, and two scalars give a numpy scalar.
     """
     sinr_b = np.asarray(sinr_b, dtype=float)
     eps = np.asarray(eps, dtype=float)
@@ -72,7 +73,9 @@ def sinr_after_rfo(sinr_b, eps):
     # puts 1e-20 for a zero offset, and the ICI term is 0 there
     zero = eps == 0
     any_zero = zero.any()
-    y = np.empty(np.broadcast_shapes(eps.shape, sinr_b.shape) or (1,))
+    # a (1,) buffer for a 0-d result: np.sin(0-d) is a scalar, not an out=
+    shape = np.broadcast_shapes(eps.shape, sinr_b.shape)
+    y = np.empty(shape or (1,))
     np.multiply(np.pi, eps, out=y)
     if any_zero:
         np.copyto(y, np.pi * 1.0e-20, where=zero)
@@ -86,4 +89,4 @@ def sinr_after_rfo(sinr_b, eps):
     den += 1.0
     out *= sinr_b
     out /= den
-    return float(out[0]) if eps.ndim == sinr_b.ndim == 0 else out
+    return out.reshape(shape)[()]

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SystemParams, db_to_linear
+from .config import SystemParams, _whole, db_to_linear
 from .impairment_model import RFO_EPS_LIMIT, rfo_std, sinr_after_rfo, sinr_baseband
 from .rng import complex_normal, substream
 
@@ -169,12 +169,12 @@ def estimation_error_std(m: int, sinr):
     return np.sqrt(m / (training_length(m) * sinr))
 
 
-def _mmse_solve(aug: np.ndarray, h_herm: np.ndarray, nu: np.ndarray) -> np.ndarray:
+def _mmse_solve(aug: np.ndarray, h_herm: np.ndarray, nu: float | np.ndarray) -> np.ndarray:
     """Solve (H^H H + nu I) X = R for a stack held batch-last: aug is
     (M, M + R, B) with R in its right-hand block, h_herm is H^H as (M, N, B)
-    and nu is (B,). The Gram block is filled here and aug is eliminated in
-    place, Gauss-Jordan without pivoting (the matrix is Hermitian positive
-    definite); returns X, aug's right-hand block."""
+    and nu is one value or (B,). The Gram block is filled here and aug is
+    eliminated in place, Gauss-Jordan without pivoting (the matrix is
+    Hermitian positive definite); returns X, aug's right-hand block."""
     m = aug.shape[0]
     for j in range(m):
         h_col = h_herm[j].conj()
@@ -264,19 +264,18 @@ def _ber_given_stats(s_diag, sigma2, mod: ModScheme):
 def _detection_stats(g, g_hat, sinr_rfo):
     """Post-detection diagonal gains and decision-statistic variances for the
     power-normalized link (signal scaled by 1/sqrt(M), noise 1/sinr), given
-    its channel g = h / sqrt(M) and estimate g_hat = h_hat / sqrt(M): the
-    detected stream's off-diagonal interference plus the detector-row-scaled
-    noise."""
+    its channel g = h / sqrt(M) and estimate g_hat = h_hat / sqrt(M) at one
+    SINR: the detected stream's off-diagonal interference plus the
+    detector-row-scaled noise."""
     m = g.shape[-1]
     w = mmse_weights(g_hat, sinr_rfo)
     s = w @ g
     idx = np.arange(m)
     s_diag = s[..., idx, idx]
-    nu = 1.0 / np.asarray(sinr_rfo, dtype=float)
     inter = np.sum(np.abs(s) ** 2, axis=-1) - np.abs(s_diag) ** 2
     w_energy = np.sum(np.abs(w) ** 2, axis=-1)
-    sigma2 = inter + w_energy * (nu[..., None] if nu.ndim else nu)
-    return s_diag, sigma2
+    # times the reciprocal, as the detector's own 1/sinr: a division moves bits
+    return s_diag, inter + w_energy * (1.0 / sinr_rfo)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +319,9 @@ def _ber_per_draw(sinr_in, h, e_raw, mod, flags: ImpairmentFlags,
         nodes, weights = _gh_nodes(QUAD_ORDER)
         sigma = rfo_std(sinr_b, params.ns)
         eps = np.clip(math.sqrt(2.0) * sigma * nodes, -RFO_EPS_LIMIT, RFO_EPS_LIMIT)
-        sinr_nodes = sinr_after_rfo(np.full_like(eps, sinr_b), eps)
+        sinr_nodes = sinr_after_rfo(sinr_b, eps)
     else:
-        sinr_nodes = np.array([sinr_b])
-        weights = np.array([1.0])
+        sinr_nodes, weights = (sinr_b,), (1.0,)
     scale = 1.0 / math.sqrt(m)
     g = h * scale
     pb = np.zeros(h.shape[0])
@@ -427,14 +425,14 @@ class RateTable:
         entries = tuple(
             RateEntry(
                 rate_bps=float(e["rate_bps"]),
-                m=int(e["m"]),
-                u=int(e["u"]),
+                m=_whole(e["m"]),
+                u=_whole(e["u"]),
                 threshold_db=float(e["threshold_db"]),
             )
             for e in doc["entries"]
         )
         return cls(
-            n_rx=int(doc["n_rx"]),
+            n_rx=_whole(doc["n_rx"]),
             flags_label=doc["flags"],
             entries=entries,
             build_info=doc.get("build"),

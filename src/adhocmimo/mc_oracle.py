@@ -17,8 +17,8 @@ simulate_link_ber takes ber_end_to_end's first six arguments, so both paths
 describe one link: the same flags and SystemParams set the phase-noise
 compression, the offset spread (params.ns) and the estimation error
 (estimation_error_std), drawn afresh per vector where the chain integrates.
-Its input SINR may be a scalar, which gives floats, or a 1-D array of
-points, which gives arrays: one set of draws per batch serves every point
+Its input SINR may be a scalar, which gives numpy scalars, or a 1-D array
+of points, which gives arrays: one set of draws per batch serves every point
 (common random numbers), each point scaling the same standard-normal offset
 and estimation-error draws by its own spread, so an array of points equals
 the scalar calls at each of them bit for bit.
@@ -98,26 +98,25 @@ def demap(y_hat, mod: ModScheme):
     sliced per axis against the decision edges; with an imaginary axis,
     both axes are sliced at once, on the (real, imaginary) float pairs.
 
-    Accepts scalars or arrays. A point on an edge goes to the neighbour with
-    the smaller Gray code, which is the lower label: the tie rule of an
-    argmin over all points, which keeps the first minimum.
+    Accepts scalars, which give a numpy integer, or arrays. A point on an
+    edge goes to the neighbour with the smaller Gray code, which is the
+    lower label: the tie rule of an argmin over all points, which keeps the
+    first minimum.
     """
     y = np.asarray(y_hat, dtype=complex)
     if mod.has_im_axis:
         codes = mod.gray.take(_slice(y[..., None].view(np.float64), mod))
-        labels = (codes[..., 0] << (mod.u // 2)) | codes[..., 1]
-    else:
-        labels = mod.gray.take(_slice(y.real, mod))
-    return int(labels) if labels.ndim == 0 else labels
+        return (codes[..., 0] << (mod.u // 2)) | codes[..., 1]
+    return mod.gray.take(_slice(y.real, mod))
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """BER and its standard error: floats for one SINR, arrays for an array
-    of them. n_bits and n_vectors count one point's bits and vectors."""
+    """BER and its standard error, numpy scalars for one SINR or arrays for
+    an array of them; n_bits and n_vectors count one point's bits and vectors."""
 
-    ber: float | np.ndarray
-    stderr: float | np.ndarray
+    ber: np.float64 | np.ndarray
+    stderr: np.float64 | np.ndarray
     n_bits: int
     n_vectors: int
 
@@ -125,14 +124,12 @@ class OracleResult:
 def _oracle_result(total, total_sq, n: int, bits_per_vector: int) -> OracleResult:
     """Mean and standard error of n per-vector BER samples
     errors / bits_per_vector, from the integer sum of the per-vector error
-    counts and the sum of their squares: scalars or arrays of them, one
-    entry per point."""
+    counts and the sum of their squares: numpy scalars or arrays of them,
+    one entry per point, giving the same form."""
     mean = np.asarray(total) / bits_per_vector / n
     var = np.maximum(np.asarray(total_sq) / bits_per_vector ** 2 - n * mean * mean,
                      0.0) / (n - 1)
     stderr = np.sqrt(var / n)
-    if mean.ndim == 0:
-        mean, stderr = float(mean), float(stderr)
     return OracleResult(ber=mean, stderr=stderr, n_bits=n * bits_per_vector, n_vectors=n)
 
 
@@ -140,10 +137,11 @@ def _detect(h_herm, hx, noise, sinr_eff) -> np.ndarray:
     """MMSE estimates (m, b) of the symbols x sent over channels H with
     estimates H_hat, given H_hat^H as h_herm (m, n, b), the products
     H[:, j] * x[j] as hx (m, n, b), unit-variance noise draws (n, b) and
-    effective SINRs (b,); it leaves all of them intact. The power split's
-    1/sqrt(m) moves onto the noise: W y of the power-normalized link is the
-    solution of (H^H H + nu I) x_hat = H^H (H x + sqrt(nu) noise) on the
-    unscaled channel and estimate, with nu = m / sinr."""
+    the effective SINR, one for all b or (b,); it leaves all of them
+    intact. The power split's 1/sqrt(m) moves onto the noise: W y of the
+    power-normalized link is the solution of
+    (H^H H + nu I) x_hat = H^H (H x + sqrt(nu) noise) on the unscaled
+    channel and estimate, with nu = m / sinr."""
     m, n, b = h_herm.shape
     nu = m / sinr_eff
     y = noise * np.sqrt(nu)
@@ -190,11 +188,10 @@ def _count_batch(errors, rng, b, n, m, mod: ModScheme, flags: ImpairmentFlags,
             e_t = h_err[blk].transpose(2, 1, 0)
             e_herm = np.ascontiguousarray(np.conjugate(e_t, out=e_t))
         for i, s_b in enumerate(sinr_b):
+            s_eff = s_b
             if flags.rfo:
                 eps = np.clip(eps_std[i] * g[blk], -RFO_EPS_LIMIT, RFO_EPS_LIMIT)
                 s_eff = sinr_after_rfo(s_b, eps)
-            else:
-                s_eff = np.full(sent.shape[1], s_b)
             h_hat_herm = h_herm
             if flags.channel_est:
                 h_hat_herm = e_herm * estimation_error_std(m, s_eff)
@@ -220,8 +217,8 @@ def simulate_link_ber(
     first six arguments: a fresh Rayleigh channel (and, per flags, a fresh
     offset draw and estimation error) for every one of n_symbols transmitted
     symbol vectors, each carrying m * u bits. sinr_in is one input SINR,
-    giving float results, or a 1-D array of them, giving arrays whose
-    points all share the draws."""
+    giving numpy scalar results, or a 1-D array of them, giving arrays
+    whose points all share the draws."""
     sinr = np.asarray(sinr_in, dtype=float)
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")

@@ -25,7 +25,8 @@ __all__ = [
 
 
 def path_gain(d, params: SystemParams):
-    """Log-distance channel power gain at distance d (meters).
+    """Log-distance channel power gain at distance d (meters), of d's shape:
+    a scalar d gives a numpy scalar.
 
     Strictly decreasing in d; raises for d below the reference distance where
     the model is not defined.
@@ -34,8 +35,7 @@ def path_gain(d, params: SystemParams):
     if np.any(d < params.d0_m):
         raise ValueError(f"distance below reference distance {params.d0_m} m")
     lp_db = params.lp_d0_db + 10.0 * params.alpha * np.log10(d / params.d0_m)
-    out = 10.0 ** (-lp_db / 10.0)
-    return float(out) if out.ndim == 0 else out
+    return 10.0 ** (-lp_db / 10.0)
 
 
 def noise_variance(params: SystemParams) -> float:

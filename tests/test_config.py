@@ -8,21 +8,18 @@ from adhocmimo.config import (
     ConfigError,
     SystemParams,
     db_to_linear,
-    dbm_to_mw,
     linear_to_db,
-    mw_to_dbm,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_db_round_trips():
+    # one pair serves dB and dBm alike: 0 dBm is 1 mW, 20 dBm is 100 mW
     assert db_to_linear(0.0) == 1.0
-    assert dbm_to_mw(0.0) == 1.0
     assert linear_to_db(100.0) == pytest.approx(20.0, abs=1e-12)
     for x in (0.01, 1.0, 37.5, 1e6):
         assert db_to_linear(linear_to_db(x)) == pytest.approx(x, rel=1e-12)
-        assert dbm_to_mw(mw_to_dbm(x)) == pytest.approx(x, rel=1e-12)
 
 
 def test_defaults_are_consistent():
@@ -48,9 +45,17 @@ def test_invariant_violations_raise():
         SystemParams(ns=64.7)
 
 
+def test_a_huge_whole_ns_is_accepted():
+    # an int is finite; one beyond int64 used to end in a TypeError from
+    # np.isfinite, directly and from a config file
+    assert SystemParams(ns=10**20).ns == 10**20
+    p = SystemParams.from_mapping({"ns": "1e20"})
+    assert p.ns == 10**20 and type(p.ns) is int
+
+
 def test_from_mapping_converts_units():
     p = SystemParams.from_mapping({"p_t_dbm": "23", "f_ici_dbc": "-30"})
-    assert p.p_t_mw == pytest.approx(dbm_to_mw(23.0))
+    assert p.p_t_mw == pytest.approx(db_to_linear(23.0))
     assert p.f_ici == pytest.approx(1e-3)
 
 
@@ -117,7 +122,7 @@ def test_from_file_parses_comments_and_blanks(tmp_path):
     )
     p = SystemParams.from_file(cfg)
     assert p.alpha == 3.5
-    assert p.p_t_mw == pytest.approx(dbm_to_mw(17.0))
+    assert p.p_t_mw == pytest.approx(db_to_linear(17.0))
 
 
 def test_from_file_reports_line_number(tmp_path):

@@ -19,7 +19,7 @@ import adhocmimo
 from adhocmimo import (
     dprc, experiments_cli as cli, link_abstraction, network_opt, radio_env,
 )
-from adhocmimo.config import SystemParams, linear_to_db, mw_to_dbm
+from adhocmimo.config import SystemParams, linear_to_db
 from adhocmimo.experiments_cli import (
     ExperimentSpec,
     UsageError,
@@ -219,14 +219,25 @@ def _swap_two_thresholds(doc: dict) -> str:
     return json.dumps(doc)
 
 
+def _set(doc: dict, field: str, value, entry: int | None = None) -> str:
+    (doc if entry is None else doc["entries"][entry])[field] = value
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [lambda doc: "{not json", lambda doc: '{"version": 2}', _swap_two_thresholds],
-    ids=["not-json", "unknown-version", "unsorted"])
+    [lambda doc: "{not json", lambda doc: '{"version": 2}', _swap_two_thresholds,
+     lambda doc: _set(doc, "n_rx", 1.7), lambda doc: _set(doc, "n_rx", 10**400),
+     lambda doc: _set(doc, "m", 1.5, entry=0),
+     lambda doc: _set(doc, "rate_bps", 123.0, entry=0)],
+    ids=["not-json", "unknown-version", "unsorted", "fractional-n_rx", "n_rx-beyond-float",
+         "fractional-m", "rate-not-r_base-m-u"])
 def test_unreadable_table_cache_is_reported(tmp_path, capsys, corrupt):
     # a corrupt, unknown-version or out-of-order cache file is a cache
     # problem (exit 2), not a crash or a silently wrong lookup, for the GA
-    # and the DPRC sweeps alike
+    # and the DPRC sweeps alike; a fractional count used to be cut to a
+    # whole one, and a rate other than r_base_bps * m * u used to be used;
+    # a count no float holds is refused as well
     for scenario in ("mst-sweep", "dprc-sweep"):
         out = tmp_path / scenario
         seed_tables(out)
@@ -291,6 +302,21 @@ def test_non_finite_or_fractional_config_value_is_a_usage_error(tmp_path, capsys
     assert main(argv) == 1
     assert line.split()[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_huge_whole_ns_runs(tmp_path):
+    # ns = 1e20 is a whole number, and an int is finite: the run used to end
+    # in a TypeError traceback from np.isfinite; now the noise of 1e20
+    # subcarriers silences every link, and the manifest records the int
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("ns = 1e20\n")
+    out = tmp_path / "out"
+    argv = ["dprc-sweep", "--k", "2", "--nrx", "1", "--trials", "1", "--build-tables",
+            "--table-draws", "20", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads((out / "manifest.json").read_text())["params"]["ns"] == 10**20
+    _, rows = read_csv(out / "dprc_trials.csv")
+    assert [row[4:] for row in rows] == [["0", "0"], ["0", "0"]]
 
 
 def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
@@ -467,7 +493,7 @@ def trace_csv_reference(p, sinr, r, table: RateTable) -> bytes:
     """A member's trace file as csv.writer wrote it from _fmt rows, before
     the trace became one formatted string."""
     with np.errstate(divide="ignore"):
-        power_dbm = np.where(p > 0, mw_to_dbm(p), -np.inf).tolist()
+        power_dbm = np.where(p > 0, linear_to_db(p), -np.inf).tolist()
         sinr_db = np.where(sinr > 0, linear_to_db(sinr), -np.inf).tolist()
     rate = [str(int(x)) for x in table.rates_by_index]
     buf = io.StringIO(newline="")

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import erfc
 
-from adhocmimo.config import db_to_linear
-from adhocmimo.impairment_model import sinr_baseband
+from adhocmimo.config import SystemParams, db_to_linear
+from adhocmimo.dprc import best_response_power
+from adhocmimo.impairment_model import sinr_after_rfo, sinr_baseband
 from adhocmimo.link_abstraction import (
     FLAG_SETS, _orbit, ber_end_to_end, make_mod_scheme, mmse_weights,
 )
 from adhocmimo.mc_oracle import _detect, _slice, demap, simulate_link_ber
+from adhocmimo.radio_env import path_gain
 from adhocmimo.rng import complex_normal, substream
 
 from conftest import conditional_ber, simulate_conditional_ber, slice_reference
@@ -261,6 +263,32 @@ def test_link_oracle_results_are_pinned(params, flag_name, n, m):
     assert (res.n_bits, res.n_vectors) == (25_000 * m * 4, 25_000)
 
 
+def _oracle(sinr):
+    res = simulate_link_ber(sinr, 2, 2, make_mod_scheme(4), FLAG_SETS["imp"], SystemParams(),
+                            n_symbols=4097, seed=3)
+    return res.ber, res.stderr
+
+
+@pytest.mark.parametrize("call,x", [
+    (lambda d: (path_gain(d, SystemParams()),), 120.0),
+    (lambda s: (sinr_baseband(s, 1e-3),), 50.0),
+    (lambda s: (sinr_after_rfo(s, 0.03),), 50.0),
+    (lambda eps: (sinr_after_rfo(50.0, eps),), 0.03),
+    (lambda eps: (sinr_after_rfo(50.0, eps),), 0.0),
+    (lambda ieff: (best_response_power(ieff, 100.0),), 1.0),
+    (lambda y: (demap(y, make_mod_scheme(4)),), 0.3 - 0.7j),
+    (_oracle, db_to_linear(12.0)),
+], ids=["path_gain", "sinr_baseband", "sinr_after_rfo-sinr", "sinr_after_rfo-eps",
+        "sinr_after_rfo-eps0", "best_response_power", "demap", "simulate_link_ber"])
+def test_scalar_call_gives_the_bits_of_a_one_element_call(call, x):
+    # one form per helper: a scalar input gives numpy's own 0-d result, with
+    # the bits and dtype of element 0 of the same call on a (1,) array
+    for got, want in zip(call(x), call(np.array([x])), strict=True):
+        assert isinstance(got, (np.generic, np.ndarray)) and np.ndim(got) == 0
+        assert want.shape == (1,) and got.dtype == want.dtype
+        assert got.tobytes() == want[0].tobytes()
+
+
 @pytest.mark.parametrize("flag_name", list(FLAG_SETS))
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (4, 2), (3, 1)])
 def test_link_oracle_curve_equals_its_points(params, flag_name, n, m):
@@ -273,7 +301,7 @@ def test_link_oracle_curve_equals_its_points(params, flag_name, n, m):
         curve = simulate_link_ber(sinr, *link, n_symbols=n_symbols, seed=12)
         points = [simulate_link_ber(float(s), *link, n_symbols=n_symbols, seed=12)
                   for s in sinr]
-        assert all(type(p.ber) is float and type(p.stderr) is float for p in points)
+        assert all(np.ndim(p.ber) == 0 and np.ndim(p.stderr) == 0 for p in points)
         assert curve.ber.tolist() == [p.ber for p in points]
         assert curve.stderr.tolist() == [p.stderr for p in points]
         assert {(curve.n_bits, curve.n_vectors)} == {(p.n_bits, p.n_vectors) for p in points}

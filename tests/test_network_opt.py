@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from adhocmimo.config import SystemParams, dbm_to_mw
+from adhocmimo.config import SystemParams, db_to_linear
 from adhocmimo.link_abstraction import RateEntry, RateTable
 from adhocmimo.network_opt import (
     maximize_sum_throughput, rate_indices, sinr_in_all, split_gains, stack_tables,
@@ -250,7 +250,7 @@ def test_ga_matches_brute_force_grid(params, table_cache):
     topo = sample_topology(3, params, substream(42, "brute"))
     _, fit = ga_one(topo, table, params, seed=0)
 
-    levels = np.concatenate([[0.0], dbm_to_mw(np.arange(-10.0, 20.0 + 1e-9, 1.0))])
+    levels = np.concatenate([[0.0], db_to_linear(np.arange(-10.0, 20.0 + 1e-9, 1.0))])
     grid = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), axis=-1)
     grid = grid.reshape(-1, 3)
     sinr = sinr_in_all(grid, split_gains(topo.rho), total_noise_power(params))
