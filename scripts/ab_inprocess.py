@@ -11,7 +11,8 @@ side, each pair calls run_experiment once per tree on the same spec, each
 call into a fresh output directory, old first in odd pairs and new first in
 even ones; the sweeps (mst-sweep, loss-ratio, dprc-sweep) get the tree's own
 shipped rate tables (tests/data/tables) staged first, untimed. A call is
-timed in process CPU time, so pass --jobs 1: pool workers are not counted.
+timed in process CPU time, which counts no pool worker, so a spec with
+--jobs above 1 is refused (exit 2) before any run.
 
 Prints each side's median and quartiles (numpy.percentile, linear), the
 number of pairs in which the new tree took less time, and the median of
@@ -86,6 +87,10 @@ def main(argv: list[str] | None = None) -> int:
     for name, tree in (("old", args.old), ("new", args.new)):
         cli = load_cli(tree.resolve(), f"adhocmimo_{name}")
         spec = cli.spec_from_args(simcli_args)
+        if spec.jobs > 1:
+            print(f"ab_inprocess: --jobs {spec.jobs} runs a process pool, whose CPU "
+                  "time is not counted; pass --jobs 1", file=sys.stderr)
+            return 2
         sides[name] = (cli, spec, tree.resolve() / "tests" / "data" / "tables")
     times = {"old": [], "new": []}
     with tempfile.TemporaryDirectory() as tmp:

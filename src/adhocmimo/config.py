@@ -49,8 +49,12 @@ class SystemParams:
 
     def __post_init__(self):
         for key, (target, _) in _CONFIG_KEYS.items():
-            # via float: np.isfinite rejects an int beyond int64, such as ns = 10**20
-            if not np.isfinite(float(getattr(self, target))):
+            try:
+                # via float: np.isfinite rejects an int beyond int64, such as ns = 10**20
+                finite = np.isfinite(float(getattr(self, target)))
+            except OverflowError as exc:
+                raise ConfigError(f"{key} is too large for a float") from exc
+            if not finite:
                 raise ConfigError(f"{key} must be finite, got {getattr(self, target)}")
         if self.d0_m <= 0:
             raise ConfigError("d0_m must be positive")

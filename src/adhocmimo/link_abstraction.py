@@ -89,18 +89,19 @@ class ModScheme:
 
     One axis is stored: both axes of a square QAM share the ascending levels
     and their Gray bits gray. A label, the index of points, holds the Gray
-    bits of its real level re_index[label] above those of its imaginary one."""
+    bits of its real level re_index[label] above those of its imaginary one.
+    edges holds the L - 1 decision edges, midway between adjacent levels;
+    slice_edges holds them strictly, as the oracle's slicer compares: an edge
+    whose upper neighbour has the smaller Gray code is one float lower, so a
+    coordinate on it counts it as below. Cached and shared: read-only."""
 
     u: int
     points: np.ndarray
     levels: np.ndarray
     gray: np.ndarray
     re_index: np.ndarray
-
-    @property
-    def half_step(self) -> float:
-        """Half the distance between adjacent axis levels."""
-        return 1.0 / math.sqrt(_D_BY_U[self.u])
+    edges: np.ndarray
+    slice_edges: np.ndarray
 
     @property
     def has_im_axis(self) -> bool:
@@ -120,7 +121,15 @@ def make_mod_scheme(u: int) -> ModScheme:
     level_of[gray] = np.arange(side)
     im = 1j * levels[level_of] if u > 1 else np.zeros(1, dtype=complex)
     points = (levels[level_of, None] + im).ravel()
-    return ModScheme(u, points, levels, gray, re_index=level_of.repeat(len(im)))
+    edges = levels[:-1] + 1.0 / math.sqrt(_D_BY_U[u])
+    upper_wins = (gray[1:] < gray[:-1]).tolist()
+    # math's nextafter: numpy's ufunc would page 64 KB more of numpy's code
+    # into a run's peak RSS
+    slice_edges = np.array([math.nextafter(e, -math.inf) if wins else e
+                            for e, wins in zip(edges.tolist(), upper_wins)])
+    edges.flags.writeable = slice_edges.flags.writeable = False
+    return ModScheme(u, points, levels, gray, re_index=level_of.repeat(len(im)),
+                     edges=edges, slice_edges=slice_edges)
 
 
 @dataclass(frozen=True)
@@ -252,8 +261,7 @@ def _ber_given_stats(s_diag, sigma2, mod: ModScheme):
     reps, sign, coef = _orbit(mod.u)
     scale = np.maximum(np.sqrt(np.maximum(sigma2, 0.0)), 1e-300)   # sqrt(2) sigma
     mean = (s_diag[..., None] * reps).real                      # (..., M, P/2)
-    edges = mod.levels[:-1] + mod.half_step
-    x = edges - mean[..., None]                                  # (..., M, P/2, L-1)
+    x = mod.edges - mean[..., None]                              # (..., M, P/2, L-1)
     x *= sign
     x /= scale[..., None, None]
     tails = erfc(x)   # looked up at call time: a wrapper on the module name sees it
@@ -380,8 +388,9 @@ class RateEntry:
 @dataclass(eq=False)
 class RateTable:
     """Modes that meet the BER target, in strictly ascending order of both
-    threshold and rate (dominated modes removed; construction checks the
-    order). Treat as immutable."""
+    threshold and rate (dominated modes removed). Construction checks the
+    order, that each mode runs on n_rx antennas with a supported u, and that
+    each threshold is finite. Treat as immutable."""
 
     n_rx: int
     flags_label: str
@@ -389,6 +398,11 @@ class RateTable:
     build_info: dict | None = None
 
     def __post_init__(self):
+        for e in self.entries:
+            if not 1 <= e.m <= self.n_rx or e.u not in _D_BY_U:
+                raise ValueError(f"an N{self.n_rx} receiver cannot run m={e.m}, u={e.u}")
+            if not math.isfinite(e.threshold_db):
+                raise ValueError(f"threshold_db {e.threshold_db} is not finite")
         for column in ("threshold_db", "rate_bps"):
             values = [getattr(e, column) for e in self.entries]
             if not all(a < b for a, b in zip(values, values[1:])):
@@ -448,7 +462,8 @@ class RateTable:
 
 def select_mode(sinr_in: float, table: RateTable) -> RateEntry | None:
     """Highest-rate entry whose threshold does not exceed sinr_in; None when
-    even the lowest mode is out of reach."""
+    even the lowest mode is out of reach. No scenario calls it (the network
+    layer looks rates up in batches); the benchmark's tracer wraps it by name."""
     idx = int(np.searchsorted(table.thresholds_linear, sinr_in, side="right"))
     return table.entries[idx - 1] if idx else None
 

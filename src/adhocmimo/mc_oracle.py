@@ -38,9 +38,7 @@ moves no bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,7 +46,6 @@ from .config import SystemParams
 from .impairment_model import RFO_EPS_LIMIT, rfo_std, sinr_after_rfo, sinr_baseband
 from .link_abstraction import (
     _POPCOUNT, ImpairmentFlags, ModScheme, _mmse_solve, estimation_error_std,
-    make_mod_scheme,
 )
 from .rng import complex_normal, substream
 
@@ -63,31 +60,13 @@ BATCH_VECTORS = 20_000
 BLOCK_VECTORS = 4096
 
 
-@lru_cache(maxsize=None)
-def _slice_edges(u: int) -> np.ndarray:
-    """One axis's decision edges as _slice compares them, strictly: an edge
-    whose upper neighbour has the smaller Gray code moves one float down, so
-    that a coordinate exactly on it counts it as below (x >= edge is
-    x > nextafter(edge, -inf) for every float x). Cached per scheme, so
-    read-only."""
-    mod = make_mod_scheme(u)
-    edges = (mod.levels[:-1] + mod.half_step).tolist()
-    upper_wins = (mod.gray[1:] < mod.gray[:-1]).tolist()
-    # math's nextafter: numpy's ufunc would page 64 KB more of numpy's code
-    # into a run's peak RSS
-    edges = np.array([math.nextafter(e, -math.inf) if wins else e
-                      for e, wins in zip(edges, upper_wins)])
-    edges.flags.writeable = False
-    return edges
-
-
 def _slice(x, mod: ModScheme) -> np.ndarray:
     """Level index of each coordinate on one axis: the number of decision
     edges below it, from one comparison against every edge. An edge whose
     upper neighbour has the smaller Gray code counts as below a coordinate
     exactly on it, so that neighbour wins."""
     x = np.asarray(x)
-    edges = _slice_edges(mod.u).reshape((-1,) + (1,) * x.ndim)
+    edges = mod.slice_edges.reshape((-1,) + (1,) * x.ndim)
     # counted in intp: a uint8 count is faster, but its reduce and take loops
     # page about 128 KB more of numpy's code into a run's peak RSS
     return np.add.reduce(x > edges, axis=0, dtype=np.intp)

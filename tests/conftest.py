@@ -139,7 +139,7 @@ def slice_reference(x, mod: ModScheme) -> np.ndarray:
     1 where the coordinate lies above it, or on it where the upper
     neighbour has the smaller Gray code."""
     idx = np.zeros(np.shape(x), dtype=np.intp)
-    for edge, upper_wins in zip(mod.levels[:-1] + mod.half_step, mod.gray[1:] < mod.gray[:-1]):
+    for edge, upper_wins in zip(mod.edges, mod.gray[1:] < mod.gray[:-1]):
         idx += (x >= edge) if upper_wins else (x > edge)
     return idx
 

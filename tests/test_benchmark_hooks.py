@@ -60,3 +60,17 @@ def test_ab_timer_runs_this_tree_against_itself():
     )
     assert done.returncode == 0, done.stderr
     assert re.match(r"\s*new faster in [01] of 1 pairs;", done.stdout.splitlines()[-1])
+
+
+def test_ab_timer_refuses_a_process_pool():
+    # process CPU time counts no pool worker: --jobs 2 used to print a few
+    # ms per call and exit 0
+    script = ROOT / "scripts" / "ab_inprocess.py"
+    done = subprocess.run(
+        [sys.executable, str(script), str(ROOT), str(ROOT), "--pairs", "1", "--",
+         "sinr-map", "--jobs", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "--jobs 2 runs a process pool" in done.stderr

@@ -53,6 +53,13 @@ def test_a_huge_whole_ns_is_accepted():
     assert p.ns == 10**20 and type(p.ns) is int
 
 
+@pytest.mark.parametrize("key", ["ns", "r_base_bps"])
+def test_a_direct_int_beyond_float_names_its_key(key):
+    # float(10**400) used to raise OverflowError, naming no key
+    with pytest.raises(ConfigError, match=f"^{key} is too large for a float"):
+        SystemParams(**{key: 10**400})
+
+
 def test_from_mapping_converts_units():
     p = SystemParams.from_mapping({"p_t_dbm": "23", "f_ici_dbc": "-30"})
     assert p.p_t_mw == pytest.approx(db_to_linear(23.0))

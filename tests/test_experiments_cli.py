@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -224,20 +225,31 @@ def _set(doc: dict, field: str, value, entry: int | None = None) -> str:
     return json.dumps(doc)
 
 
+def _set_mode(doc: dict, entry: int, m: int, u: int) -> str:
+    # a rate consistent with the mode, r_base_bps * m * u, and still ascending
+    doc["entries"][entry].update(m=m, u=u, rate_bps=doc["build"]["r_base_bps"] * m * u)
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [lambda doc: "{not json", lambda doc: '{"version": 2}', _swap_two_thresholds,
      lambda doc: _set(doc, "n_rx", 1.7), lambda doc: _set(doc, "n_rx", 10**400),
      lambda doc: _set(doc, "m", 1.5, entry=0),
-     lambda doc: _set(doc, "rate_bps", 123.0, entry=0)],
+     lambda doc: _set(doc, "rate_bps", 123.0, entry=0),
+     lambda doc: _set_mode(doc, -1, m=2, u=6), lambda doc: _set_mode(doc, 1, m=1, u=3),
+     lambda doc: _set(doc, "threshold_db", -math.inf, entry=0)],
     ids=["not-json", "unknown-version", "unsorted", "fractional-n_rx", "n_rx-beyond-float",
-         "fractional-m", "rate-not-r_base-m-u"])
+         "fractional-m", "rate-not-r_base-m-u", "m-beyond-n_rx", "unsupported-u",
+         "threshold-minus-infinity"])
 def test_unreadable_table_cache_is_reported(tmp_path, capsys, corrupt):
     # a corrupt, unknown-version or out-of-order cache file is a cache
     # problem (exit 2), not a crash or a silently wrong lookup, for the GA
     # and the DPRC sweeps alike; a fractional count used to be cut to a
     # whole one, and a rate other than r_base_bps * m * u used to be used;
-    # a count no float holds is refused as well
+    # a count no float holds is refused as well. A mode with more streams
+    # than the receiver has antennas, or an unsupported u, used to be run,
+    # and a -inf threshold used to be cleared at zero power
     for scenario in ("mst-sweep", "dprc-sweep"):
         out = tmp_path / scenario
         seed_tables(out)

@@ -58,7 +58,7 @@ def q_func(x: float) -> float:
 @pytest.mark.parametrize("u,d", [(1, 1), (2, 2), (4, 10), (6, 42)])
 def test_constellation_energy_and_size(u, d):
     mod = make_mod_scheme(u)
-    assert mod.half_step == 1 / math.sqrt(d)
+    assert mod.edges.tolist() == (mod.levels[:-1] + 1 / math.sqrt(d)).tolist()
     assert len(mod.points) == 2 ** u
     assert np.mean(np.abs(mod.points) ** 2) == pytest.approx(1.0, abs=1e-12)
 
@@ -87,6 +87,18 @@ def test_bpsk_is_antipodal():
 def test_unsupported_bits_per_symbol():
     with pytest.raises(ValueError):
         make_mod_scheme(3)
+
+
+@pytest.mark.parametrize("u", [1, 2, 4, 6])
+def test_decision_edges_are_shared_and_read_only(u):
+    # the scheme is cached, so every caller reads the same two edge arrays;
+    # a write into one would corrupt every later kernel call and demap
+    mod = make_mod_scheme(u)
+    assert mod.edges.size == mod.slice_edges.size == len(mod.levels) - 1
+    for name in ("edges", "slice_edges"):
+        arr = getattr(mod, name)
+        assert not arr.flags.writeable
+        assert getattr(make_mod_scheme(u), name) is arr
 
 
 def test_training_length_rounds_up_to_power_of_two():
@@ -211,7 +223,7 @@ def _ber_given_stats_by_label(s_diag, sigma2, mod):
     """Brute-force reference for the orbit kernel: every (label, axis) pair
     integrates its own decision regions, one Q evaluation per edge."""
     sig = np.maximum(np.sqrt(np.maximum(sigma2, 0.0) / 2.0), 1e-300)
-    edges = mod.levels[:-1] + mod.half_step
+    edges = mod.edges
     axes = [(np.real, mod.re_index)]
     if mod.has_im_axis:
         axes.append((np.imag, np.searchsorted(mod.levels, mod.points.imag)))

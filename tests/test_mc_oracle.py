@@ -97,7 +97,7 @@ def test_slicing_in_one_comparison_matches_the_edge_loop(u):
     # with >= there. Both count alike on each edge, at both of its float
     # neighbours, and at random points inside and outside the grid
     mod = make_mod_scheme(u)
-    edges = mod.levels[:-1] + mod.half_step
+    edges = mod.edges
     x = np.concatenate([
         edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
         mod.levels, [0.0, -0.0],
